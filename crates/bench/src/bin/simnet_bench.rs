@@ -13,9 +13,8 @@
 //! are machine-dependent; mask them before comparing artifacts.
 //!
 //! Exit status: 0 when every size keeps `wheel_full ≥ 0.85 × heap_full`
-//! events/sec and the largest size clears the 5× shipped-vs-baseline bar
-//! (gates skipped under `--quick`, which exists for smoke coverage, not
-//! measurement); 1 on a gate failure, 2 on usage error.
+//! events/sec (gate skipped under `--quick`, which exists for smoke
+//! coverage, not measurement); 1 on a gate failure, 2 on usage error.
 
 use cb_bench::simnet::{run_size, to_json, SizeBench};
 use cb_simnet::prelude::*;
@@ -112,16 +111,6 @@ fn main() {
             eprintln!(
                 "regression: {} nodes wheel_full at {:.2}x of heap_full (gate 0.85)",
                 s.nodes, ratio
-            );
-            failed = true;
-        }
-    }
-    if let Some(largest) = results.iter().max_by_key(|s| s.nodes) {
-        let speedup = largest.speedup_vs_baseline();
-        if speedup < 5.0 {
-            eprintln!(
-                "regression: {} nodes shipped-vs-baseline speedup {:.2}x under the 5x gate",
-                largest.nodes, speedup
             );
             failed = true;
         }

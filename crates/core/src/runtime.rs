@@ -595,9 +595,8 @@ pub fn fleet_telemetry<S: Service>(sim: &Sim<RuntimeNode<S>>) -> Registry {
         reg.merge(&sim.actor(n).telemetry());
     }
     sim.summary().record_into(&mut reg);
-    // Provenance accounting: flat-trace eviction plus the flight
-    // recorders' span totals (all deterministic for a given seed).
-    reg.set_counter(keys::SIMNET_TRACE_EVICTED, sim.trace().evicted());
+    // Provenance accounting: the flight recorders' span totals
+    // (deterministic for a given seed).
     let (mut recorded, mut evicted) = (0u64, 0u64);
     for rec in sim.flight_recorders() {
         recorded += rec.pushed();
@@ -715,8 +714,8 @@ impl<'a, 'b, M: Clone + Debug + 'static, C: Clone + Debug + 'static> ServiceCtx<
         self.net.break_connection(peer);
     }
 
-    /// Appends an annotation to the simulation trace.
-    pub fn note(&mut self, text: impl Into<String>) {
+    /// Puts an annotation under the run fingerprint.
+    pub fn note(&mut self, text: impl AsRef<str>) {
         self.net.note(text);
     }
 

@@ -127,7 +127,6 @@ pub fn run_swarm(cfg: &SwarmConfig, strategy: BlockStrategy) -> SwarmOutcome {
     for p in 0..peers as u32 {
         sim.schedule_start(NodeId(p), SimTime::ZERO);
     }
-    sim.trace_mut().set_enabled(false);
     sim.run_until(SimTime::ZERO + cfg.horizon);
 
     let mut times: Vec<f64> = Vec::new();

@@ -149,7 +149,6 @@ pub fn run_gossip(cfg: &GossipConfig, strategy: PeerStrategy) -> GossipOutcome {
             cfg.seed.wrapping_add(0xC0FFEE),
         );
     }
-    sim.trace_mut().set_enabled(false);
     sim.run_until(SimTime::ZERO + cfg.horizon);
 
     // Honest nodes only (the source counts).

@@ -67,8 +67,8 @@ pub use linearizability::{
 };
 pub use oracle::{check_all, Oracle, OracleVerdict};
 pub use plan::{Fault, FaultPlan, PlanParseError};
-pub use provenance::{parse_provenance, provenance_json, span_from_json, span_json};
-pub use scenario::{trace_tail, RunReport, Scenario};
+pub use provenance::{parse_provenance, provenance_json, span_from_json, span_json, trace_tail};
+pub use scenario::{RunReport, Scenario};
 pub use telemetry::telemetry_json;
 
 /// Everything most campaign authors need, in one import.

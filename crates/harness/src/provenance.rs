@@ -16,9 +16,8 @@
 //! knowing the schema.
 
 use crate::json::Json;
-use cb_simnet::prelude::{Actor, Sim};
-use cb_trace::{Span, SpanId, SpanKind};
-use std::collections::{BTreeMap, VecDeque};
+use cb_simnet::prelude::{Actor, Sim, SimTime};
+use cb_trace::{FlightRecorder, Span, SpanId, SpanKind, SpanRef};
 
 /// Schema tag of the `provenance` artifact section.
 pub const PROVENANCE_SCHEMA: &str = "cb-provenance/v1";
@@ -47,60 +46,88 @@ pub const VIOLATION_NODE: u32 = u32::MAX;
 /// bounded on long runs; truncated parents show up as `unresolved` in blame
 /// walks, exactly like ring-evicted ones. Sorted by span id
 /// `(at_ns, node, seq)`; deterministic for a given seed.
-pub fn collect_tail<A: Actor>(sim: &Sim<A>, per_node: usize) -> Vec<Span> {
-    let mut all: BTreeMap<SpanId, &Span> = BTreeMap::new();
-    for rec in sim.flight_recorders() {
-        for s in rec.spans() {
-            all.insert(s.id, s);
+///
+/// `fleet[n]` is node `n`'s recorder. The work is O(tail): parents resolve
+/// through [`FlightRecorder::index_of`] rather than a fleet-wide map, and
+/// only the spans returned are rendered.
+pub fn collect_tail(fleet: &[FlightRecorder], per_node: usize) -> Vec<Span> {
+    /// Picks `fleet[node]`'s `index`-th span unless already picked.
+    fn pick<'a>(
+        fleet: &'a [FlightRecorder],
+        seen: &mut [Vec<bool>],
+        picked: &mut Vec<(SpanId, SpanRef<'a>)>,
+        (node, index): (usize, usize),
+    ) {
+        if !std::mem::replace(&mut seen[node][index], true) {
+            let span = fleet[node].get(index).expect("index below len");
+            picked.push((span.id(), span));
         }
     }
-    let mut picked: BTreeMap<SpanId, &Span> = BTreeMap::new();
-    let mut queue: VecDeque<SpanId> = VecDeque::new();
-    for rec in sim.flight_recorders() {
-        for s in rec.tail(per_node) {
-            if picked.insert(s.id, s).is_none() {
-                queue.push_back(s.id);
-            }
+    // One flag per retained span. `picked` is in pick order and doubles as
+    // the breadth-first queue.
+    let mut seen: Vec<Vec<bool>> = fleet.iter().map(|rec| vec![false; rec.len()]).collect();
+    let mut picked: Vec<(SpanId, SpanRef<'_>)> = Vec::new();
+    for (node, rec) in fleet.iter().enumerate() {
+        let len = rec.len();
+        for index in len.saturating_sub(per_node)..len {
+            pick(fleet, &mut seen, &mut picked, (node, index));
         }
         // Decisions are the point of the exercise: seed the export with each
         // node's retained decision spans (bounded by the recorder's pinned
         // side-ring plus whatever the main ring still holds, capped here) so
         // the violation span's decision-parent edges resolve in the tail
         // even when the last decision predates the per-node window.
-        let decisions: Vec<&Span> = rec
+        let mut decisions: Vec<usize> = rec
             .spans()
-            .filter(|s| s.kind == SpanKind::Decision)
+            .rev()
+            .enumerate()
+            .filter(|(_, s)| s.kind() == SpanKind::Decision)
+            .map(|(back, _)| len - 1 - back)
+            .take(cb_trace::DECISION_PIN_CAPACITY)
             .collect();
-        let skip = decisions
-            .len()
-            .saturating_sub(cb_trace::DECISION_PIN_CAPACITY);
-        for s in &decisions[skip..] {
-            if picked.insert(s.id, s).is_none() {
-                queue.push_back(s.id);
-            }
+        decisions.reverse();
+        for index in decisions {
+            pick(fleet, &mut seen, &mut picked, (node, index));
         }
     }
     let budget = picked.len().saturating_mul(CLOSURE_BUDGET_FACTOR).max(1);
-    while let Some(id) = queue.pop_front() {
-        if picked.len() >= budget {
-            break;
-        }
-        let parents = picked
-            .get(&id)
-            .map(|s| s.parents.clone())
-            .unwrap_or_default();
-        for p in parents {
+    let mut head = 0;
+    while head < picked.len() && picked.len() < budget {
+        let (_, span) = picked[head];
+        head += 1;
+        for parent in span.parents() {
             if picked.len() >= budget {
                 break;
             }
-            if let Some(span) = all.get(&p) {
-                if picked.insert(p, span).is_none() {
-                    queue.push_back(p);
-                }
+            let node = parent.node as usize;
+            if let Some(index) = fleet.get(node).and_then(|rec| rec.index_of(*parent)) {
+                pick(fleet, &mut seen, &mut picked, (node, index));
             }
         }
     }
-    picked.into_values().cloned().collect()
+    picked.sort_unstable_by_key(|(id, _)| *id);
+    picked.iter().map(|(_, s)| s.render(fleet)).collect()
+}
+
+/// The last `k` spans recorded fleet-wide, in span-id order, one line each:
+/// `[time] <span id> <kind> <name> <- <parent ids>`. What a failing report
+/// embeds as `last_trace`, the "what happened right before" window.
+pub fn trace_tail(fleet: &[FlightRecorder], k: usize) -> Vec<String> {
+    let mut last: Vec<SpanRef<'_>> = fleet.iter().flat_map(|rec| rec.tail(k)).collect();
+    last.sort_unstable_by_key(|s| s.id());
+    last[last.len().saturating_sub(k)..]
+        .iter()
+        .map(|s| {
+            let id = s.id();
+            let at = SimTime::from_nanos(id.at_ns);
+            let mut line = format!("[{at}] {id} {} {}", s.kind().label(), s.name(fleet));
+            for (i, parent) in s.parents().iter().enumerate() {
+                line.push_str(if i == 0 { " <- " } else { ", " });
+                line.push_str(&parent.to_string());
+            }
+            line
+        })
+        .collect()
 }
 
 /// Synthesises one [`SpanKind::Violation`] span per failing oracle.
@@ -113,15 +140,14 @@ pub fn violation_spans<A: Actor>(sim: &Sim<A>, failing: &[(String, String)]) -> 
     let at_ns = sim.now().as_nanos();
     let mut parents: Vec<SpanId> = Vec::new();
     for rec in sim.flight_recorders() {
-        let last = rec.spans().last();
-        let last_decision = rec.spans().filter(|s| s.kind == SpanKind::Decision).last();
-        if let Some(s) = last {
-            parents.push(s.id);
-        }
-        if let Some(d) = last_decision {
-            if last.map(|s| s.id) != Some(d.id) {
-                parents.push(d.id);
-            }
+        let Some(last) = rec.spans().next_back() else {
+            continue;
+        };
+        parents.push(last.id());
+        // From the back: the last decision is rarely far behind.
+        let last_decision = rec.spans().rev().find(|s| s.kind() == SpanKind::Decision);
+        if let Some(d) = last_decision.filter(|d| d.id() != last.id()) {
+            parents.push(d.id());
         }
     }
     failing
@@ -262,6 +288,80 @@ pub fn parse_provenance(j: &Json) -> Result<Vec<Span>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cb_trace::{recorder::INHERIT_EVICTED, Label};
+
+    /// Two nodes with 2-slot rings. Node 0 sends twice; timer churn pushes
+    /// its first send off the ring before anyone exports node 1's delivery
+    /// of it. Returns the fleet and the evicted send's id.
+    fn fleet_with_an_evicted_send() -> (Vec<FlightRecorder>, SpanId) {
+        let mut sender = FlightRecorder::with_capacity(0, 2);
+        let mut receiver = FlightRecorder::with_capacity(1, 2);
+        let first = sender.record_slot(1_000, SpanKind::Send, Label::text("Ping { n: 1 }"), None);
+        let tick = sender.record_slot(2_000, SpanKind::Timer, Label::Timer(7), None);
+        receiver.record_slot(5_000, SpanKind::Deliver, Label::Inherit, Some(first));
+        let second = sender.record_slot(
+            6_000,
+            SpanKind::Send,
+            Label::text("Ping { n: 2 }"),
+            Some(tick),
+        );
+        receiver.record_slot(9_000, SpanKind::Deliver, Label::Inherit, Some(second));
+        (vec![sender, receiver], first)
+    }
+
+    #[test]
+    fn delivery_of_an_evicted_send_renders_the_placeholder_deterministically() {
+        let (fleet, evicted) = fleet_with_an_evicted_send();
+        assert_eq!(fleet[0].evicted(), 1);
+        let tail = collect_tail(&fleet, TAIL_PER_NODE);
+        let names: Vec<(SpanKind, &str)> = tail.iter().map(|s| (s.kind, s.name.as_str())).collect();
+        assert_eq!(
+            names,
+            vec![
+                (SpanKind::Timer, "timer:7"),
+                (SpanKind::Deliver, INHERIT_EVICTED),
+                (SpanKind::Send, "Ping { n: 2 }"),
+                (SpanKind::Deliver, "Ping { n: 2 }"),
+            ]
+        );
+        // The edge to the lost send survives; blame reports it unresolved.
+        assert_eq!(tail[1].parents, vec![evicted]);
+        let chain = cb_trace::blame(&tail, tail[1].id).expect("delivery is in the tail");
+        assert_eq!(chain.unresolved, vec![evicted]);
+        // A second, independently built run exports the same bytes.
+        let (again, _) = fleet_with_an_evicted_send();
+        let json = |fleet: &[FlightRecorder]| {
+            provenance_json(&collect_tail(fleet, TAIL_PER_NODE), 5, 1, true).to_string_compact()
+        };
+        assert_eq!(json(&fleet), json(&again));
+    }
+
+    #[test]
+    fn closure_reaches_past_the_per_node_window_within_budget() {
+        let (fleet, _) = fleet_with_an_evicted_send();
+        // One span per node seeds {second send, second delivery}; the budget
+        // of 4 lets the closure pull in the send's timer parent.
+        let ids = |spans: Vec<Span>| spans.iter().map(|s| s.id.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            ids(collect_tail(&fleet, 1)),
+            vec!["t2000.n0.s2", "t6000.n0.s3", "t9000.n1.s2"]
+        );
+        assert!(collect_tail(&fleet, 0).is_empty());
+    }
+
+    #[test]
+    fn trace_tail_are_the_last_k_spans_fleet_wide_in_id_order() {
+        let (fleet, _) = fleet_with_an_evicted_send();
+        assert_eq!(
+            trace_tail(&fleet, 3),
+            vec![
+                "[t+5us] t5000.n1.s1 deliver <send evicted> <- t1000.n0.s1",
+                "[t+6us] t6000.n0.s3 send Ping { n: 2 } <- t2000.n0.s2",
+                "[t+9us] t9000.n1.s2 deliver Ping { n: 2 } <- t6000.n0.s3",
+            ]
+        );
+        assert_eq!(trace_tail(&fleet, 99).len(), 4);
+    }
 
     fn sample_span() -> Span {
         let mut s = Span::new(

@@ -45,7 +45,8 @@ pub struct RunReport {
     pub bytes_sent: u64,
     /// All oracle verdicts, scenario-specific first, generic last.
     pub verdicts: Vec<OracleVerdict>,
-    /// The last few trace lines, captured only when a verdict failed.
+    /// The last few spans the fleet recorded, one rendered line each,
+    /// captured only when a verdict failed.
     pub last_trace: Vec<String>,
     /// The flight-recorder tail: the last spans of every node's recorder,
     /// closed over retained causal parents, plus one synthesised
@@ -116,17 +117,15 @@ impl RunReport {
         summary.record_into(&mut telemetry);
         let failed = verdicts.iter().any(|v| !v.passed);
         let last_trace = if failed {
-            sim.trace()
-                .last(Self::TRACE_WINDOW)
-                .map(|r| format!("{r}"))
-                .collect()
+            provenance::trace_tail(sim.flight_recorders(), Self::TRACE_WINDOW)
         } else {
             Vec::new()
         };
         // Decision provenance: the flight-recorder tail rides every report;
         // failing runs additionally get one Violation span per failing
         // oracle, anchored to the last span (and last decision) per node.
-        let mut provenance = provenance::collect_tail(sim, provenance::TAIL_PER_NODE);
+        let mut provenance =
+            provenance::collect_tail(sim.flight_recorders(), provenance::TAIL_PER_NODE);
         if failed {
             let failing: Vec<(String, String)> = verdicts
                 .iter()
@@ -140,7 +139,6 @@ impl RunReport {
             spans_recorded += rec.pushed();
             spans_evicted += rec.evicted();
         }
-        telemetry.set_counter(keys::SIMNET_TRACE_EVICTED, sim.trace().evicted());
         telemetry.set_counter(keys::TRACE_SPANS_RECORDED, spans_recorded);
         telemetry.set_counter(keys::TRACE_SPANS_EVICTED, spans_evicted);
         RunReport {
@@ -291,10 +289,4 @@ pub fn policy_json(store: &cb_policy::PolicyStore) -> Json {
         // Decimal string: content ids use the full u64 range, beyond the
         // f64-backed JSON number type's 2^53.
         .with("content_id", store.content_id().to_string())
-}
-
-/// Helper: capture the last trace lines of a sim (used by scenarios that
-/// build reports manually).
-pub fn trace_tail<A: Actor>(sim: &Sim<A>, k: usize) -> Vec<String> {
-    sim.trace().last(k).map(|r| format!("{r}")).collect()
 }

@@ -108,3 +108,36 @@ fn safe_and_unsafe_arms_differ_only_in_the_guard() {
         .failing_oracles()
         .contains(&"kv.linearizable"));
 }
+
+#[test]
+fn deliveries_are_named_after_the_send_that_caused_them() {
+    // The simulator renders a payload once, at send; the delivery's span
+    // carries no text of its own and is named from its parent on export.
+    let s = KvCampaign::default();
+    let r = s.run(SEED, &failover_plan(s.node_count()));
+    let by_id: std::collections::HashMap<_, _> =
+        r.provenance.iter().map(|sp| (sp.id, sp)).collect();
+    let mut pairs = 0;
+    for deliver in r
+        .provenance
+        .iter()
+        .filter(|sp| sp.kind == SpanKind::Deliver)
+    {
+        assert_eq!(deliver.parents.len(), 1, "{deliver:?}");
+        let Some(send) = by_id.get(&deliver.parents[0]) else {
+            continue; // the closure budget left this send out of the tail
+        };
+        assert_eq!(send.kind, SpanKind::Send);
+        assert!(!send.name.is_empty());
+        assert_eq!(deliver.name, send.name, "{}", deliver.id);
+        assert_ne!(deliver.id.node, send.id.node);
+        pairs += 1;
+    }
+    assert_eq!(pairs, 524, "seed-exact: send/deliver pairs in the tail");
+    // The pinned seed shows real payload text, cut to the label width.
+    let heartbeat = "App { msg: Heartbeat { term: ";
+    assert!(r
+        .provenance
+        .iter()
+        .any(|sp| sp.kind == SpanKind::Deliver && sp.name.starts_with(heartbeat)));
+}

@@ -185,7 +185,6 @@ pub fn run_paxos(cfg: &PaxosConfig, regime: ProposerRegime) -> PaxosOutcome {
     for &c in &clients {
         sim.schedule_start(c, SimTime::ZERO);
     }
-    sim.trace_mut().set_enabled(false);
     sim.run_until(SimTime::ZERO + cfg.horizon);
 
     let mut latencies: Vec<f64> = Vec::new();

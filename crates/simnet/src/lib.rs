@@ -15,7 +15,8 @@
 //! * [`sim`] — the engine: [`sim::Actor`]s, the event loop, the TCP-like
 //!   and datagram transports, crashes/restarts/partitions.
 //! * [`metrics`] — counters and log-bucketed histograms.
-//! * [`trace`] — bounded event traces with determinism fingerprints.
+//! * [`trace`] — the rolling run fingerprint (what happened is recorded in
+//!   the per-node `cb-trace` flight recorders the engine owns).
 //!
 //! # Quick example
 //!
@@ -56,6 +57,6 @@ pub mod prelude {
     pub use crate::topology::{
         AccessLink, FatTreeConfig, LinkParams, NodeId, PathProps, Topology, TransitStubConfig,
     };
-    pub use crate::trace::{Trace, TraceEvent, TraceRecord};
+    pub use crate::trace::Trace;
     pub use cb_trace::{FlightRecorder, Span, SpanId, SpanKind};
 }

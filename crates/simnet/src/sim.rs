@@ -31,26 +31,12 @@ use crate::metrics::{HistogramExt, MetricsSummary, NodeMetrics};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, PathProps, Topology};
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{digest, Trace};
 use crate::wheel::EventWheel;
-use cb_trace::{FlightRecorder, Span, SpanId, SpanKind};
+use cb_trace::{FlightRecorder, Label, SpanId, SpanKind};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-
-/// Caps span names derived from message debug renderings so the per-node
-/// flight recorders stay cheap even with large payload debug output.
-const SPAN_NAME_MAX: usize = 48;
-
-fn span_name(what: &str) -> String {
-    if what.len() <= SPAN_NAME_MAX {
-        return what.to_string();
-    }
-    let mut cut = SPAN_NAME_MAX;
-    while !what.is_char_boundary(cut) {
-        cut -= 1;
-    }
-    format!("{}…", &what[..cut])
-}
+use std::fmt::Write;
 
 fn compact(cause: Option<SpanId>) -> u64 {
     cause.map(|c| c.compact()).unwrap_or(0)
@@ -300,33 +286,24 @@ pub struct World<M> {
     /// The span of the event currently being dispatched; every effect the
     /// running handler emits (send, timer, conn break) is parented to it.
     current_cause: Option<SpanId>,
-    /// Large-fleet mode: skip payload `Debug` rendering, span recording, and
-    /// trace-ring retention; fingerprint via the compact word hash instead
-    /// of the rendered-event hash. Deterministic, but lite fingerprints only
-    /// compare with other lite runs.
+    /// The `Debug` text of the payload being sent; one buffer, reused.
+    rendered: String,
+    /// Large-fleet mode: span ids are allocated but no slot is retained,
+    /// and payloads are neither rendered nor digested — so a lite
+    /// fingerprint only compares with another lite run's.
     lite: bool,
 }
 
-/// Lite-fingerprint event tags (see [`Trace::push_words`]).
-const LT_SEND: u64 = 1;
-const LT_DELIVER: u64 = 2;
-const LT_DROP: u64 = 3;
-const LT_TIMER: u64 = 4;
-const LT_CRASH: u64 = 5;
-const LT_RESTART: u64 = 6;
-const LT_CONN_BROKEN: u64 = 7;
-const LT_NOTE: u64 = 8;
-
-/// Deterministic code for a drop-reason string (FNV-1a; reasons are short
-/// static strings, so this stays off the hot path's allocation budget).
-fn reason_code(reason: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in reason.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+/// Fingerprint event tags: the first word of every [`Trace::push_words`].
+const EV_SEND: u64 = 1;
+const EV_DELIVER: u64 = 2;
+const EV_DROP: u64 = 3;
+const EV_TIMER: u64 = 4;
+const EV_CRASH: u64 = 5;
+const EV_RESTART: u64 = 6;
+const EV_CONN_BROKEN: u64 = 7;
+const EV_NOTE: u64 = 8;
+const EV_STALL: u64 = 9;
 
 fn conn_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     if a <= b {
@@ -362,32 +339,41 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             events_processed: 0,
             recorders: (0..n).map(|i| FlightRecorder::new(i as u32)).collect(),
             current_cause: None,
+            rendered: String::new(),
             lite: false,
         }
     }
 
-    /// Allocates a span id without recording a span: the lite-mode stand-in
-    /// for [`World::record_span`], keeping cause ids (and thus the event
-    /// stream) identical whether or not spans are being retained.
-    fn span_id_only(&mut self, node: NodeId) -> SpanId {
-        let at_ns = self.now.as_nanos();
-        self.recorders[node.index()].next_id(at_ns)
-    }
-
-    /// Records a provenance span on `node`'s flight recorder and returns its
-    /// deterministic id.
-    fn record_span(
+    /// Opens a provenance span on `node`'s flight recorder and returns its
+    /// deterministic id. Lite mode allocates the id without retaining the
+    /// slot, so cause ids (and thus the event stream) are identical whether
+    /// or not spans are being kept.
+    fn span(
         &mut self,
         node: NodeId,
         kind: SpanKind,
-        name: String,
-        parents: Vec<SpanId>,
+        label: Label,
+        parent: Option<SpanId>,
     ) -> SpanId {
         let at_ns = self.now.as_nanos();
         let rec = &mut self.recorders[node.index()];
-        let id = rec.next_id(at_ns);
-        rec.push(Span::new(id, kind, name, parents));
-        id
+        if self.lite {
+            rec.next_id(at_ns)
+        } else {
+            rec.record_slot(at_ns, kind, label, parent)
+        }
+    }
+
+    /// [`World::span`] for a dispatched event, which then becomes the cause
+    /// of everything its handler emits.
+    fn dispatch_span(
+        &mut self,
+        node: NodeId,
+        kind: SpanKind,
+        label: Label,
+        parent: Option<SpanId>,
+    ) {
+        self.current_cause = Some(self.span(node, kind, label, parent));
     }
 
     fn push(&mut self, at: SimTime, ev: Ev<M>) {
@@ -401,39 +387,34 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         self.queue.push(at, ev.target(), seq, ev);
     }
 
-    /// Records a send on the trace and flight recorder, returning the send
-    /// span id (lite mode allocates the id without rendering or retention).
+    /// Records a send, returning its span id. The payload is rendered once,
+    /// here: the text names the send span (and, by inheritance, the
+    /// delivery's) and its digest puts the content under the fingerprint, so
+    /// a delivery has nothing to render or hash again. Lite mode skips the
+    /// rendering; its label stays empty and its content word zero.
     fn trace_send(&mut self, from: NodeId, to: NodeId, bytes: u32, msg: &M) -> SpanId {
-        if self.lite {
-            let span = self.span_id_only(from);
-            self.trace.push_words(&[
-                LT_SEND,
-                self.now.as_nanos(),
-                from.0 as u64,
-                to.0 as u64,
-                bytes as u64,
-                span.compact(),
-            ]);
-            return span;
+        let mut content = 0;
+        if !self.lite {
+            self.rendered.clear();
+            let _ = write!(self.rendered, "{msg:?}");
+            content = digest(self.rendered.as_bytes());
         }
-        let what = format!("{msg:?}");
-        let parents = self.current_cause.into_iter().collect();
-        let send_span = self.record_span(from, SpanKind::Send, span_name(&what), parents);
-        self.trace.push(
-            self.now,
-            TraceEvent::Send {
-                from,
-                to,
-                bytes,
-                what,
-                cause: send_span.compact(),
-            },
-        );
-        send_span
+        let label = Label::text(&self.rendered);
+        let span = self.span(from, SpanKind::Send, label, self.current_cause);
+        self.trace.push_words(&[
+            EV_SEND,
+            self.now.as_nanos(),
+            from.0 as u64,
+            to.0 as u64,
+            bytes as u64,
+            span.compact(),
+            content,
+        ]);
+        span
     }
 
     /// Records a message drop: metrics, a Drop span on `span_node`, and the
-    /// trace event (word-hashed in lite mode).
+    /// fingerprint.
     fn trace_drop(
         &mut self,
         span_node: NodeId,
@@ -443,32 +424,15 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         parent: Option<SpanId>,
     ) {
         self.metrics[from.index()].msgs_dropped.inc();
-        if self.lite {
-            self.trace.push_words(&[
-                LT_DROP,
-                self.now.as_nanos(),
-                from.0 as u64,
-                to.0 as u64,
-                reason_code(reason),
-                compact(parent),
-            ]);
-            return;
-        }
-        self.record_span(
-            span_node,
-            SpanKind::Drop,
-            reason.to_string(),
-            parent.into_iter().collect(),
-        );
-        self.trace.push(
-            self.now,
-            TraceEvent::Drop {
-                from,
-                to,
-                reason,
-                cause: compact(parent),
-            },
-        );
+        self.span(span_node, SpanKind::Drop, Label::Static(reason), parent);
+        self.trace.push_words(&[
+            EV_DROP,
+            self.now.as_nanos(),
+            from.0 as u64,
+            to.0 as u64,
+            digest(reason.as_bytes()),
+            compact(parent),
+        ]);
     }
 
     /// Prices a reliable message and enqueues its delivery, or records why
@@ -623,24 +587,13 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         }
         self.flows.remove(&(a, b));
         self.flows.remove(&(b, a));
-        if self.lite {
-            self.trace.push_words(&[
-                LT_CONN_BROKEN,
-                self.now.as_nanos(),
-                a.0 as u64,
-                b.0 as u64,
-                compact(cause),
-            ]);
-        } else {
-            self.trace.push(
-                self.now,
-                TraceEvent::ConnBroken {
-                    a,
-                    b,
-                    cause: compact(cause),
-                },
-            );
-        }
+        self.trace.push_words(&[
+            EV_CONN_BROKEN,
+            self.now.as_nanos(),
+            a.0 as u64,
+            b.0 as u64,
+            compact(cause),
+        ]);
         let now = self.now;
         self.push(
             now,
@@ -774,27 +727,15 @@ impl<'a, M: Clone + std::fmt::Debug + 'static> Ctx<'a, M> {
         self.world.up[n.index()]
     }
 
-    /// Appends a free-form annotation to the trace.
-    pub fn note(&mut self, text: impl Into<String>) {
-        let node = self.node;
-        let now = self.world.now;
-        if self.world.lite {
-            let text = text.into();
-            self.world.trace.push_words(&[
-                LT_NOTE,
-                now.as_nanos(),
-                node.0 as u64,
-                reason_code(&text),
-            ]);
-            return;
-        }
-        self.world.trace.push(
-            now,
-            TraceEvent::Note {
-                node: Some(node),
-                text: text.into(),
-            },
-        );
+    /// Puts a free-form annotation under the run fingerprint (the text is
+    /// digested, not kept).
+    pub fn note(&mut self, text: impl AsRef<str>) {
+        self.world.trace.push_words(&[
+            EV_NOTE,
+            self.world.now.as_nanos(),
+            self.node.0 as u64,
+            digest(text.as_ref().as_bytes()),
+        ]);
     }
 
     /// The provenance span of the event currently being dispatched (the
@@ -893,16 +834,15 @@ impl<A: Actor> Sim<A> {
     }
 
     /// Switches large-fleet "lite" mode on or off (default off). Lite mode
-    /// makes the hot loop allocation-free: payload `Debug` rendering, span
-    /// recording, and trace-ring retention are skipped, and the trace
-    /// fingerprint is computed over a compact word encoding of each event
-    /// instead of its rendered form. Runs stay fully deterministic — equal
-    /// seeds give equal fingerprints — but a lite fingerprint is only
-    /// comparable to another lite run's. The 10k-node campaign arms enable
-    /// this before scheduling any event.
+    /// records nothing per event: span ids are still allocated (so causes,
+    /// and with them the event stream, are the same in both modes) but no
+    /// slot is retained, and payloads are neither `Debug`-rendered nor
+    /// digested. Runs stay fully deterministic — equal seeds give equal
+    /// fingerprints — but a lite fingerprint does not cover payload content
+    /// and is only comparable to another lite run's. The large-fleet
+    /// campaign arms enable this before scheduling any event.
     pub fn set_lite(&mut self, lite: bool) {
         self.world.lite = lite;
-        self.world.trace.set_enabled(!lite);
     }
 
     /// Whether large-fleet lite mode is active.
@@ -972,23 +912,12 @@ impl<A: Actor> Sim<A> {
     pub fn stall_until(&mut self, node: NodeId, until: SimTime) {
         let cur = self.world.stalled_until[node.index()];
         self.world.stalled_until[node.index()] = cur.max(until);
-        let now = self.world.now;
-        if self.world.lite {
-            self.world.trace.push_words(&[
-                LT_NOTE,
-                now.as_nanos(),
-                node.0 as u64,
-                until.as_nanos(),
-            ]);
-            return;
-        }
-        self.world.trace.push(
-            now,
-            TraceEvent::Note {
-                node: Some(node),
-                text: format!("stall until {until}"),
-            },
-        );
+        self.world.trace.push_words(&[
+            EV_STALL,
+            self.world.now.as_nanos(),
+            node.0 as u64,
+            until.as_nanos(),
+        ]);
     }
 
     /// Whether `node` is currently inside a stall window.
@@ -1067,13 +996,8 @@ impl<A: Actor> Sim<A> {
         match ev {
             Ev::Start { node } => {
                 self.world.up[node.index()] = true;
-                let span = if self.world.lite {
-                    self.world.span_id_only(node)
-                } else {
-                    self.world
-                        .record_span(node, SpanKind::Start, "start".to_string(), vec![])
-                };
-                self.world.current_cause = Some(span);
+                self.world
+                    .dispatch_span(node, SpanKind::Start, Label::Static("start"), None);
                 let mut ctx = Ctx {
                     world: &mut self.world,
                     node,
@@ -1123,35 +1047,18 @@ impl<A: Actor> Sim<A> {
                 m.msgs_delivered.inc();
                 m.bytes_received.add(bytes as u64);
                 m.delivery_latency.record_duration(self.world.now - sent_at);
-                if self.world.lite {
-                    let span = self.world.span_id_only(to);
-                    self.world.current_cause = Some(span);
-                    self.world.trace.push_words(&[
-                        LT_DELIVER,
-                        self.world.now.as_nanos(),
-                        from.0 as u64,
-                        to.0 as u64,
-                        compact(cause),
-                    ]);
-                } else {
-                    let what = format!("{msg:?}");
-                    let span = self.world.record_span(
-                        to,
-                        SpanKind::Deliver,
-                        span_name(&what),
-                        cause.into_iter().collect(),
-                    );
-                    self.world.current_cause = Some(span);
-                    self.world.trace.push(
-                        self.world.now,
-                        TraceEvent::Deliver {
-                            from,
-                            to,
-                            what,
-                            cause: compact(cause),
-                        },
-                    );
-                }
+                // The delivery is named after its send span, whose digest
+                // already put the payload under the fingerprint; the cause
+                // word ties this event to it.
+                self.world
+                    .dispatch_span(to, SpanKind::Deliver, Label::Inherit, cause);
+                self.world.trace.push_words(&[
+                    EV_DELIVER,
+                    self.world.now.as_nanos(),
+                    from.0 as u64,
+                    to.0 as u64,
+                    compact(cause),
+                ]);
                 let mut ctx = Ctx {
                     world: &mut self.world,
                     node: to,
@@ -1172,33 +1079,15 @@ impl<A: Actor> Sim<A> {
                     return Some(at);
                 }
                 self.world.metrics[node.index()].timers_fired.inc();
-                if self.world.lite {
-                    let span = self.world.span_id_only(node);
-                    self.world.current_cause = Some(span);
-                    self.world.trace.push_words(&[
-                        LT_TIMER,
-                        self.world.now.as_nanos(),
-                        node.0 as u64,
-                        tag,
-                        compact(cause),
-                    ]);
-                } else {
-                    let span = self.world.record_span(
-                        node,
-                        SpanKind::Timer,
-                        format!("timer:{tag}"),
-                        cause.into_iter().collect(),
-                    );
-                    self.world.current_cause = Some(span);
-                    self.world.trace.push(
-                        self.world.now,
-                        TraceEvent::Timer {
-                            node,
-                            tag,
-                            cause: compact(cause),
-                        },
-                    );
-                }
+                self.world
+                    .dispatch_span(node, SpanKind::Timer, Label::Timer(tag), cause);
+                self.world.trace.push_words(&[
+                    EV_TIMER,
+                    self.world.now.as_nanos(),
+                    node.0 as u64,
+                    tag,
+                    compact(cause),
+                ]);
                 let mut ctx = Ctx {
                     world: &mut self.world,
                     node,
@@ -1211,23 +1100,12 @@ impl<A: Actor> Sim<A> {
                 }
                 self.world.up[node.index()] = false;
                 self.world.incarnation[node.index()] += 1;
-                let span = if self.world.lite {
-                    let span = self.world.span_id_only(node);
-                    self.world.trace.push_words(&[
-                        LT_CRASH,
-                        self.world.now.as_nanos(),
-                        node.0 as u64,
-                    ]);
-                    span
-                } else {
-                    let span =
-                        self.world
-                            .record_span(node, SpanKind::Crash, "crash".to_string(), vec![]);
-                    self.world
-                        .trace
-                        .push(self.world.now, TraceEvent::Crash { node });
-                    span
-                };
+                let span = self
+                    .world
+                    .span(node, SpanKind::Crash, Label::Static("crash"), None);
+                self.world
+                    .trace
+                    .push_words(&[EV_CRASH, self.world.now.as_nanos(), node.0 as u64]);
                 // All of the node's connections break; peers will be
                 // notified (they observe a TCP reset / timeout).
                 let mut peers: Vec<NodeId> = self
@@ -1251,26 +1129,13 @@ impl<A: Actor> Sim<A> {
                 }
                 self.world.up[node.index()] = true;
                 self.world.incarnation[node.index()] += 1;
-                if self.world.lite {
-                    let span = self.world.span_id_only(node);
-                    self.world.current_cause = Some(span);
-                    self.world.trace.push_words(&[
-                        LT_RESTART,
-                        self.world.now.as_nanos(),
-                        node.0 as u64,
-                    ]);
-                } else {
-                    let span = self.world.record_span(
-                        node,
-                        SpanKind::Restart,
-                        "restart".to_string(),
-                        vec![],
-                    );
-                    self.world.current_cause = Some(span);
-                    self.world
-                        .trace
-                        .push(self.world.now, TraceEvent::Restart { node });
-                }
+                self.world
+                    .dispatch_span(node, SpanKind::Restart, Label::Static("restart"), None);
+                self.world.trace.push_words(&[
+                    EV_RESTART,
+                    self.world.now.as_nanos(),
+                    node.0 as u64,
+                ]);
                 self.actors[node.index()] = (self.factory)(node);
                 let mut ctx = Ctx {
                     world: &mut self.world,
@@ -1282,17 +1147,8 @@ impl<A: Actor> Sim<A> {
                 if !self.world.up[node.index()] {
                     return Some(at);
                 }
-                let span = if self.world.lite {
-                    self.world.span_id_only(node)
-                } else {
-                    self.world.record_span(
-                        node,
-                        SpanKind::ConnBreak,
-                        format!("conn:{}", peer.index()),
-                        cause.into_iter().collect(),
-                    )
-                };
-                self.world.current_cause = Some(span);
+                self.world
+                    .dispatch_span(node, SpanKind::ConnBreak, Label::Conn(peer.0), cause);
                 let mut ctx = Ctx {
                     world: &mut self.world,
                     node,
@@ -1412,14 +1268,9 @@ impl<A: Actor> Sim<A> {
         MetricsSummary::aggregate(self.world.metrics.iter())
     }
 
-    /// The event trace.
+    /// The run fingerprint.
     pub fn trace(&self) -> &Trace {
         &self.world.trace
-    }
-
-    /// Mutable trace access (e.g. to disable recording for long runs).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.world.trace
     }
 
     /// The per-node provenance flight recorders (index = node id).
@@ -1769,13 +1620,17 @@ mod tests {
         for n in [1u32, 2] {
             assert!(sim.is_up(NodeId(n)), "node {n} stuck down after churn");
         }
-        // Trace recorded both crash and restart events.
-        let crashes = sim
-            .trace()
-            .records()
-            .filter(|r| matches!(r.event, crate::trace::TraceEvent::Crash { .. }))
-            .count();
+        // The recorders hold both halves of every episode.
+        let count = |kind: SpanKind| {
+            sim.flight_recorders()
+                .iter()
+                .flat_map(|rec| rec.spans())
+                .filter(|s| s.kind() == kind)
+                .count()
+        };
+        let crashes = count(SpanKind::Crash);
         assert!(crashes >= pairs, "crashes {crashes} < scheduled {pairs}");
+        assert_eq!(count(SpanKind::Restart), crashes);
     }
 
     #[test]
@@ -1856,15 +1711,24 @@ mod tests {
         // even though node 3's was *scheduled* first (lower seq). Under the
         // old accidental (at, seq) ordering inherited from heap internals,
         // node 3 would win and this test fails.
-        #[derive(Default)]
-        struct Recorder;
+        // Span ids sort by (time, node, seq), so the recorders cannot show
+        // which node went first within one nanosecond; the actors log the
+        // dispatch order themselves.
+        type Log = std::rc::Rc<std::cell::RefCell<Vec<u64>>>;
+        struct Recorder(Log);
         impl Actor for Recorder {
             type Msg = ();
             fn on_message(&mut self, _ctx: &mut Ctx<'_, ()>, _from: NodeId, _m: ()) {}
+            fn on_timer(&mut self, _ctx: &mut Ctx<'_, ()>, _timer: TimerId, tag: u64) {
+                self.0.borrow_mut().push(tag);
+            }
         }
         for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
             let topo = Topology::star(4, SimDuration::from_millis(1), 10_000_000);
-            let mut sim = Sim::new_with_scheduler(topo, 1, kind, |_| Recorder);
+            let log = Log::default();
+            let actor_log = log.clone();
+            let mut sim =
+                Sim::new_with_scheduler(topo, 1, kind, move |_| Recorder(actor_log.clone()));
             sim.start_all();
             sim.run_until(SimTime::ZERO);
             // Schedule in descending node order so seq order opposes node order.
@@ -1882,19 +1746,82 @@ mod tests {
                 ctx.set_timer(d, 1);
             });
             sim.run_until_quiescent(SimTime::from_secs(1));
-            let order: Vec<u64> = sim
-                .trace()
-                .records()
-                .filter_map(|r| match r.event {
-                    crate::trace::TraceEvent::Timer { tag, .. } => Some(tag),
-                    _ => None,
-                })
-                .collect();
             assert_eq!(
-                order,
+                *log.borrow(),
                 vec![0, 1, 2, 3],
                 "{kind:?}: ties must break by node id"
             );
+            // Each firing left its span, at the shared nanosecond.
+            for (n, rec) in sim.flight_recorders().iter().enumerate() {
+                let timer = rec.spans().last().expect("node recorded spans");
+                assert_eq!(timer.render(&[]).name, format!("timer:{n}"));
+                assert_eq!(timer.id().at_ns, d.as_nanos());
+            }
+        }
+    }
+
+    #[test]
+    fn full_fingerprint_covers_payload_content_lite_does_not() {
+        // Same timing, sizes and endpoints; one payload field differs. Both
+        // payloads are above Pinger's reply threshold, so nothing else does.
+        let run = |lite: bool, payload: u32| {
+            let mut sim = two_node_sim();
+            sim.set_lite(lite);
+            sim.start_all();
+            sim.run_until(SimTime::ZERO);
+            sim.invoke(NodeId(0), |_, ctx| ctx.send(NodeId(1), payload));
+            sim.run_until_quiescent(SimTime::from_secs(1));
+            assert_eq!(sim.actor(NodeId(1)).got, vec![(NodeId(0), payload)]);
+            (sim.trace().fingerprint(), sim.trace().total_pushed())
+        };
+        let (a, pushed_a) = run(false, 100);
+        let (b, pushed_b) = run(false, 101);
+        assert_eq!(pushed_a, pushed_b);
+        assert_ne!(a, b, "full mode must fingerprint what was sent");
+        assert_eq!(run(false, 100).0, a);
+        assert_eq!(run(true, 100), run(true, 101));
+        assert_ne!(
+            run(true, 100).0,
+            a,
+            "lite and full fingerprints are kept apart"
+        );
+    }
+
+    #[test]
+    fn delivery_is_named_after_its_send_and_costs_the_event_nothing() {
+        let mut sim = two_node_sim();
+        sim.start_all();
+        sim.run_until(SimTime::ZERO);
+        sim.invoke(NodeId(0), |_, ctx| ctx.send(NodeId(1), 77));
+        sim.run_until_quiescent(SimTime::from_secs(1));
+        let fleet = sim.flight_recorders();
+        let send = fleet[0].spans().last().unwrap().render(fleet);
+        assert_eq!((send.kind, send.name.as_str()), (SpanKind::Send, "77"));
+        let deliver = fleet[1].spans().last().unwrap().render(fleet);
+        assert_eq!(deliver.kind, SpanKind::Deliver);
+        assert_eq!(deliver.name, "77");
+        assert_eq!(deliver.parents, vec![send.id]);
+        // The label rides the recorder, not the event queue.
+        assert!(std::mem::size_of::<Ev<u32>>() <= 64);
+    }
+
+    #[test]
+    fn lite_fleet_reserves_no_span_memory() {
+        let topo = Topology::star(1000, SimDuration::from_millis(2), 10_000_000);
+        let mut sim = Sim::new(topo, 3, |_| Pinger::default());
+        sim.set_lite(true);
+        sim.start_all();
+        sim.run_until(SimTime::ZERO);
+        for i in 0..1000u32 {
+            sim.invoke(NodeId(i), |_, ctx| {
+                ctx.send(NodeId((i + 1) % 1000), 0);
+                ctx.set_timer(SimDuration::from_secs(1), 1);
+            });
+        }
+        sim.run_until(SimTime::from_secs(3));
+        assert!(sim.events_processed() > 5000);
+        for rec in sim.flight_recorders() {
+            assert_eq!((rec.len(), rec.allocated()), (0, 0));
         }
     }
 
@@ -1948,8 +1875,8 @@ mod tests {
 
     #[test]
     fn lite_mode_fingerprint_is_deterministic_and_scheduler_independent() {
-        // Lite mode hashes compact word records instead of rendered events;
-        // within the mode, heap and wheel must still agree byte-for-byte.
+        // Lite mode keeps no slots and leaves payloads out of the hash;
+        // within the mode, heap and wheel must still agree exactly.
         let run = |kind: SchedulerKind, seed: u64| {
             let topo = Topology::star(8, SimDuration::from_millis(3), 10_000_000);
             let mut sim = Sim::new_with_scheduler(topo, seed, kind, |_| Pinger::default());

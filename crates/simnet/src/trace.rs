@@ -1,251 +1,73 @@
-//! Event tracing.
+//! The run fingerprint.
 //!
-//! Every simulation keeps a bounded ring of [`TraceEvent`]s. Traces serve two
-//! purposes: debugging protocol runs, and asserting determinism — two runs
-//! with the same seed must produce byte-identical traces (the integration
-//! tests check exactly that via [`Trace::fingerprint`]).
+//! Every simulator-level occurrence — send, delivery, drop, timer, crash,
+//! restart, connection break, note — advances one rolling word hash. Two
+//! runs with the same seed must produce the same [`Trace::fingerprint`]
+//! (the integration tests check exactly that). Nothing is retained here:
+//! the record of *what* happened lives in the per-node flight recorders
+//! (`cb-trace`), which render text only when someone reads them.
 
-use crate::time::SimTime;
-use crate::topology::NodeId;
-use std::collections::VecDeque;
-use std::fmt;
+const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+const PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// One traced simulator-level occurrence.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A message was handed to the transport.
-    Send {
-        /// Sending node.
-        from: NodeId,
-        /// Destination node.
-        to: NodeId,
-        /// Payload size in bytes.
-        bytes: u32,
-        /// Debug rendering of the payload.
-        what: String,
-        /// Compact provenance span id of the send (0 = none recorded). Joins
-        /// this flat record to the flight-recorder span graph.
-        cause: u64,
-    },
-    /// A message reached its destination actor.
-    Deliver {
-        /// Original sender.
-        from: NodeId,
-        /// Receiving node.
-        to: NodeId,
-        /// Debug rendering of the payload.
-        what: String,
-        /// Compact span id of the originating send (0 = none).
-        cause: u64,
-    },
-    /// A message was dropped (loss, partition, dead endpoint, broken
-    /// connection).
-    Drop {
-        /// Original sender.
-        from: NodeId,
-        /// Intended destination.
-        to: NodeId,
-        /// Why it was dropped.
-        reason: &'static str,
-        /// Compact span id of the originating send (0 = none).
-        cause: u64,
-    },
-    /// A timer fired at a node.
-    Timer {
-        /// Node whose timer fired.
-        node: NodeId,
-        /// Application tag attached at `set_timer` time.
-        tag: u64,
-        /// Compact span id of the event that set the timer (0 = none).
-        cause: u64,
-    },
-    /// A node crashed.
-    Crash {
-        /// The crashed node.
-        node: NodeId,
-    },
-    /// A node restarted with fresh state.
-    Restart {
-        /// The restarted node.
-        node: NodeId,
-    },
-    /// A transport connection was torn down.
-    ConnBroken {
-        /// One endpoint.
-        a: NodeId,
-        /// Other endpoint.
-        b: NodeId,
-        /// Compact span id of the event that caused the break (0 = none).
-        cause: u64,
-    },
-    /// Free-form application annotation.
-    Note {
-        /// Node that emitted the note, if any.
-        node: Option<NodeId>,
-        /// The annotation text.
-        text: String,
-    },
+/// One absorption round: a whole word per multiply. The rotate carries the
+/// high bits a multiply only ever pushes upward back into the low ones.
+#[inline]
+fn round(h: u64, word: u64) -> u64 {
+    (h.rotate_left(23) ^ word).wrapping_mul(PRIME)
 }
 
-/// A timestamped trace record.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// When the event happened in simulated time.
-    pub at: SimTime,
-    /// What happened.
-    pub event: TraceEvent,
-}
-
-impl fmt::Display for TraceRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {:?}", self.at, self.event)
+/// A 64-bit content digest of `bytes`, eight bytes per round; the tail
+/// rides one length-tagged word, so `"ab"` and `"ab\0"` differ.
+pub fn digest(bytes: &[u8]) -> u64 {
+    let mut h = SEED;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        h = round(h, u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
     }
+    let mut tail = [0u8; 8];
+    let rest = chunks.remainder();
+    tail[..rest.len()].copy_from_slice(rest);
+    h = round(h, u64::from_le_bytes(tail));
+    round(h, bytes.len() as u64)
 }
 
-/// A bounded ring buffer of trace records.
+/// The rolling fingerprint of a run and the count of events behind it.
 ///
-/// When capacity is exceeded the oldest records are discarded; eviction is
-/// **counted** (see [`evicted`](Trace::evicted), exported as the
-/// `simnet.trace.evicted` telemetry key) so a nonzero count tells you the
-/// retained window is partial. The total number of records ever pushed is
-/// also counted, and the rolling [`fingerprint`](Trace::fingerprint) covers
-/// every record ever pushed, including discarded ones — so two runs whose
-/// fingerprints agree took identical event sequences even if early records
-/// were evicted from *both* rings. The converse caveat: the retained
-/// [`records`](Trace::records) window is post-eviction, so rendering two
-/// equal-fingerprint traces can still differ if their capacities differ.
+/// The hash is advanced at the moment an event happens, so it covers the
+/// whole run however little of it the bounded span rings still hold.
 #[derive(Clone, Debug)]
 pub struct Trace {
-    ring: VecDeque<TraceRecord>,
-    capacity: usize,
+    state: u64,
     pushed: u64,
-    evicted: u64,
-    fingerprint: u64,
-    enabled: bool,
 }
 
 impl Trace {
-    /// Creates a trace ring holding up to `capacity` records.
-    pub fn new(capacity: usize) -> Self {
-        Trace {
-            ring: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            pushed: 0,
-            evicted: 0,
-            fingerprint: 0xcbf2_9ce4_8422_2325, // FNV offset basis
-            enabled: true,
-        }
-    }
-
-    /// Enables or disables recording (the fingerprint still advances so
-    /// determinism checks remain meaningful).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Appends a record.
-    pub fn push(&mut self, at: SimTime, event: TraceEvent) {
-        use std::fmt::Write;
-        self.pushed += 1;
-        // FNV-1a over the debug rendering, streamed straight into the hash
-        // state so the hot loop never allocates the rendered string. The
-        // byte sequence is identical to hashing `format!("{at:?}|{event:?}")`,
-        // so fingerprints are unchanged from the allocating implementation.
-        let mut sink = FnvSink(self.fingerprint);
-        let _ = write!(sink, "{at:?}|{event:?}");
-        self.fingerprint = sink.0;
-        if !self.enabled {
-            return;
-        }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.evicted += 1;
-        }
-        self.ring.push_back(TraceRecord { at, event });
-    }
-
-    /// Advances the fingerprint over a compact word encoding of an event
-    /// without retaining anything in the ring. The large-fleet "lite" mode
-    /// uses this instead of [`Trace::push`]: no payload rendering, no
-    /// formatting machinery, no allocation — just the FNV-1a state update.
-    ///
-    /// Lite fingerprints are deterministic and order-sensitive exactly like
-    /// full fingerprints, but hash different bytes, so a lite run's
-    /// fingerprint is only comparable to another lite run's.
+    /// Advances the fingerprint over one event's word encoding (tag, time,
+    /// endpoints, ...). Order-sensitive; allocation-free.
     pub fn push_words(&mut self, words: &[u64]) {
         self.pushed += 1;
-        let mut h = self.fingerprint;
-        for w in words {
-            for b in w.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        self.fingerprint = h;
+        self.state = words.iter().fold(self.state, |h, w| round(h, *w));
     }
 
-    /// Records retained in the ring, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.ring.iter()
-    }
-
-    /// The last `k` retained records, oldest first. Failure artifacts embed
-    /// these as the "what happened right before the violation" window.
-    pub fn last(&self, k: usize) -> impl Iterator<Item = &TraceRecord> {
-        self.ring.iter().skip(self.ring.len().saturating_sub(k))
-    }
-
-    /// Total records ever pushed (including discarded ones).
+    /// Total events ever pushed.
     pub fn total_pushed(&self) -> u64 {
         self.pushed
     }
 
-    /// Records evicted from the ring to honour the capacity bound. Exported
-    /// as `simnet.trace.evicted`; nonzero means [`records`](Trace::records)
-    /// shows only the tail of the run.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Rolling hash over every record ever pushed — **including records that
-    /// were later evicted** from the bounded ring. Equal seeds must yield
-    /// equal fingerprints; the determinism tests rely on this. Because the
-    /// hash is computed at push time, eviction can never mask a divergence
-    /// that happened early in a long run, even though the retained window is
-    /// post-eviction.
+    /// Rolling hash over every event ever pushed. Equal seeds must yield
+    /// equal fingerprints; the determinism tests rely on this.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint ^ self.pushed
-    }
-
-    /// Renders the retained records, one per line.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for r in &self.ring {
-            out.push_str(&format!("{r}\n"));
-        }
-        out
+        self.state ^ self.pushed
     }
 }
 
 impl Default for Trace {
     fn default() -> Self {
-        Trace::new(65_536)
-    }
-}
-
-/// An FNV-1a hash state that absorbs formatted output directly, so hashing a
-/// `Debug` rendering needs no intermediate `String`.
-struct FnvSink(u64);
-
-impl fmt::Write for FnvSink {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        let mut h = self.0;
-        for b in s.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        Trace {
+            state: SEED,
+            pushed: 0,
         }
-        self.0 = h;
-        Ok(())
     }
 }
 
@@ -253,123 +75,57 @@ impl fmt::Write for FnvSink {
 mod tests {
     use super::*;
 
-    fn note(text: &str) -> TraceEvent {
-        TraceEvent::Note {
-            node: None,
-            text: text.to_string(),
-        }
-    }
-
-    #[test]
-    fn push_and_read_back() {
-        let mut t = Trace::new(8);
-        t.push(SimTime::from_millis(1), note("a"));
-        t.push(SimTime::from_millis(2), note("b"));
-        let texts: Vec<_> = t.records().map(|r| format!("{r}")).collect();
-        assert_eq!(texts.len(), 2);
-        assert!(texts[0].contains("\"a\""));
-        assert_eq!(t.total_pushed(), 2);
-    }
-
-    #[test]
-    fn ring_discards_oldest_but_counts_all() {
-        let mut t = Trace::new(2);
-        for i in 0..5 {
-            t.push(SimTime::from_millis(i), note(&format!("e{i}")));
-        }
-        assert_eq!(t.records().count(), 2);
-        assert_eq!(t.total_pushed(), 5);
-        assert_eq!(t.evicted(), 3);
-        let last: Vec<_> = t.records().map(|r| r.at).collect();
-        assert_eq!(last, vec![SimTime::from_millis(3), SimTime::from_millis(4)]);
-    }
-
-    #[test]
-    fn fingerprint_covers_discarded_records() {
-        let mut a = Trace::new(1);
-        let mut b = Trace::new(1);
-        for i in 0..10 {
-            a.push(SimTime::from_millis(i), note(&format!("x{i}")));
-            b.push(SimTime::from_millis(i), note(&format!("x{i}")));
-        }
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        b.push(SimTime::from_millis(99), note("extra"));
-        assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn disabled_trace_still_fingerprints() {
-        let mut t = Trace::new(8);
-        t.set_enabled(false);
-        t.push(SimTime::ZERO, note("hidden"));
-        assert_eq!(t.records().count(), 0);
-        assert_eq!(t.total_pushed(), 1);
-        let mut visible = Trace::new(8);
-        visible.push(SimTime::ZERO, note("hidden"));
-        assert_eq!(t.fingerprint(), visible.fingerprint());
-    }
-
-    #[test]
-    fn order_matters_for_fingerprint() {
-        let mut a = Trace::new(8);
-        a.push(SimTime::ZERO, note("1"));
-        a.push(SimTime::ZERO, note("2"));
-        let mut b = Trace::new(8);
-        b.push(SimTime::ZERO, note("2"));
-        b.push(SimTime::ZERO, note("1"));
-        assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn streamed_fingerprint_matches_allocated_rendering() {
-        // The streamed hash must cover the exact bytes of the historical
-        // `format!("{at:?}|{event:?}")` encoding — this pins fingerprint
-        // stability across the allocation-free rewrite.
-        let mut t = Trace::new(8);
-        let at = SimTime::from_millis(17);
-        let event = TraceEvent::Send {
-            from: NodeId(3),
-            to: NodeId(5),
-            bytes: 320,
-            what: "Push { rumor: 9 }".to_string(),
-            cause: 42,
-        };
-        t.push(at, event.clone());
-        let mut expect = 0xcbf2_9ce4_8422_2325u64;
-        for b in format!("{at:?}|{event:?}").as_bytes() {
-            expect ^= *b as u64;
-            expect = expect.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        assert_eq!(t.fingerprint(), expect ^ 1);
-    }
-
     #[test]
     fn push_words_is_deterministic_and_order_sensitive() {
-        let mut a = Trace::new(8);
-        let mut b = Trace::new(8);
+        let mut a = Trace::default();
+        let mut b = Trace::default();
         a.push_words(&[1, 2, 3]);
         a.push_words(&[4, 5]);
         b.push_words(&[1, 2, 3]);
         b.push_words(&[4, 5]);
         assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.records().count(), 0, "lite pushes retain nothing");
         assert_eq!(a.total_pushed(), 2);
-        let mut c = Trace::new(8);
+        let mut c = Trace::default();
         c.push_words(&[4, 5]);
         c.push_words(&[1, 2, 3]);
         assert_ne!(a.fingerprint(), c.fingerprint());
     }
 
     #[test]
-    fn render_one_line_per_record() {
-        let mut t = Trace::new(8);
-        t.push(SimTime::ZERO, TraceEvent::Crash { node: NodeId(3) });
-        t.push(
-            SimTime::from_secs(1),
-            TraceEvent::Restart { node: NodeId(3) },
-        );
-        let text = t.render();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("Crash"));
+    fn fingerprint_counts_events_not_only_words() {
+        // The same word stream split into different events must differ.
+        let mut a = Trace::default();
+        a.push_words(&[1, 2]);
+        let mut b = Trace::default();
+        b.push_words(&[1]);
+        b.push_words(&[2]);
+        assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn every_bit_of_every_word_reaches_the_fingerprint() {
+        let base = [7u64, 0, u64::MAX, 0x1234_5678_9ABC_DEF0];
+        let of = |words: &[u64]| {
+            let mut t = Trace::default();
+            t.push_words(words);
+            t.push_words(&[1]);
+            t.fingerprint()
+        };
+        for i in 0..base.len() {
+            for bit in 0..64 {
+                let mut flipped = base;
+                flipped[i] ^= 1 << bit;
+                assert_ne!(of(&base), of(&flipped), "word {i} bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn digest_covers_content_length_and_position() {
+        assert_eq!(digest(b"Push { rumor: 9 }"), digest(b"Push { rumor: 9 }"));
+        assert_ne!(digest(b"Push { rumor: 9 }"), digest(b"Push { rumor: 8 }"));
+        assert_ne!(digest(b"ab"), digest(b"ab\0"));
+        assert_ne!(digest(b""), digest(b"\0"));
+        assert_ne!(digest(b"abcdefgh12345678"), digest(b"12345678abcdefgh"));
     }
 }

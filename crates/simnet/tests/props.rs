@@ -48,6 +48,37 @@ impl Actor for Quiet {
     fn on_message(&mut self, _ctx: &mut Ctx<'_, u32>, _from: NodeId, _msg: u32) {}
 }
 
+/// The allocating rendering span names had before labels were fixed-width;
+/// kept here only as the reference [`cb_trace::Label::text`] must match.
+fn span_name(what: &str) -> String {
+    if what.len() <= 48 {
+        return what.to_string();
+    }
+    let mut cut = 48;
+    while !what.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    format!("{}…", &what[..cut])
+}
+
+proptest! {
+    /// A label's text is byte-for-byte the old span name: whole when short,
+    /// cut at 48 bytes — backing up to a char boundary — and suffixed with
+    /// `…` when long. The ASCII prefix walks the first multi-byte char
+    /// across byte 48.
+    #[test]
+    fn label_text_renders_the_old_span_name(
+        prefix in 0usize..56,
+        picks in prop::collection::vec(any::<u8>(), 0..24),
+    ) {
+        const ALPHABET: [char; 6] = ['x', ' ', 'é', '…', '→', '𝄞'];
+        let mut s = "a".repeat(prefix);
+        s.extend(picks.iter().map(|p| ALPHABET[*p as usize % ALPHABET.len()]));
+        let label = cb_trace::Label::text(&s);
+        prop_assert_eq!(label.render(), span_name(&s));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -177,13 +177,8 @@ pub const NET_CONNS_BROKEN: &str = "net.conns_broken";
 /// End-to-end delivery latency histogram, sim µs (deterministic).
 pub const NET_DELIVERY_LATENCY_US: &str = "net.delivery_latency_us";
 
-// ---- provenance tracing (cb-trace flight recorders + simnet trace ring) ----
+// ---- provenance tracing (cb-trace flight recorders) ----
 
-/// Flat simnet trace-ring records evicted to honour the ring's capacity
-/// bound. Nonzero means the retained window (and any failure-artifact
-/// trace tail) shows only the end of the run; the ring's fingerprint still
-/// covers every record.
-pub const SIMNET_TRACE_EVICTED: &str = "simnet.trace.evicted";
 /// Provenance spans recorded across all per-node flight recorders.
 pub const TRACE_SPANS_RECORDED: &str = "trace.spans_recorded";
 /// Provenance spans evicted from the bounded flight-recorder rings.
@@ -272,7 +267,6 @@ pub fn preregister_standard(reg: &mut Registry) {
         NET_BYTES_SENT,
         NET_CONNS_ESTABLISHED,
         NET_CONNS_BROKEN,
-        SIMNET_TRACE_EVICTED,
         TRACE_SPANS_RECORDED,
         TRACE_SPANS_EVICTED,
         MCK_STATES_VISITED,

@@ -14,7 +14,10 @@
 //! Spans are recorded into a bounded per-node [`FlightRecorder`] ring; a
 //! pinned side-ring rescues the last [`DECISION_PIN_CAPACITY`] `Decision`
 //! spans from eviction so blame chains keep reaching decisions even after
-//! long stretches of timer churn. The ring follows the PR-2 masked/dual-clock
+//! long stretches of timer churn. Recording is fixed-width and
+//! allocation-free — a plain event is an id, a kind, one parent and a
+//! [`Label`] — and text is rendered on the read side, when a [`SpanRef`] is
+//! turned into a [`Span`]. The ring follows the PR-2 masked/dual-clock
 //! discipline: every field of a span
 //! is a deterministic function of `(scenario, seed, plan)` **except**
 //! `wall_ns`, which carries fingerprint-exempt wall-clock latency and is
@@ -35,5 +38,7 @@ pub mod span;
 
 pub use chrome::chrome_trace_json;
 pub use query::{blame, explain, is_acyclic, slowest, BlameChain, SpanIndex};
-pub use recorder::{FlightRecorder, DECISION_PIN_CAPACITY, DEFAULT_CAPACITY};
+pub use recorder::{
+    find_in, FlightRecorder, Label, SpanRef, DECISION_PIN_CAPACITY, DEFAULT_CAPACITY,
+};
 pub use span::{Span, SpanId, SpanKind};

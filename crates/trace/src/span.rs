@@ -23,7 +23,7 @@ pub struct SpanId {
 
 impl SpanId {
     /// Pack `(node, seq)` into a single `u64` for embedding in foreign event
-    /// types (the simnet flat trace carries this). `0` means "no cause":
+    /// types (the simnet run fingerprint hashes this). `0` means "no cause":
     /// `seq` is 1-based so a real id never packs to zero.
     pub fn compact(&self) -> u64 {
         ((self.node as u64) << 32) | self.seq as u64

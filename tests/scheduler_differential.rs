@@ -13,8 +13,10 @@
 use cb_simnet::prelude::*;
 use cb_simnet::wheel::EventWheel;
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 // ---- queue level: pop order over adversarial timestamp distributions ----
 
@@ -82,20 +84,35 @@ proptest! {
 /// timers re-arm with log-uniform delays (microseconds to tens of
 /// seconds, so live events populate every wheel level at once), each
 /// firing fans out a random mix of reliable and unreliable sends, and
-/// receivers occasionally reply.
+/// receivers occasionally reply. Every callback appends to a log the whole
+/// fleet shares, which is the global dispatch order (span ids sort by time
+/// then node, so the recorders alone cannot show who went first within one
+/// nanosecond).
 struct ChaosActor {
     n: u32,
+    log: DispatchLog,
+}
+
+type DispatchLog = Rc<RefCell<Vec<(SimTime, String)>>>;
+
+impl ChaosActor {
+    fn log(&self, ctx: &Ctx<'_, u32>, what: String) {
+        let line = format!("n{} {what}", ctx.id().index());
+        self.log.borrow_mut().push((ctx.now(), line));
+    }
 }
 
 impl Actor for ChaosActor {
     type Msg = u32;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+        self.log(ctx, "start".to_string());
         let jitter = SimDuration::from_micros(1 + ctx.rng().gen_below(50_000));
         ctx.set_timer(jitter, 0);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, _timer: TimerId, tag: u64) {
+        self.log(ctx, format!("timer {tag}"));
         for _ in 0..ctx.rng().gen_below(3) {
             let to = NodeId(ctx.rng().gen_below(self.n as u64) as u32);
             if to != ctx.id() {
@@ -112,7 +129,12 @@ impl Actor for ChaosActor {
         ctx.set_timer(delay, tag + 1);
     }
 
+    fn on_conn_broken(&mut self, ctx: &mut Ctx<'_, u32>, peer: NodeId) {
+        self.log(ctx, format!("conn broken {}", peer.index()));
+    }
+
     fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, from: NodeId, msg: u32) {
+        self.log(ctx, format!("deliver {msg} from {}", from.index()));
         if msg != u32::MAX && ctx.rng().gen_below(4) == 0 {
             ctx.send_unreliable(from, u32::MAX);
         }
@@ -144,7 +166,12 @@ fn run_chaos(
 ) -> (u64, u64, MetricsSummary, SimTime, Vec<(SimTime, String)>) {
     let topo = random_topology(seed, hosts);
     let n = topo.host_count() as u32;
-    let mut sim = Sim::new_with_scheduler(topo, seed, kind, move |_| ChaosActor { n });
+    let log = DispatchLog::default();
+    let actor_log = log.clone();
+    let mut sim = Sim::new_with_scheduler(topo, seed, kind, move |_| ChaosActor {
+        n,
+        log: actor_log.clone(),
+    });
     if lite {
         sim.set_lite(true);
     }
@@ -154,11 +181,14 @@ fn run_chaos(
     sim.schedule_crash(NodeId(1), SimTime::from_millis(40));
     sim.schedule_restart(NodeId(1), SimTime::from_millis(400));
     sim.run_until(horizon);
-    let records: Vec<(SimTime, String)> = sim
-        .trace()
-        .records()
-        .map(|r| (r.at, format!("{:?}", r.event)))
-        .collect();
+    // The dispatch log, then every span the recorders retained (sends and
+    // drops included), rendered.
+    let fleet = sim.flight_recorders();
+    let mut records = log.take();
+    records.extend(fleet.iter().flat_map(|rec| rec.spans()).map(|s| {
+        let at = SimTime::from_nanos(s.id().at_ns);
+        (at, format!("{:?}", s.render(fleet)))
+    }));
     (
         sim.trace().fingerprint(),
         sim.events_processed(),
@@ -171,9 +201,9 @@ fn run_chaos(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Full mode: byte-identical dispatch. Every trace record (timestamp
-    /// and rendered event) must match between the schedulers, which pins
-    /// the dispatch order itself, not just its hash.
+    /// Full mode: byte-identical dispatch. Every callback (timestamp, node
+    /// and event) and every recorded span must match between the
+    /// schedulers, which pins the dispatch order itself, not just its hash.
     #[test]
     fn schedulers_dispatch_identically_on_random_workloads(
         seed in any::<u64>(),
