@@ -1,38 +1,11 @@
-//! The shared `BENCH_*.json` envelope: one builder and one validator for
-//! every bench artifact the workspace emits.
-//!
-//! All bench artifacts share the same head — `bench` (short name),
-//! `schema` (versioned tag), `unit` (what the numbers mean), `config`
-//! (the knobs that shaped the run) — followed by a bench-specific rows
-//! array and a `summary` object. Before this module each producer built
-//! and each test re-validated that contract by hand; now
-//! [`envelope`]/[`validate`] are the single source of truth, and
-//! [`validate_schema_and_rows`] covers the lighter contract shared with
-//! the corpus diff report (`cb-corpus-diff/v1`: schema + rows + summary,
-//! no bench head).
-//!
-//! [`mask_wall`] is the in-process mirror of CI's python `mask()`: any
-//! object key containing the wall marker is blanked before determinism
-//! comparisons, matching `Registry::masked`'s convention.
+//! The light JSON report contract `corpus diff` checks before writing its
+//! `cb-corpus-diff/v1` report: a schema tag, a non-empty rows array and a
+//! `summary` object.
 
 use cb_harness::json::Json;
-use cb_telemetry::WALL_MARKER;
 
-/// Schema tag of `BENCH_decision.json`.
-pub const DECISION_BENCH_SCHEMA: &str = "cb-bench-decision/v1";
-
-/// Builds the common artifact head: `bench`, `schema`, `unit`, `config`.
-/// Callers append their rows array and `summary`.
-pub fn envelope(bench: &str, schema: &str, unit: &str, config: Json) -> Json {
-    Json::obj()
-        .with("bench", bench)
-        .with("schema", schema)
-        .with("unit", unit)
-        .with("config", config)
-}
-
-/// Validates the light artifact contract: the schema tag matches, the
-/// rows key holds a non-empty array, and `summary` is an object.
+/// Validates the report contract: the schema tag matches, the rows key
+/// holds a non-empty array, and `summary` is an object.
 pub fn validate_schema_and_rows(json: &Json, schema: &str, rows_key: &str) -> Result<(), String> {
     match json.get("schema").and_then(Json::as_str) {
         Some(s) if s == schema => {}
@@ -51,105 +24,27 @@ pub fn validate_schema_and_rows(json: &Json, schema: &str, rows_key: &str) -> Re
     }
 }
 
-/// Validates the full bench-artifact contract: the light contract plus
-/// the `bench` name, a `unit` string, and a `config` object.
-pub fn validate(json: &Json, bench: &str, schema: &str, rows_key: &str) -> Result<(), String> {
-    validate_schema_and_rows(json, schema, rows_key)?;
-    match json.get("bench").and_then(Json::as_str) {
-        Some(b) if b == bench => {}
-        Some(b) => return Err(format!("bench is '{b}', want '{bench}'")),
-        None => return Err("missing 'bench'".to_string()),
-    }
-    if !matches!(json.get("unit"), Some(Json::Str(_))) {
-        return Err("missing 'unit'".to_string());
-    }
-    if !matches!(json.get("config"), Some(Json::Obj(_))) {
-        return Err("missing 'config' object".to_string());
-    }
-    Ok(())
-}
-
-/// Recursively blanks every value whose object key contains the wall
-/// marker, leaving the key in place — the same shape-preserving mask CI
-/// applies before `cmp`-style determinism checks.
-pub fn mask_wall(json: &Json) -> Json {
-    match json {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .iter()
-                .map(|(k, v)| {
-                    if k.contains(WALL_MARKER) {
-                        (k.clone(), Json::Null)
-                    } else {
-                        (k.clone(), mask_wall(v))
-                    }
-                })
-                .collect(),
-        ),
-        Json::Arr(items) => Json::Arr(items.iter().map(mask_wall).collect()),
-        other => other.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sample() -> Json {
-        envelope(
-            "demo",
-            "cb-bench-demo/v1",
-            "widgets per run",
-            Json::obj().with("quick", true),
-        )
-        .with("rows", Json::Arr(vec![Json::obj().with("widgets", 3u64)]))
-        .with("summary", Json::obj().with("total", 3u64))
-    }
-
-    #[test]
-    fn envelope_satisfies_its_own_validator() {
-        let json = sample();
-        validate(&json, "demo", "cb-bench-demo/v1", "rows").expect("valid");
-        validate_schema_and_rows(&json, "cb-bench-demo/v1", "rows").expect("valid light");
+        Json::obj()
+            .with("schema", "cb-demo/v1")
+            .with("rows", Json::Arr(vec![Json::obj().with("widgets", 3u64)]))
+            .with("summary", Json::obj().with("total", 3u64))
     }
 
     #[test]
     fn validator_rejects_each_missing_piece() {
-        let json = sample();
-        assert!(validate(&json, "other", "cb-bench-demo/v1", "rows").is_err());
-        assert!(validate(&json, "demo", "cb-bench-demo/v2", "rows").is_err());
-        assert!(validate(&json, "demo", "cb-bench-demo/v1", "sizes").is_err());
+        validate_schema_and_rows(&sample(), "cb-demo/v1", "rows").expect("valid");
+        assert!(validate_schema_and_rows(&sample(), "cb-demo/v2", "rows").is_err());
+        assert!(validate_schema_and_rows(&sample(), "cb-demo/v1", "sizes").is_err());
         let empty_rows = sample().with("rows", Json::Arr(vec![]));
-        assert!(validate(&empty_rows, "demo", "cb-bench-demo/v1", "rows").is_err());
-        let no_summary = envelope("demo", "cb-bench-demo/v1", "u", Json::obj())
+        assert!(validate_schema_and_rows(&empty_rows, "cb-demo/v1", "rows").is_err());
+        let no_summary = Json::obj()
+            .with("schema", "cb-demo/v1")
             .with("rows", Json::Arr(vec![Json::Null]));
-        assert!(validate(&no_summary, "demo", "cb-bench-demo/v1", "rows").is_err());
-    }
-
-    #[test]
-    fn mask_blanks_wall_keys_at_any_depth() {
-        let json = Json::obj()
-            .with("secs_wall", 1.25)
-            .with("events", 10u64)
-            .with(
-                "nested",
-                Json::Arr(vec![Json::obj()
-                    .with("events_per_sec_wall", 99.0)
-                    .with("fingerprint", "0xab")]),
-            );
-        let masked = mask_wall(&json);
-        assert_eq!(masked.get("secs_wall"), Some(&Json::Null));
-        assert_eq!(masked.get("events"), Some(&Json::Num(10.0)));
-        let inner = &masked.get("nested").and_then(Json::as_array).unwrap()[0];
-        assert_eq!(inner.get("events_per_sec_wall"), Some(&Json::Null));
-        assert_eq!(
-            inner.get("fingerprint"),
-            Some(&Json::Str("0xab".to_string()))
-        );
-        // Masking twice is a fixed point.
-        assert_eq!(
-            mask_wall(&masked).to_string_compact(),
-            masked.to_string_compact()
-        );
+        assert!(validate_schema_and_rows(&no_summary, "cb-demo/v1", "rows").is_err());
     }
 }

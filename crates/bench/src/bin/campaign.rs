@@ -17,8 +17,15 @@
 //! `results/campaigns/`) carrying the seed, the fault-plan spec, the
 //! shrunk minimal repro, oracle verdicts, and the final trace window;
 //! `--replay` re-runs an artifact and verifies the violation reproduces;
-//! artifacts record the fault plan but not scenario-config arms, so pass
-//! the same arm flags the sweep used (e.g. `--replay ART --unsafe-reads`).
+//! artifacts record the fault plan but not the scenario arm, so pass the
+//! same arm flags the sweep used (e.g. `--replay ART --unsafe-reads`).
+//! Sweep and replay parse the flags into one `ArmSpec` and build the
+//! scenario through the one `registry::configure`, so the same flags give
+//! the same run. Which arm flags a scenario accepts is declared in the
+//! registry — see `--list`; naming a scenario (`--scenario`, or the one an
+//! artifact records) with a flag it does not accept is a usage error,
+//! while a sweep of the whole registry hands each scenario the flags it
+//! accepts.
 //! `--telemetry` prints a per-scenario digest of the merged telemetry
 //! (decision-latency p50/p99 on the sim-cost clock, cache hit rate,
 //! states explored per decision) after each summary line.
@@ -29,20 +36,19 @@
 //! cache-transparency check (the `cache_transparency` integration test in
 //! `cb-randtree` automates it).
 //! `--storm` layers the fault-storm schedule (gray-failure stalls, a
-//! latency spike, extra loss) onto the randtree, gossip, kv, and mencius
-//! scenarios; `--unsafe-reads` switches the kv scenario to its
-//! deliberately unsound local-read arm (no guard round), the planted bug
-//! the linearizability oracle exists to catch — a sweep with it is
-//! *expected* to exit 1;
+//! latency spike, extra loss) onto the default plan; `--unsafe-reads`
+//! switches the kv scenario to its deliberately unsound local-read arm
+//! (no guard round), the planted bug the linearizability oracle exists to
+//! catch — a sweep with it is *expected* to exit 1;
 //! `--ladder` resolves their choices through the degradation-governed
 //! resolver ladder; `--deadline STATES` sets the per-decision prediction
 //! deadline on randtree (enforced in the ladder arm, reported-only in the
 //! lookahead control arm). Together they reproduce experiment E11.
-//! `--nodes N` overrides the fleet size on the gossip and dissem
-//! scenarios — `--nodes 10000` is the internet-scale arm; fleets of 1000+
-//! nodes automatically use the implicit path store and lite tracing.
-//! `--record-policy PILE` trains the cross-run policy store: the randtree
-//! and kv scenarios resolve through the recording ladder, the per-seed
+//! `--nodes N` overrides the fleet size — `--nodes 10000` is the
+//! internet-scale arm; fleets of 1000+ nodes automatically use the
+//! implicit path store and lite tracing.
+//! `--record-policy PILE` trains the cross-run policy store: the
+//! scenarios resolve through the recording ladder, the per-seed
 //! stores are merged deterministically (worker-count invariant), and the
 //! result is saved as a versioned policy pile at PILE. `--policy PILE`
 //! loads a previously recorded pile and warm-starts those scenarios'
@@ -54,9 +60,8 @@
 //! scenario gains a generator node, profile-driven admission control and
 //! bounded retries, and the goodput-floor + metastability oracles; mencius
 //! is driven through its consensus entry point; the remaining protocols
-//! run harder via the profile's scale hint. Composes with `--storm` /
-//! `--unsafe-reads` / the policy flags on the KV family (other arm flags
-//! still apply to their own scenarios). The `flash-off` profile is the
+//! run harder via the profile's scale hint. Composes with every other
+//! arm flag a scenario accepts. The `flash-off` profile is the
 //! deliberately unprotected arm — a sweep with it is *expected* to exit 1
 //! with a metastability detection.
 //! `--corpus DIR` ingests **every** seed's run (passing and failing) into
@@ -73,10 +78,11 @@
 //! did reproduce the recorded violation — that's what a repro is for),
 //! 2 = usage error.
 
-use cb_bench::registry::{scenario_by_name, scenario_names};
+use cb_bench::registry::{accepted_flags, configure, configure_all, scenario_names, ArmSpec};
 use cb_harness::prelude::*;
 use cb_harness::{read_artifact, replay_artifact};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn usage() -> ! {
     eprintln!(
@@ -97,57 +103,91 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The argument following `flag`.
+fn need(args: &[String], i: &mut usize, flag: &str) -> String {
+    *i += 1;
+    args.get(*i)
+        .unwrap_or_else(|| {
+            eprintln!("{flag} needs an argument");
+            usage();
+        })
+        .clone()
+}
+
+/// The argument following `flag`, parsed; `wants` names it in the error.
+fn need_parsed<T: std::str::FromStr>(args: &[String], i: &mut usize, flag: &str, wants: &str) -> T {
+    need(args, i, flag).parse().unwrap_or_else(|_| {
+        eprintln!("{flag} wants {wants}");
+        usage();
+    })
+}
+
+/// `--replay`: re-runs the artifact's `(seed, plan)` on its scenario in
+/// the given arm and reports whether the recorded violation reproduces.
+fn replay(path: &Path, arm: &ArmSpec) -> ! {
+    let artifact = match read_artifact(path) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
+    let scenario = configure(&artifact.scenario, arm).unwrap_or_else(|e| {
+        eprintln!("{}: {e}", path.display());
+        std::process::exit(2);
+    });
+    println!(
+        "replaying {} seed {} plan '{}'",
+        artifact.scenario,
+        artifact.seed,
+        artifact.plan.to_spec()
+    );
+    match replay_artifact(scenario.as_ref(), &artifact) {
+        Ok(report) => {
+            println!(
+                "violation reproduced: {:?} (fingerprint {})",
+                report.failing_oracles(),
+                report.fingerprint
+            );
+            if report.fingerprint == artifact.fingerprint {
+                println!("fingerprint matches the recorded run exactly");
+            } else {
+                println!(
+                    "note: fingerprint differs from recorded {} (artifact predates a code change?)",
+                    artifact.fingerprint
+                );
+            }
+            std::process::exit(1);
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scenario_arg: Option<String> = None;
-    let mut replay: Option<PathBuf> = None;
+    let mut replay_path: Option<PathBuf> = None;
     let mut show_telemetry = false;
-    let mut lookahead = false;
-    let mut evalcache = true;
-    let mut storm = false;
-    let mut unsafe_reads = false;
-    let mut ladder = false;
-    let mut deadline: u64 = 0;
     let mut chrome = false;
-    let mut nodes: Option<usize> = None;
+    let mut arm = ArmSpec::default();
     let mut record_policy: Option<PathBuf> = None;
-    let mut policy_path: Option<PathBuf> = None;
-    let mut workload: Option<cb_workload::WorkloadProfile> = None;
     let mut corpus_dir: Option<PathBuf> = None;
     let mut cfg = CampaignConfig::default();
     let mut i = 0;
-    let need = |args: &[String], i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        args.get(*i)
-            .unwrap_or_else(|| {
-                eprintln!("{flag} needs an argument");
-                usage();
-            })
-            .clone()
-    };
     while i < args.len() {
         match args[i].as_str() {
             "--list" => {
                 for name in scenario_names() {
-                    println!("{name}");
+                    println!("{name:<9} {}", accepted_flags(name));
                 }
                 return;
             }
             "--scenario" => scenario_arg = Some(need(&args, &mut i, "--scenario")),
-            "--seeds" => {
-                cfg.seeds = need(&args, &mut i, "--seeds").parse().unwrap_or_else(|_| {
-                    eprintln!("--seeds wants a number");
-                    usage();
-                })
-            }
-            "--base-seed" => {
-                cfg.base_seed = need(&args, &mut i, "--base-seed")
-                    .parse()
-                    .unwrap_or_else(|_| {
-                        eprintln!("--base-seed wants a number");
-                        usage();
-                    })
-            }
+            "--seeds" => cfg.seeds = need_parsed(&args, &mut i, "--seeds", "a number"),
+            "--base-seed" => cfg.base_seed = need_parsed(&args, &mut i, "--base-seed", "a number"),
             "--plan" => {
                 let spec = need(&args, &mut i, "--plan");
                 cfg.plan_override = Some(FaultPlan::from_spec(&spec).unwrap_or_else(|e| {
@@ -155,40 +195,39 @@ fn main() {
                     usage();
                 }));
             }
-            "--workers" => {
-                cfg.workers = need(&args, &mut i, "--workers")
-                    .parse()
-                    .unwrap_or_else(|_| {
-                        eprintln!("--workers wants a number");
-                        usage();
-                    })
-            }
+            "--workers" => cfg.workers = need_parsed(&args, &mut i, "--workers", "a number"),
             "--no-shrink" => cfg.shrink = false,
-            "--lookahead" => lookahead = true,
-            "--no-evalcache" => evalcache = false,
-            "--storm" => storm = true,
-            "--unsafe-reads" => unsafe_reads = true,
-            "--ladder" => ladder = true,
+            "--lookahead" => arm.lookahead = true,
+            "--no-evalcache" => arm.evalcache = false,
+            "--storm" => arm.storm = true,
+            "--unsafe-reads" => arm.unsafe_reads = true,
+            "--ladder" => arm.ladder = true,
             "--deadline" => {
-                deadline = need(&args, &mut i, "--deadline")
-                    .parse()
-                    .unwrap_or_else(|_| {
-                        eprintln!("--deadline wants a number of explored states");
-                        usage();
-                    })
+                arm.deadline_states =
+                    need_parsed(&args, &mut i, "--deadline", "a number of explored states")
             }
             "--chrome" => chrome = true,
             "--record-policy" => {
-                record_policy = Some(PathBuf::from(need(&args, &mut i, "--record-policy")))
+                record_policy = Some(PathBuf::from(need(&args, &mut i, "--record-policy")));
+                arm.record_policy = true;
             }
-            "--policy" => policy_path = Some(PathBuf::from(need(&args, &mut i, "--policy"))),
+            "--policy" => {
+                // Warm-start pile: loaded once; each scenario whose
+                // decisions route through the ladder takes its own store.
+                let path = need(&args, &mut i, "--policy");
+                let pile = cb_policy::PolicyPile::load(Path::new(&path)).unwrap_or_else(|e| {
+                    eprintln!("--policy {path}: {e}");
+                    std::process::exit(2);
+                });
+                arm.policy = Some(Arc::new(pile));
+            }
             "--corpus" => {
                 corpus_dir = Some(PathBuf::from(need(&args, &mut i, "--corpus")));
                 cfg.keep_reports = true;
             }
             "--workload" => {
                 let name = need(&args, &mut i, "--workload");
-                workload = Some(cb_workload::WorkloadProfile::by_name(&name).unwrap_or_else(
+                arm.workload = Some(cb_workload::WorkloadProfile::by_name(&name).unwrap_or_else(
                     || {
                         eprintln!(
                             "unknown workload profile '{name}' (profiles: {})",
@@ -198,16 +237,11 @@ fn main() {
                     },
                 ));
             }
-            "--nodes" => {
-                nodes = Some(need(&args, &mut i, "--nodes").parse().unwrap_or_else(|_| {
-                    eprintln!("--nodes wants a fleet size");
-                    usage();
-                }))
-            }
+            "--nodes" => arm.nodes = Some(need_parsed(&args, &mut i, "--nodes", "a fleet size")),
             "--telemetry" => show_telemetry = true,
             "--no-determinism" => cfg.check_determinism = false,
             "--out" => cfg.artifact_dir = Some(PathBuf::from(need(&args, &mut i, "--out"))),
-            "--replay" => replay = Some(PathBuf::from(need(&args, &mut i, "--replay"))),
+            "--replay" => replay_path = Some(PathBuf::from(need(&args, &mut i, "--replay"))),
             other => {
                 eprintln!("unknown argument: {other}");
                 usage();
@@ -216,270 +250,20 @@ fn main() {
         i += 1;
     }
 
-    // Warm-start pile: loaded once, handed to scenarios by name. Policy
-    // flags apply to the scenarios whose decisions route through the
-    // ladder (randtree, kv).
-    let loaded_pile = policy_path.as_ref().map(|p| {
-        cb_policy::PolicyPile::load(p).unwrap_or_else(|e| {
-            eprintln!("--policy {}: {e}", p.display());
-            std::process::exit(2);
-        })
-    });
-    let store_for = |name: &str| -> Option<std::sync::Arc<cb_policy::PolicyStore>> {
-        loaded_pile
-            .as_ref()
-            .and_then(|p| p.get(name))
-            .cloned()
-            .map(std::sync::Arc::new)
-    };
-    let policy_on = loaded_pile.is_some() || record_policy.is_some();
-
-    if let Some(path) = replay {
-        let artifact = match read_artifact(&path) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        };
-        let Some(mut scenario) = scenario_by_name(&artifact.scenario) else {
-            eprintln!("artifact names unknown scenario '{}'", artifact.scenario);
-            std::process::exit(2);
-        };
-        // Artifacts record the fault plan but not scenario-config arms
-        // (--unsafe-reads, --lookahead, ...). Re-specify the arm flags the
-        // sweep used and the same overrides are applied here, so arm
-        // artifacts round-trip: `--replay ART --unsafe-reads`.
-        match artifact.scenario.as_str() {
-            "kv" if unsafe_reads || storm || policy_on || workload.is_some() => {
-                scenario = Box::new(cb_kv::KvCampaign {
-                    storm,
-                    unsafe_reads,
-                    policy: store_for("kv"),
-                    workload: workload.clone(),
-                    ..Default::default()
-                })
-            }
-            "mencius" if storm || workload.is_some() => {
-                scenario = Box::new(cb_paxos::MenciusCampaign {
-                    storm,
-                    workload: workload.clone(),
-                    ..Default::default()
-                })
-            }
-            name if workload.is_some() => {
-                if let Some(armed) =
-                    cb_bench::registry::workload_arm(name, workload.as_ref().unwrap())
-                {
-                    scenario = armed;
-                }
-            }
-            "randtree"
-                if lookahead || !evalcache || storm || ladder || deadline > 0 || policy_on =>
-            {
-                scenario = Box::new(cb_randtree::RandTreeCampaign {
-                    lookahead,
-                    evalcache,
-                    ladder,
-                    deadline_states: deadline,
-                    storm,
-                    policy: store_for("randtree"),
-                    ..Default::default()
-                })
-            }
-            _ => {}
-        }
-        println!(
-            "replaying {} seed {} plan '{}'",
-            artifact.scenario,
-            artifact.seed,
-            artifact.plan.to_spec()
-        );
-        match replay_artifact(scenario.as_ref(), &artifact) {
-            Ok(report) => {
-                println!(
-                    "violation reproduced: {:?} (fingerprint {})",
-                    report.failing_oracles(),
-                    report.fingerprint
-                );
-                if report.fingerprint == artifact.fingerprint {
-                    println!("fingerprint matches the recorded run exactly");
-                } else {
-                    println!(
-                        "note: fingerprint differs from recorded {} (artifact predates a code change?)",
-                        artifact.fingerprint
-                    );
-                }
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
+    if let Some(path) = replay_path {
+        replay(&path, &arm);
     }
 
-    let mut scenarios: Vec<Box<dyn Scenario>> = match &scenario_arg {
-        Some(name) => match scenario_by_name(name) {
-            Some(s) => vec![s],
-            None => {
-                eprintln!("unknown scenario '{name}'");
-                usage();
-            }
-        },
-        None => cb_bench::registry::all_scenarios(),
+    // A named scenario takes the arm as given — a flag it does not accept
+    // is a usage error. A sweep of the whole registry hands each scenario
+    // the flags it accepts; the others run without them.
+    let scenarios: Vec<Box<dyn Scenario>> = match &scenario_arg {
+        Some(name) => vec![configure(name, &arm).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            usage();
+        })],
+        None => configure_all(&arm),
     };
-    if lookahead || !evalcache || storm || ladder || deadline > 0 || unsafe_reads || policy_on {
-        // The lookahead/evalcache/deadline knobs live on the randtree
-        // scenario — the one campaign protocol whose choices route through
-        // the predictive evaluator; storm/ladder also apply to gossip, and
-        // storm/unsafe-reads to the replicated-KV family (kv, mencius).
-        // Swap the registry entries for configured instances; other
-        // scenarios are unaffected.
-        let mut touched = false;
-        if let Some(slot) = scenarios.iter_mut().find(|s| s.name() == "randtree") {
-            *slot = Box::new(cb_randtree::RandTreeCampaign {
-                lookahead,
-                evalcache,
-                ladder,
-                deadline_states: deadline,
-                storm,
-                policy: store_for("randtree"),
-                record_policy: record_policy.is_some(),
-                ..Default::default()
-            });
-            touched = true;
-        }
-        if storm || ladder {
-            if let Some(slot) = scenarios.iter_mut().find(|s| s.name() == "gossip") {
-                *slot = Box::new(cb_gossip::GossipCampaign {
-                    ladder,
-                    storm,
-                    ..Default::default()
-                });
-                touched = true;
-            }
-        }
-        if storm || unsafe_reads || policy_on {
-            if let Some(slot) = scenarios.iter_mut().find(|s| s.name() == "kv") {
-                *slot = Box::new(cb_kv::KvCampaign {
-                    storm,
-                    unsafe_reads,
-                    policy: store_for("kv"),
-                    record_policy: record_policy.is_some(),
-                    ..Default::default()
-                });
-                touched = true;
-            }
-        }
-        if storm {
-            if let Some(slot) = scenarios.iter_mut().find(|s| s.name() == "mencius") {
-                *slot = Box::new(cb_paxos::MenciusCampaign {
-                    storm,
-                    ..Default::default()
-                });
-                touched = true;
-            }
-        }
-        if !touched {
-            eprintln!(
-                "--lookahead/--no-evalcache/--storm/--ladder/--deadline/--unsafe-reads/\
-                 --policy/--record-policy apply to the randtree, gossip, kv, and mencius \
-                 scenarios"
-            );
-            usage();
-        }
-    }
-    if let Some(n) = nodes {
-        // Fleet-size override for the scale-capable scenarios. Composes
-        // with --storm/--ladder on gossip (re-applied here so the earlier
-        // swap is not lost).
-        let mut touched = false;
-        if let Some(slot) = scenarios.iter_mut().find(|s| s.name() == "gossip") {
-            *slot = Box::new(cb_gossip::GossipCampaign {
-                nodes: n,
-                ladder,
-                storm,
-                ..Default::default()
-            });
-            touched = true;
-        }
-        if let Some(slot) = scenarios.iter_mut().find(|s| s.name() == "dissem") {
-            *slot = Box::new(cb_dissem::SwarmCampaign {
-                peers: n,
-                ..Default::default()
-            });
-            touched = true;
-        }
-        if !touched {
-            eprintln!("--nodes applies to the gossip and dissem scenarios");
-            usage();
-        }
-    }
-    if let Some(p) = &workload {
-        // The open-loop workload arm. The KV family composes with the arm
-        // flags above (storm/unsafe-reads/policy); the scale-driven
-        // scenarios take the registry's workload arm, with --nodes
-        // re-applied where it overlaps.
-        for slot in scenarios.iter_mut() {
-            match slot.name() {
-                "kv" => {
-                    *slot = Box::new(cb_kv::KvCampaign {
-                        storm,
-                        unsafe_reads,
-                        policy: store_for("kv"),
-                        record_policy: record_policy.is_some(),
-                        workload: Some(p.clone()),
-                        ..Default::default()
-                    });
-                }
-                "mencius" => {
-                    *slot = Box::new(cb_paxos::MenciusCampaign {
-                        storm,
-                        workload: Some(p.clone()),
-                        ..Default::default()
-                    });
-                }
-                "gossip" => {
-                    let d = cb_gossip::GossipCampaign::default();
-                    *slot = Box::new(cb_gossip::GossipCampaign {
-                        nodes: nodes.unwrap_or(d.nodes),
-                        rumors: d.rumors * p.scale_hint(),
-                        ladder,
-                        storm,
-                        ..d
-                    });
-                }
-                "dissem" => {
-                    let d = cb_dissem::SwarmCampaign::default();
-                    *slot = Box::new(cb_dissem::SwarmCampaign {
-                        peers: nodes.unwrap_or(d.peers),
-                        blocks: d.blocks * p.scale_hint(),
-                        ..d
-                    });
-                }
-                "randtree" => {
-                    let d = cb_randtree::RandTreeCampaign::default();
-                    *slot = Box::new(cb_randtree::RandTreeCampaign {
-                        nodes: d.nodes * p.scale_hint() as usize,
-                        lookahead,
-                        evalcache,
-                        ladder,
-                        deadline_states: deadline,
-                        storm,
-                        policy: store_for("randtree"),
-                        record_policy: record_policy.is_some(),
-                        ..d
-                    });
-                }
-                name => {
-                    if let Some(armed) = cb_bench::registry::workload_arm(name, p) {
-                        *slot = armed;
-                    }
-                }
-            }
-        }
-    }
 
     // Corpus auto-ingestion: load an existing corpus to extend in place,
     // or start fresh. Every seed's report is retained and distilled.
@@ -498,10 +282,9 @@ fn main() {
     // Starting from the loaded pile (when both flags are given) makes
     // --policy --record-policy a refresh-in-place: stale entries are
     // overwritten by the merge rule, untouched scenarios keep theirs.
-    let mut recorded_pile = if record_policy.is_some() {
-        loaded_pile.clone().unwrap_or_default()
-    } else {
-        cb_policy::PolicyPile::new()
+    let mut recorded_pile = match (&record_policy, &arm.policy) {
+        (Some(_), Some(loaded)) => loaded.as_ref().clone(),
+        _ => cb_policy::PolicyPile::new(),
     };
     for scenario in &scenarios {
         let start = std::time::Instant::now();

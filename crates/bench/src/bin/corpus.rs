@@ -267,8 +267,8 @@ fn cmd_diff(args: &[String]) -> i32 {
     let candidate = load_corpus(Path::new(candidate_dir));
     let report = diff(&baseline, &candidate, &cfg);
     let json = report.to_json();
-    // The diff report rides the shared bench-artifact contract (schema +
-    // rows + summary); validate before anything consumes it.
+    // Validate the report contract (schema + rows + summary) before
+    // anything consumes it.
     if report.regressed() {
         if let Err(e) =
             cb_bench::benchjson::validate_schema_and_rows(&json, DIFF_SCHEMA, "findings")

@@ -1,4 +1,4 @@
-//! The decision hot-path benchmark (`decisions` binary, `BENCH_decision.json`).
+//! The decision hot-path models and their exact gates.
 //!
 //! The paper's bet is that choice resolution runs "on the side without
 //! stalling the system" (§3.4) — which makes *predicted states per resolved
@@ -12,13 +12,15 @@
 //! * **optimized** — the fused single pass ([`OptionEvaluator::evaluate`]):
 //!   one violation+liveness search plus walks, with the per-decision
 //!   [`EvalCache`] memoizing property verdicts and objective scores across
-//!   sibling options.
+//!   sibling options;
 //!
-//! Costs are **deterministic**: states explored per decision, converted to
-//! sim-cost at the runtime's modeled rate of 1 µs per state (the same
-//! convention `choose_with` records into `core.decision_latency_sim_us`).
-//! No wall-clock numbers enter the artifact, so `BENCH_decision.json` is
-//! byte-stable across machines and replayable in CI.
+//! and then through the cross-run policy store, cold and warm
+//! ([`PolicyArm`]). Costs are **exact**: states explored per decision, a
+//! pure function of the seed. The tests below hold the gates over
+//! [`run_all`] (≥ 3 scenarios at a ≥ 2× reduction; warm ≡ cold agreement
+//! exactly 1.0, no stale entry, ≥ 5× fewer states warm); what a decision
+//! costs in wall time is the `benchmark/` package's `decide-cold` /
+//! `decide-warm` workloads, which time these same models.
 //!
 //! The workloads reuse the real predictive models where the workspace has
 //! them (RandTree's [`JoinDescent`], the gossip [`Flood`] used by E8) and
@@ -34,7 +36,6 @@ use cb_core::governor::HealthSignals;
 use cb_core::objective::ObjectiveSet;
 use cb_core::predict::{ModelEvaluator, PredictConfig};
 use cb_core::resolve::ladder::{LadderResolver, PolicyDisposition};
-use cb_harness::json::Json;
 use cb_mck::props::Property;
 use cb_mck::system::TransitionSystem;
 use cb_policy::PolicyStore;
@@ -56,7 +57,7 @@ pub struct ModeStats {
     pub fused_searches_saved: u64,
 }
 
-/// The cross-run policy-store arm (`BENCH_policy.json`): the same decision
+/// The cross-run policy-store arm: the same decision
 /// stream resolved **cold** (a recording ladder running full lookahead per
 /// decision, training the store) and then **warm** (a fresh ladder serving
 /// store-hits, falling back to lookahead only on the governed refresh
@@ -102,7 +103,7 @@ impl PolicyArm {
         self.warm_total_states as f64 / self.warm_decisions.max(1) as f64
     }
 
-    /// Deterministic warm-vs-cold speedup in states (= sim-µs) per
+    /// Deterministic warm-vs-cold speedup in states explored per
     /// decision.
     pub fn speedup(&self) -> f64 {
         self.cold_states_per_decision() / self.warm_states_per_decision().max(1e-9)
@@ -727,154 +728,6 @@ pub fn run_all(decisions: u64) -> Vec<ScenarioBench> {
     ]
 }
 
-/// Schema tag of `BENCH_decision.json` (re-exported from the shared
-/// envelope module).
-pub use crate::benchjson::DECISION_BENCH_SCHEMA;
-
-/// Serializes the benchmark into the `BENCH_decision.json` schema (see
-/// EXPERIMENTS.md, "Reading BENCH_decision.json").
-pub fn to_json(benches: &[ScenarioBench], decisions: u64, quick: bool) -> Json {
-    let mut rows = Vec::new();
-    let mut at_2x = 0u64;
-    let mut log_sum = 0.0f64;
-    for b in benches {
-        let base_spd = ScenarioBench::states_per_decision(&b.baseline, b.decisions);
-        let opt_spd = ScenarioBench::states_per_decision(&b.optimized, b.decisions);
-        let reduction = b.reduction();
-        if reduction >= 2.0 {
-            at_2x += 1;
-        }
-        log_sum += reduction.max(1e-9).ln();
-        let lookups = b.optimized.cache_hits + b.optimized.cache_misses;
-        let hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            b.optimized.cache_hits as f64 / lookups as f64
-        };
-        rows.push(
-            Json::obj()
-                .with("scenario", b.scenario)
-                .with("decisions", b.decisions)
-                .with("options_per_decision", b.options)
-                .with(
-                    "baseline",
-                    Json::obj()
-                        .with("mode", "multipass-uncached")
-                        .with("total_states", b.baseline.total_states)
-                        .with("states_per_decision", base_spd)
-                        .with("sim_cost_us_per_decision", base_spd),
-                )
-                .with(
-                    "optimized",
-                    Json::obj()
-                        .with("mode", "fused-cached")
-                        .with("total_states", b.optimized.total_states)
-                        .with("states_per_decision", opt_spd)
-                        .with("sim_cost_us_per_decision", opt_spd)
-                        .with("cache_hits", b.optimized.cache_hits)
-                        .with("cache_misses", b.optimized.cache_misses)
-                        .with("cache_hit_rate", hit_rate)
-                        .with("fused_searches_saved", b.optimized.fused_searches_saved),
-                )
-                .with("reduction", reduction)
-                .with("agreement", b.agreement),
-        );
-    }
-    let geomean = (log_sum / benches.len().max(1) as f64).exp();
-    crate::benchjson::envelope(
-        "decision",
-        DECISION_BENCH_SCHEMA,
-        "states explored per resolved decision; sim-cost at 1 us/state",
-        Json::obj()
-            .with("decisions", decisions)
-            .with("quick", quick),
-    )
-    .with("scenarios", rows)
-    .with(
-        "summary",
-        Json::obj()
-            .with("scenarios_at_2x", at_2x)
-            .with("geomean_reduction", geomean),
-    )
-}
-
-/// Schema tag of `BENCH_policy.json`.
-pub const POLICY_BENCH_SCHEMA: &str = "cb-bench-policy/v1";
-
-/// Serializes the policy-store arm into the `BENCH_policy.json` schema (see
-/// EXPERIMENTS.md, "Reading BENCH_policy.json"). Like `BENCH_decision.json`
-/// the artifact carries only deterministic sim-costs — no wall-clock
-/// numbers — so reruns are byte-identical.
-pub fn policy_to_json(benches: &[ScenarioBench], decisions: u64, quick: bool) -> Json {
-    let mut rows = Vec::new();
-    let mut at_5x = 0u64;
-    let mut log_sum = 0.0f64;
-    let mut agreement_all = true;
-    for b in benches {
-        let p = &b.policy;
-        let speedup = p.speedup();
-        if speedup >= 5.0 {
-            at_5x += 1;
-        }
-        log_sum += speedup.max(1e-9).ln();
-        agreement_all &= p.agreement == 1.0;
-        rows.push(
-            Json::obj()
-                .with("scenario", b.scenario)
-                .with("options_per_decision", b.options)
-                .with(
-                    "store",
-                    Json::obj()
-                        .with("entries", p.trained_entries)
-                        // Decimal string: content ids use the full u64
-                        // range, beyond JSON's f64-safe 2^53.
-                        .with("content_id", p.store_content_id.to_string()),
-                )
-                .with(
-                    "cold",
-                    Json::obj()
-                        .with("mode", "ladder-lookahead-recording")
-                        .with("decisions", p.cold_decisions)
-                        .with("total_states", p.cold_total_states)
-                        .with("states_per_decision", p.cold_states_per_decision())
-                        .with("sim_cost_us_per_decision", p.cold_states_per_decision()),
-                )
-                .with(
-                    "warm",
-                    Json::obj()
-                        .with("mode", "ladder-policy-store")
-                        .with("decisions", p.warm_decisions)
-                        .with("total_states", p.warm_total_states)
-                        .with("states_per_decision", p.warm_states_per_decision())
-                        .with("sim_cost_us_per_decision", p.warm_states_per_decision())
-                        .with("policy_hits", p.hits)
-                        .with("policy_misses", p.misses)
-                        .with("policy_stale", p.stale)
-                        .with("refreshes", p.refreshes),
-                )
-                .with("speedup", speedup)
-                .with("agreement", p.agreement),
-        );
-    }
-    let geomean = (log_sum / benches.len().max(1) as f64).exp();
-    crate::benchjson::envelope(
-        "policy",
-        POLICY_BENCH_SCHEMA,
-        "states explored per resolved decision; sim-cost at 1 us/state",
-        Json::obj()
-            .with("decisions", decisions)
-            .with("quick", quick),
-    )
-    .with("scenarios", rows)
-    .with(
-        "summary",
-        Json::obj()
-            .with("scenarios_at_5x", at_5x)
-            .with("geomean_speedup", geomean)
-            .with("agreement_all", agreement_all),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -974,68 +827,5 @@ mod tests {
             assert_eq!(x.policy.warm_total_states, y.policy.warm_total_states);
             assert_eq!(x.policy.hits, y.policy.hits);
         }
-    }
-
-    #[test]
-    fn policy_json_schema_has_the_contract_fields() {
-        let benches = run_all(1);
-        let json = policy_to_json(&benches, 1, true);
-        crate::benchjson::validate(&json, "policy", POLICY_BENCH_SCHEMA, "scenarios")
-            .expect("shared envelope contract");
-        let rows = json
-            .get("scenarios")
-            .and_then(|j| j.as_array())
-            .expect("scenarios array");
-        assert_eq!(rows.len(), 5);
-        for row in rows {
-            for key in ["scenario", "store", "cold", "warm", "speedup", "agreement"] {
-                assert!(row.get(key).is_some(), "missing {key}");
-            }
-            assert!(row
-                .get("warm")
-                .and_then(|w| w.get("states_per_decision"))
-                .is_some());
-            assert!(row.get("store").and_then(|s| s.get("content_id")).is_some());
-        }
-        let summary = json.get("summary").expect("summary");
-        for key in ["scenarios_at_5x", "geomean_speedup", "agreement_all"] {
-            assert!(summary.get(key).is_some(), "missing summary.{key}");
-        }
-    }
-
-    #[test]
-    fn json_schema_has_the_contract_fields() {
-        let benches = run_all(1);
-        let json = to_json(&benches, 1, true);
-        crate::benchjson::validate(&json, "decision", DECISION_BENCH_SCHEMA, "scenarios")
-            .expect("shared envelope contract");
-        let rows = json
-            .get("scenarios")
-            .and_then(|j| j.as_array())
-            .expect("scenarios array");
-        assert_eq!(rows.len(), 5);
-        for row in rows {
-            for key in [
-                "scenario",
-                "baseline",
-                "optimized",
-                "reduction",
-                "agreement",
-            ] {
-                assert!(row.get(key).is_some(), "missing {key}");
-            }
-            assert!(row
-                .get("baseline")
-                .and_then(|b| b.get("states_per_decision"))
-                .is_some());
-            assert!(row
-                .get("optimized")
-                .and_then(|b| b.get("cache_hit_rate"))
-                .is_some());
-        }
-        assert!(json
-            .get("summary")
-            .and_then(|s| s.get("geomean_reduction"))
-            .is_some());
     }
 }

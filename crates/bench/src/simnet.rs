@@ -1,33 +1,19 @@
-//! The simulator hot-loop benchmark (`simnet_bench` binary,
-//! `BENCH_simnet.json`).
+//! The simulator hot-loop probe: one load shape through the four engine
+//! arms.
 //!
-//! Drives an identical message/timer workload through the four engine
-//! arms — `{heap, wheel} × {full, lite}` — at fleet sizes from 100 to
-//! 10 000 nodes and records the events/sec trajectory. The heap arms run
-//! the pre-wheel `BinaryHeap` scheduler kept as the differential
-//! reference; the lite arms retain no spans and neither render nor digest
-//! payloads, which is how large campaigns actually run. Both modes share
-//! one fixed-width record path, so lite/full is a modest ratio (~2× at 100
-//! nodes, ~1.5× at 1000) and is reported, not gated.
+//! [`run_size`] drives an identical message/timer workload through
+//! `{heap, wheel} × {full, lite}` at one fleet size. The heap arms run the
+//! pre-wheel `BinaryHeap` scheduler kept as the differential reference;
+//! the lite arms retain no spans and neither render nor digest payloads,
+//! which is how large campaigns actually run.
 //!
-//! Two properties are checked on every run, not just reported:
-//!
-//! * **Equivalence** — within a trace mode, heap and wheel must produce
-//!   the same fingerprint and process the same number of events. A
-//!   mismatch is a scheduler bug and panics the bench.
-//! * **Performance** — the wheel must not regress like-for-like
-//!   (`wheel_full ≥ 0.85 × heap_full` events/sec — a 10% regression
-//!   allowance plus a measurement guard band: at small fleets tracing
-//!   dominates and the schedulers measure within noise of parity). The
-//!   binary exits nonzero otherwise.
-//!
-//! Wall-clock rates are real measurements and vary by machine; every such
-//! key carries a `_wall` suffix so the determinism harness can mask them.
-//! Everything else in `BENCH_simnet.json` (event counts, fingerprints,
-//! config) is a pure function of the seed and must be byte-identical
-//! across runs.
+//! **Equivalence is checked on every call, not just reported:** within a
+//! trace mode, heap and wheel must produce the same fingerprint and
+//! process the same number of events. A mismatch is a scheduler bug and
+//! panics. The wall-clock rate of each arm is reported for the
+//! `benchmark/` package (`simnet.bare_*_events_per_s`), which owns every
+//! wall number and gate.
 
-use cb_harness::json::Json;
 use cb_simnet::prelude::*;
 
 /// One measured (scheduler, mode, size) cell.
@@ -56,7 +42,7 @@ impl ArmResult {
     }
 }
 
-/// All four arms at one fleet size, plus the derived ratios.
+/// All four arms at one fleet size.
 #[derive(Clone, Debug)]
 pub struct SizeBench {
     /// Fleet size (hosts).
@@ -74,27 +60,6 @@ impl SizeBench {
             .iter()
             .find(|a| a.scheduler == scheduler && a.mode == mode)
             .expect("all four arms present")
-    }
-
-    /// Like-for-like scheduler ratio: wheel events/sec over heap, full mode.
-    pub fn wheel_full_vs_heap_full(&self) -> f64 {
-        let h = self.arm("heap", "full").events_per_sec();
-        if h > 0.0 {
-            self.arm("wheel", "full").events_per_sec() / h
-        } else {
-            0.0
-        }
-    }
-
-    /// The large-fleet configuration (wheel + lite tracing) over the
-    /// reference one (heap + full tracing). Reported, not gated.
-    pub fn speedup_vs_baseline(&self) -> f64 {
-        let h = self.arm("heap", "full").events_per_sec();
-        if h > 0.0 {
-            self.arm("wheel", "lite").events_per_sec() / h
-        } else {
-            0.0
-        }
     }
 }
 
@@ -242,14 +207,13 @@ pub fn run_size(nodes: usize, seed: u64, horizon: SimTime, tick: SimDuration) ->
             }
         }
     }
+    let bench = SizeBench {
+        nodes,
+        arms,
+        peak_rss_kb: peak_rss_kb(),
+    };
     for mode in ["full", "lite"] {
-        let (h, w) = (
-            arms.iter()
-                .find(|a| a.scheduler == "heap" && a.mode == mode),
-            arms.iter()
-                .find(|a| a.scheduler == "wheel" && a.mode == mode),
-        );
-        let (h, w) = (h.expect("heap arm"), w.expect("wheel arm"));
+        let (h, w) = (bench.arm("heap", mode), bench.arm("wheel", mode));
         assert_eq!(
             h.fingerprint, w.fingerprint,
             "{nodes} nodes, {mode} mode: heap and wheel fingerprints diverge"
@@ -259,74 +223,7 @@ pub fn run_size(nodes: usize, seed: u64, horizon: SimTime, tick: SimDuration) ->
             "{nodes} nodes, {mode} mode: event counts diverge"
         );
     }
-    SizeBench {
-        nodes,
-        arms,
-        peak_rss_kb: peak_rss_kb(),
-    }
-}
-
-/// Schema tag of `BENCH_simnet.json`.
-pub const SIMNET_BENCH_SCHEMA: &str = "cb-bench-simnet/v1";
-
-/// Serializes the benchmark into the `cb-bench-simnet/v1` schema (see
-/// EXPERIMENTS.md, "Reading BENCH_simnet.json"). Keys with a `_wall`
-/// suffix are machine-dependent; everything else is seed-deterministic.
-pub fn to_json(sizes: &[SizeBench], seed: u64, horizon: SimTime, quick: bool) -> Json {
-    let rows: Vec<Json> = sizes
-        .iter()
-        .map(|s| {
-            let arms: Vec<Json> = s
-                .arms
-                .iter()
-                .map(|a| {
-                    Json::obj()
-                        .with("scheduler", a.scheduler)
-                        .with("mode", a.mode)
-                        .with("events", a.events)
-                        .with("fingerprint", format!("{:#018x}", a.fingerprint))
-                        .with("secs_wall", a.wall_secs)
-                        .with("events_per_sec_wall", a.events_per_sec())
-                })
-                .collect();
-            Json::obj()
-                .with("nodes", s.nodes)
-                .with("events", s.arm("wheel", "lite").events)
-                .with(
-                    "fingerprint_full",
-                    format!("{:#018x}", s.arm("wheel", "full").fingerprint),
-                )
-                .with(
-                    "fingerprint_lite",
-                    format!("{:#018x}", s.arm("wheel", "lite").fingerprint),
-                )
-                .with("arms", arms)
-                .with("wheel_full_vs_heap_full_wall", s.wheel_full_vs_heap_full())
-                .with("speedup_vs_baseline_wall", s.speedup_vs_baseline())
-                .with("peak_rss_kb_wall", s.peak_rss_kb)
-        })
-        .collect();
-    let largest = sizes.iter().max_by_key(|s| s.nodes);
-    crate::benchjson::envelope(
-        "simnet",
-        SIMNET_BENCH_SCHEMA,
-        "engine events dispatched per wall-clock second; fingerprints are seed-exact",
-        Json::obj()
-            .with("seed", seed)
-            .with("horizon_ms", horizon.as_nanos() / 1_000_000)
-            .with("quick", quick),
-    )
-    .with("sizes", rows)
-    .with(
-        "summary",
-        Json::obj()
-            .with("largest_nodes", largest.map(|s| s.nodes).unwrap_or(0))
-            .with(
-                "speedup_largest_wall",
-                largest.map(|s| s.speedup_vs_baseline()).unwrap_or(0.0),
-            )
-            .with("like_for_like_gate", 0.85),
-    )
+    bench
 }
 
 #[cfg(test)]
@@ -334,47 +231,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn arms_agree_and_json_is_well_formed() {
+    fn arms_agree_across_schedulers_and_trace_modes() {
         // Tiny sizes so this stays debug-mode cheap; the equivalence
         // asserts inside run_size are the real payload.
-        let sizes: Vec<SizeBench> = [40usize, 120]
-            .iter()
-            .map(|&n| {
-                run_size(
-                    n,
-                    7,
-                    SimTime::from_millis(1500),
-                    SimDuration::from_millis(200),
-                )
-            })
-            .collect();
-        for s in &sizes {
+        for n in [40usize, 120] {
+            let s = run_size(
+                n,
+                7,
+                SimTime::from_millis(1500),
+                SimDuration::from_millis(200),
+            );
             assert_eq!(s.arms.len(), 4);
             assert!(s.arm("wheel", "lite").events > 0);
             // Event counts are mode-independent too: tracing must never
             // change what the engine dispatches.
             assert_eq!(s.arm("wheel", "full").events, s.arm("wheel", "lite").events);
-        }
-        let json = to_json(&sizes, 7, SimTime::from_millis(1500), true);
-        let text = json.to_string_pretty();
-        let back = Json::parse(&text).expect("bench artifact parses");
-        crate::benchjson::validate(&back, "simnet", SIMNET_BENCH_SCHEMA, "sizes")
-            .expect("shared envelope contract");
-        let rows = back.get("sizes").and_then(Json::as_array).expect("sizes");
-        assert_eq!(rows.len(), 2);
-        for row in rows {
-            for key in [
-                "nodes",
-                "events",
-                "fingerprint_full",
-                "fingerprint_lite",
-                "arms",
-                "wheel_full_vs_heap_full_wall",
-                "speedup_vs_baseline_wall",
-                "peak_rss_kb_wall",
-            ] {
-                assert!(row.get(key).is_some(), "missing {key}");
-            }
         }
     }
 

@@ -353,8 +353,8 @@ pub fn linearizability_verdict(name: &str, history: &[Op]) -> OracleVerdict {
 /// each op is assigned a strictly increasing linearization point and an
 /// invocation/response window jittered around it, so neighbouring ops
 /// overlap (real concurrency) while reads observe the register value at
-/// their linearization point. Used by the `lincheck` micro-benchmark and by
-/// scale tests; tamper with a read's value to get a violating history of
+/// their linearization point. Used by the `benchmark/` package's
+/// `harness.lincheck_ms_per_kop` probe and by scale tests; tamper with a read's value to get a violating history of
 /// the same shape.
 pub fn synthetic_history(n_ops: usize, n_clients: u64, n_keys: u64, seed: u64) -> Vec<Op> {
     let mut state = seed;

@@ -301,31 +301,38 @@ mod tests {
 
     #[test]
     fn flash_crowd_sheds_steps_down_and_recovers() {
-        let s = KvCampaign {
-            workload: WorkloadProfile::by_name("flash"),
-            ..KvCampaign::default()
-        };
-        let r = s.run(11, &FaultPlan::none());
-        assert!(!r.violated(), "{:?}", r.verdicts);
-        let t = &r.telemetry;
         use cb_telemetry::keys;
-        assert!(
-            t.counter(keys::WORKLOAD_SHED) > 0,
-            "admission must shed under a 6x flash"
-        );
-        assert!(
-            t.counter(keys::CORE_GOVERNOR_CAUSE_LOAD) >= 1,
-            "the load signal must step the governor down"
-        );
-        assert!(
-            t.counter(keys::CORE_GOVERNOR_RECOVERIES) >= 1,
-            "the fleet must recover after the flash"
-        );
-        assert_eq!(
-            t.gauge(keys::CORE_GOVERNOR_RUNG),
-            0,
-            "every node Healthy at the horizon"
-        );
+        // The steady profile is the control: same protections, no crowd.
+        for profile in ["flash", "steady"] {
+            let s = KvCampaign {
+                workload: WorkloadProfile::by_name(profile),
+                ..KvCampaign::default()
+            };
+            let r = s.run(11, &FaultPlan::none());
+            // Includes the profile's goodput floor and the metastability
+            // oracle.
+            assert!(!r.violated(), "{profile}: {:?}", r.verdicts);
+            let t = &r.telemetry;
+            assert_eq!(
+                t.gauge(keys::CORE_GOVERNOR_RUNG),
+                0,
+                "{profile}: every node Healthy at the horizon"
+            );
+            if profile == "flash" {
+                assert!(
+                    t.counter(keys::WORKLOAD_SHED) > 0,
+                    "admission must shed under a 6x flash"
+                );
+                assert!(
+                    t.counter(keys::CORE_GOVERNOR_CAUSE_LOAD) >= 1,
+                    "the load signal must step the governor down"
+                );
+                assert!(
+                    t.counter(keys::CORE_GOVERNOR_RECOVERIES) >= 1,
+                    "the fleet must recover after the flash"
+                );
+            }
+        }
     }
 
     #[test]

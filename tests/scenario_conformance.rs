@@ -19,10 +19,12 @@
 //! New scenarios get these checks for free by registering; a scenario that
 //! can't pass them has no business in the campaign runner.
 
-use cb_bench::registry::{all_scenarios, scenario_names, workload_arm};
+use cb_bench::registry::{accepts, all_scenarios, configure, scenario_names, ArmField, ArmSpec};
 use cb_harness::prelude::*;
 use cb_trace::{is_acyclic, SpanIndex, SpanKind};
 use cb_workload::WorkloadProfile;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Telemetry digest with the wall-clock metrics masked out: histograms
 /// keyed `*_wall_ns` time the host machine, not the simulation, and are
@@ -125,73 +127,208 @@ fn replay_is_deterministic_and_provenance_well_formed() {
     }
 }
 
-/// Contracts 1 and 2 under the open-loop workload arm: every registered
-/// scenario must keep its promises when driven by the aggregate client
-/// population too (`campaign --workload`). Replay must be byte-identical
-/// (fingerprint, masked provenance, telemetry — which now carries the
-/// `workload.*` counters and governor dwell histograms), and the campaign
-/// outcome must stay invariant across 1/2/4/8 workers.
-#[test]
-fn workload_arm_keeps_replay_determinism_and_worker_invariance() {
-    let profile = WorkloadProfile::by_name("steady").expect("steady profile");
-    for name in scenario_names() {
-        let scenario =
-            workload_arm(name, &profile).unwrap_or_else(|| panic!("{name} has no workload arm"));
-        let tag = format!("{name} (workload arm)");
+/// A two-seed sweep config for the arm checks (the stock-scenario tests
+/// cover the wider seed range). Reports are kept so the sweeps double as
+/// the replay check.
+fn arm_sweep(workers: usize) -> CampaignConfig {
+    CampaignConfig {
+        base_seed: BASE_SEED,
+        seeds: 2,
+        workers,
+        check_determinism: false,
+        shrink: false,
+        artifact_dir: None,
+        plan_override: None,
+        keep_reports: true,
+    }
+}
 
-        // Contract 1: two direct runs agree byte-for-byte.
-        let seed = BASE_SEED;
-        let plan = scenario.default_plan(seed);
-        let a = scenario.run(seed, &plan);
-        let b = scenario.run(seed, &plan);
-        assert_eq!(a.fingerprint, b.fingerprint, "{tag}: fingerprint drift");
-        assert_eq!(
-            a.provenance_masked_json().to_string_pretty(),
-            b.provenance_masked_json().to_string_pretty(),
-            "{tag}: masked provenance not byte-identical on replay"
-        );
-        assert_eq!(
-            masked_telemetry_digest(&a.telemetry),
-            masked_telemetry_digest(&b.telemetry),
-            "{tag}: telemetry drift on replay"
-        );
+/// Every arm field set at once; `.only(..)` carves the arms under test
+/// out of it.
+fn every_field_set() -> ArmSpec {
+    ArmSpec {
+        storm: true,
+        ladder: true,
+        lookahead: true,
+        evalcache: false,
+        deadline_states: 20,
+        unsafe_reads: true,
+        nodes: Some(24),
+        // `flash`, not `steady`: its scale hint is 2, so the scenarios the
+        // profile drives through that hint run a different fleet.
+        workload: WorkloadProfile::by_name("flash"),
+        policy: Some(Arc::new(cb_policy::PolicyPile::new())),
+        record_policy: true,
+    }
+}
 
-        // Contract 2: outcome invariant across worker counts (2 seeds
-        // keep the sweep debug-mode cheap; the stock-scenario test above
-        // already covers the wider seed range).
-        let mut digests: Vec<(usize, String)> = Vec::new();
-        for workers in [1usize, 2, 4, 8] {
-            let cfg = CampaignConfig {
-                base_seed: BASE_SEED,
-                seeds: 2,
-                workers,
-                check_determinism: false,
-                shrink: false,
-                artifact_dir: None,
-                plan_override: None,
-                keep_reports: false,
+/// The arm that sets `field` alone on `scenario`, after the arm it is
+/// measured against. That base is stock except for the two fields that
+/// only tune another arm: the evaluation cache exists in the lookahead
+/// arm, and a prediction deadline is enforced in the ladder arm.
+fn single_field_arm(scenario: &str, field: ArmField) -> (ArmSpec, ArmSpec) {
+    use ArmField::*;
+    let all = every_field_set();
+    match field {
+        Evalcache => (all.only(&[Lookahead]), all.only(&[Lookahead, Evalcache])),
+        Deadline => (all.only(&[Ladder]), all.only(&[Ladder, Deadline])),
+        Policy => {
+            // Warm-start from a pile this scenario recorded itself.
+            let recorder = configure(scenario, &all.only(&[RecordPolicy]))
+                .expect("a scenario that takes a pile can record one");
+            let store = run_campaign(recorder.as_ref(), &arm_sweep(2))
+                .policy
+                .unwrap_or_else(|| panic!("{scenario}: recording sweep produced no store"));
+            let mut pile = cb_policy::PolicyPile::new();
+            pile.insert_store(store);
+            let arm = ArmSpec {
+                policy: Some(Arc::new(pile)),
+                ..ArmSpec::default()
             };
-            let outcome = run_campaign(scenario.as_ref(), &cfg);
-            let failures: Vec<String> = outcome
-                .failures
-                .iter()
-                .map(|f| format!("seed {} fp {}", f.report.seed, f.report.fingerprint))
-                .collect();
-            digests.push((
-                workers,
-                format!(
-                    "passed={} failures={failures:?} events={}",
-                    outcome.passed, outcome.total_events
-                ),
-            ));
+            (ArmSpec::default(), arm)
         }
-        for pair in digests.windows(2) {
+        _ => (ArmSpec::default(), all.only(&[field])),
+    }
+}
+
+/// What an arm field may move: the run itself, its telemetry, the default
+/// fault plan, or the fleet size. `report` is the scenario's run of
+/// `BASE_SEED` under its default plan.
+fn observable(scenario: &dyn Scenario, report: &RunReport) -> String {
+    format!(
+        "nodes={} plan={} fp={}\n{}",
+        scenario.node_count(),
+        scenario.default_plan(BASE_SEED).to_spec(),
+        report.fingerprint,
+        masked_telemetry_digest(&report.telemetry)
+    )
+}
+
+/// [`observable`] of the named scenario in the `base` arm.
+fn base_observable(name: &str, base: &ArmSpec) -> String {
+    let scenario = configure(name, base).unwrap_or_else(|e| panic!("{name} base arm: {e}"));
+    let report = scenario.run(BASE_SEED, &scenario.default_plan(BASE_SEED));
+    observable(scenario.as_ref(), &report)
+}
+
+/// Contracts 1 and 2 for `scenario` configured as `arm`: the campaign
+/// outcome is invariant across 1/2/4/8 workers, and two of those sweeps'
+/// runs of the same `(seed, plan)` are byte-identical (fingerprint,
+/// masked provenance, telemetry). `may_fail` names the one oracle the arm
+/// is allowed to trip. Returns the arm's [`observable`].
+fn check_arm(tag: &str, scenario: &dyn Scenario, may_fail: Option<&str>) -> String {
+    let sweeps =
+        [1usize, 2, 4, 8].map(|workers| (workers, run_campaign(scenario, &arm_sweep(workers))));
+
+    // Contract 2: outcome invariant across worker counts.
+    let digest = |outcome: &CampaignOutcome| {
+        let failures: Vec<String> = outcome
+            .failures
+            .iter()
+            .map(|f| format!("seed {} fp {}", f.report.seed, f.report.fingerprint))
+            .collect();
+        format!(
+            "passed={} failures={failures:?} events={}",
+            outcome.passed, outcome.total_events
+        )
+    };
+    for pair in sweeps.windows(2) {
+        assert_eq!(
+            digest(&pair[0].1),
+            digest(&pair[1].1),
+            "{tag}: campaign outcome differs between {} and {} workers",
+            pair[0].0,
+            pair[1].0
+        );
+    }
+    for f in &sweeps[0].1.failures {
+        for oracle in f.report.failing_oracles() {
             assert_eq!(
-                pair[0].1, pair[1].1,
-                "{tag}: campaign outcome differs between {} and {} workers",
-                pair[0].0, pair[1].0
+                Some(oracle),
+                may_fail,
+                "{tag}: seed {} violated",
+                f.report.seed
             );
         }
+    }
+
+    // Contract 1: the 1- and 2-worker sweeps each ran `BASE_SEED` under
+    // the default plan; the two runs agree byte-for-byte.
+    let (a, b) = (&sweeps[0].1.reports[0], &sweeps[1].1.reports[0]);
+    assert_eq!((a.seed, b.seed), (BASE_SEED, BASE_SEED));
+    assert_eq!(a.fingerprint, b.fingerprint, "{tag}: fingerprint drift");
+    assert_eq!(
+        a.provenance_masked_json().to_string_pretty(),
+        b.provenance_masked_json().to_string_pretty(),
+        "{tag}: masked provenance not byte-identical on replay"
+    );
+    assert_eq!(
+        masked_telemetry_digest(&a.telemetry),
+        masked_telemetry_digest(&b.telemetry),
+        "{tag}: telemetry drift on replay"
+    );
+    observable(scenario, a)
+}
+
+/// `check_arm` over every `(scenario, accepted field)` pair of the
+/// registry's accept-table that `wanted` selects, plus, per pair: the
+/// field moves something observable, so the table row is not a dead
+/// letter. A field outside the accept-set must be refused.
+fn check_single_field_arms(wanted: impl Fn(ArmField) -> bool) {
+    for name in scenario_names() {
+        let accepted = accepts(name).expect("registered");
+        // Most fields share a base arm (stock): run each base once.
+        let mut bases: HashMap<String, String> = HashMap::new();
+        for field in ArmField::ALL.into_iter().filter(|f| wanted(*f)) {
+            let tag = format!("{name} ({field:?} arm)");
+            if !accepted.contains(&field) {
+                let refused = configure(name, &every_field_set().only(&[field])).err();
+                assert_eq!(
+                    refused.and_then(|e| e.field),
+                    Some(field),
+                    "{tag}: outside the accept-set, must be refused"
+                );
+                continue;
+            }
+            let (base, arm) = single_field_arm(name, field);
+            let scenario = configure(name, &arm).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            assert_eq!(scenario.name(), name, "{tag}: arm renamed the scenario");
+            // The planted bug is the one arm whose point is to violate.
+            let may_fail = (field == ArmField::UnsafeReads).then_some("kv.linearizable");
+            let seen = check_arm(&tag, scenario.as_ref(), may_fail);
+            let unmoved = bases
+                .entry(format!("{:?}", base.set_fields()))
+                .or_insert_with(|| base_observable(name, &base));
+            assert_ne!(&seen, unmoved, "{tag}: accepted field changes nothing");
+        }
+    }
+}
+
+/// Contracts 1 and 2 under the open-loop workload arm
+/// (`campaign --workload`): every scenario that accepts a workload must
+/// keep its promises when driven by the aggregate client population too —
+/// telemetry now carries the `workload.*` counters and governor dwell
+/// histograms.
+#[test]
+fn workload_arm_keeps_replay_determinism_and_worker_invariance() {
+    check_single_field_arms(|f| f == ArmField::Workload);
+}
+
+/// The same for every other accepted single field, and the two composite
+/// arms CI sweeps.
+#[test]
+fn every_other_arm_keeps_replay_determinism_and_worker_invariance() {
+    check_single_field_arms(|f| f != ArmField::Workload);
+    use ArmField::*;
+    let all = every_field_set();
+    let composites = [
+        ("randtree", all.only(&[Storm, Ladder, Deadline])),
+        ("gossip", all.only(&[Storm, Ladder])),
+    ];
+    for (name, arm) in composites {
+        let tag = format!("{name} ({:?} arm)", arm.set_fields());
+        let scenario = configure(name, &arm).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        check_arm(&tag, scenario.as_ref(), None);
     }
 }
 
