@@ -332,6 +332,12 @@ fn main() {
                         Err(e) => eprintln!("    chrome: write failed: {e}"),
                     }
                 }
+            } else if let Some((_, e)) = outcome
+                .artifact_errors
+                .iter()
+                .find(|(seed, _)| *seed == f.report.seed)
+            {
+                println!("    artifact: NOT WRITTEN ({e})");
             }
         }
         for seed in &outcome.nondeterministic_seeds {

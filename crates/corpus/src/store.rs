@@ -128,24 +128,24 @@ impl Corpus {
             .filter(|p| p.extension().is_some_and(|e| e == "json") && p.is_file())
             .collect();
         paths.sort();
+        // Files are read, parsed and distilled on every core; records go in
+        // in sorted-path order, and nothing after the first bad file does.
         let mut fresh = 0;
-        for path in paths {
-            let text = std::fs::read_to_string(&path)?;
-            let json =
-                Json::parse(&text).map_err(|e| malformed(format!("{}: {e}", path.display())))?;
-            let record = match json.get("schema").and_then(Json::as_str) {
-                Some(RECORD_SCHEMA) => SeedRecord::from_json(&json),
-                Some(s) if s == cb_harness::ARTIFACT_SCHEMA => {
-                    SeedRecord::from_artifact_json(&json)
-                }
-                other => Err(format!("unrecognized schema {other:?}")),
-            }
-            .map_err(|e| malformed(format!("{}: {e}", path.display())))?;
-            if self.insert(record) {
-                fresh += 1;
-            }
+        let mut failed = None;
+        cb_harness::in_order(
+            paths.len(),
+            0,
+            |i| read_record(&paths[i]),
+            |_, record| match record {
+                _ if failed.is_some() => {}
+                Ok(record) => fresh += self.insert(record) as usize,
+                Err(e) => failed = Some(e),
+            },
+        );
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(fresh),
         }
-        Ok(fresh)
     }
 
     /// The deterministic binary index: magic, version, interned string
@@ -361,6 +361,18 @@ impl Corpus {
     }
 }
 
+/// Reads one campaign failure artifact or corpus record file.
+fn read_record(path: &Path) -> Result<SeedRecord, CorpusError> {
+    let text = std::fs::read_to_string(path)?;
+    let json = Json::parse(&text).map_err(|e| malformed(format!("{}: {e}", path.display())))?;
+    match json.get("schema").and_then(Json::as_str) {
+        Some(RECORD_SCHEMA) => SeedRecord::from_json(&json),
+        Some(s) if s == cb_harness::ARTIFACT_SCHEMA => SeedRecord::from_artifact_json(&json),
+        other => Err(format!("unrecognized schema {other:?}")),
+    }
+    .map_err(|e| malformed(format!("{}: {e}", path.display())))
+}
+
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -490,6 +502,43 @@ mod tests {
         let mut direct = Corpus::new();
         direct.ingest_report(&report);
         assert_eq!(direct.index_bytes(), corpus.index_bytes());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ingest_dir_equals_one_by_one_in_reverse_and_stops_at_the_first_bad_file() {
+        let dir = temp_dir("manyartifacts");
+        let s = RingScenario::default();
+        let others: Vec<u32> = (0..8u32).filter(|&i| i != 3).collect();
+        let plan = FaultPlan::none().partition(&[3], &others, 0, None);
+        let mut paths = Vec::new();
+        for seed in 70..79 {
+            let report = s.run(seed, &plan);
+            assert!(report.violated());
+            paths.push(
+                cb_harness::campaign::write_artifact(&dir, &report, &report.plan, &report).unwrap(),
+            );
+        }
+        let mut whole = Corpus::new();
+        assert_eq!(whole.ingest_dir(&dir).expect("ingest"), 9);
+
+        let mut one_by_one = Corpus::new();
+        for (i, path) in paths.iter().rev().enumerate() {
+            let single = temp_dir(&format!("single{i}"));
+            std::fs::copy(path, single.join(path.file_name().unwrap())).unwrap();
+            assert_eq!(one_by_one.ingest_dir(&single).expect("ingest"), 1);
+            let _ = std::fs::remove_dir_all(&single);
+        }
+        assert_eq!(whole.index_bytes(), one_by_one.index_bytes());
+
+        // Sorted by name, `ring-seed75.json` is the sixth file: the five
+        // before it are in, nothing after it is.
+        std::fs::write(dir.join("ring-seed75.json"), "{\"schema\":").unwrap();
+        let mut partial = Corpus::new();
+        let err = partial.ingest_dir(&dir).expect_err("bad file");
+        assert!(err.to_string().contains("ring-seed75.json"), "{err}");
+        let seeds: Vec<u64> = partial.iter().map(|r| r.seed).collect();
+        assert_eq!(seeds, vec![70, 71, 72, 73, 74]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,28 +1,38 @@
 //! The campaign runner.
 //!
-//! A [`Campaign`] sweeps N seeds in parallel over one [`Scenario`]: each
+//! A campaign sweeps N seeds in parallel over one [`Scenario`]: each
 //! worker thread claims seeds off a shared counter, builds a fresh
 //! deterministic `Sim` per seed, applies the scenario's (or a caller-
 //! supplied) fault plan, and checks the scenario's oracles plus the generic
 //! determinism oracle (run the seed twice, compare trace fingerprints).
 //!
-//! On violation the runner:
+//! On violation the worker that ran the seed also:
 //!
-//! 1. greedily **shrinks** the fault plan to a minimal reproduction — drop
-//!    one fault at a time, keep the drop whenever the violation persists,
-//!    repeat to fixpoint;
+//! 1. **shrinks** the fault plan to a 1-minimal reproduction — try dropping
+//!    chunks of `len, len/2, …, 1` faults, left to right, keep a drop
+//!    whenever the violation persists, and finish with single-fault passes
+//!    to a fixpoint, so no single remaining fault can be dropped (a bug that
+//!    needs no fault at all is found by the first run);
 //! 2. writes a **JSON failure artifact** (seed, original + shrunk plan spec,
 //!    oracle verdicts, last trace window, metrics) under
-//!    `results/campaigns/`;
-//! 3. supports **exact replay**: [`replay_artifact`] reloads the artifact,
-//!    re-runs seed + plan, and checks the same violation (and fingerprint)
-//!    reappears.
+//!    `results/campaigns/`, streamed through the same emitters that build
+//!    the [`Json`] tree;
+//!
+//! and hands the finished row to [`in_order`], which folds rows into the
+//! [`CampaignOutcome`] strictly in seed order as soon as the next expected
+//! seed is done — so the outcome is the same at every worker count, and a
+//! green seed's report is dropped (or moved into `reports`) the moment it
+//! is folded. **Exact replay**: [`replay_artifact`] reloads the artifact,
+//! re-runs seed + plan, and checks the same violation (and, span by span,
+//! the same flight-recorder tail) reappears.
 
-use crate::json::Json;
+use crate::json::{Json, Sink, TextSink};
 use crate::plan::FaultPlan;
-use crate::provenance::{parse_provenance, provenance_json};
+use crate::provenance::{parse_provenance, tail_line};
 use crate::scenario::{RunReport, Scenario};
 use cb_trace::Span;
+use std::collections::{BTreeMap, HashSet};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -66,26 +76,13 @@ impl Default for CampaignConfig {
     }
 }
 
-impl CampaignConfig {
-    /// Resolved worker count.
-    fn worker_count(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get().min(8))
-            .unwrap_or(4)
-            .max(1)
-    }
-}
-
 /// One seed's failure, with the shrunk repro.
 #[derive(Clone, Debug)]
 pub struct Failure {
     /// The full report from the failing run (original plan).
     pub report: RunReport,
-    /// The plan after greedy shrinking (== original when shrinking is off
-    /// or nothing could be dropped).
+    /// The plan after shrinking (== original when shrinking is off or
+    /// nothing could be dropped).
     pub shrunk_plan: FaultPlan,
     /// The report from the final shrunk run.
     pub shrunk_report: RunReport,
@@ -120,6 +117,9 @@ pub struct CampaignOutcome {
     /// pure function of `(scenario, seed, plan)`, this vector is invariant
     /// under worker count.
     pub reports: Vec<RunReport>,
+    /// Failing seeds whose artifact could not be written, with the I/O
+    /// error, in seed order (their [`Failure::artifact`] is `None`).
+    pub artifact_errors: Vec<(u64, String)>,
 }
 
 impl CampaignOutcome {
@@ -130,93 +130,181 @@ impl CampaignOutcome {
 
     /// One-line human summary.
     pub fn summary_line(&self) -> String {
-        format!(
+        let mut line = format!(
             "campaign[{}]: {} passed, {} failed, {} nondeterministic ({} events)",
             self.scenario,
             self.passed,
             self.failures.len(),
             self.nondeterministic_seeds.len(),
             self.total_events
-        )
+        );
+        if !self.artifact_errors.is_empty() {
+            line.push_str(&format!(
+                ", {} artifacts NOT WRITTEN",
+                self.artifact_errors.len()
+            ));
+        }
+        line
+    }
+
+    /// Folds one finished seed in; [`run_campaign`] calls this in seed
+    /// order.
+    fn fold(&mut self, row: SeedRow, keep_reports: bool) {
+        let SeedRow {
+            report,
+            deterministic,
+            red,
+        } = row;
+        let seed = report.seed;
+        self.total_events += report.events_processed;
+        self.telemetry.merge(&report.telemetry);
+        if let Some(recorded) = &report.policy {
+            match &mut self.policy {
+                Some(merged) => merged.merge(recorded),
+                None => self.policy = Some(recorded.clone()),
+            }
+        }
+        if !deterministic {
+            self.nondeterministic_seeds.push(seed);
+        }
+        let Some((shrunk_plan, shrunk_report, written)) = red else {
+            if deterministic {
+                self.passed += 1;
+            }
+            if keep_reports {
+                self.reports.push(report);
+            }
+            return;
+        };
+        if keep_reports {
+            // A red seed's report has two owners, `reports` and `failures`.
+            self.reports.push(report.clone());
+        }
+        let artifact = match written {
+            Some(Ok(path)) => Some(path),
+            Some(Err(e)) => {
+                self.artifact_errors.push((seed, e.to_string()));
+                None
+            }
+            None => None,
+        };
+        self.failures.push(Failure {
+            report,
+            shrunk_plan,
+            shrunk_report,
+            artifact,
+        });
+    }
+}
+
+/// Runs `produce(i)` for every `i` in `0..n` on `workers` threads (0 = one
+/// per available CPU, capped at 8; the calling thread is one of them) and
+/// hands each result to `consume` strictly in index order, as soon as every
+/// earlier index has been consumed. Workers claim indices off a shared
+/// counter; a finished result waits in a reorder buffer only while an
+/// earlier index is still running, so what `consume` builds does not depend
+/// on the worker count and at most a few results are alive at once.
+pub fn in_order<T: Send>(
+    n: usize,
+    workers: usize,
+    produce: impl Fn(usize) -> T + Sync,
+    consume: impl FnMut(usize, T) + Send,
+) {
+    struct Reorder<T, C> {
+        next: usize,
+        ready: BTreeMap<usize, T>,
+        consume: C,
+    }
+    let workers = match workers {
+        0 => std::thread::available_parallelism().map_or(4, |n| n.get().min(8)),
+        w => w,
+    };
+    let claimed = AtomicUsize::new(0);
+    let reorder = Mutex::new(Reorder {
+        next: 0,
+        ready: BTreeMap::new(),
+        consume,
+    });
+    let work = || loop {
+        // Relaxed: the counter hands out indices and publishes nothing.
+        let i = claimed.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let result = produce(i);
+        let mut guard = reorder.lock().expect("a consumer panicked");
+        let state = &mut *guard;
+        state.ready.insert(i, result);
+        while let Some(result) = state.ready.remove(&state.next) {
+            (state.consume)(state.next, result);
+            state.next += 1;
+        }
+    };
+    // The caller is one of the workers. Measured alternatives cost memory:
+    // with every worker spawned and the caller asleep, `peak_rss_mb` on
+    // `sweep-predict` rose by a fifth; with the caller consuming from a
+    // channel it reaches the next sweep's spawns while the last worker is
+    // still exiting, those threads get fresh malloc arenas, and 4 of 10
+    // `fleet-large` runs kept a third simulator's worth of freed memory.
+    std::thread::scope(|scope| {
+        for _ in 1..workers.min(n) {
+            scope.spawn(work);
+        }
+        work();
+    });
+}
+
+/// Everything one seed's worker hands to the fold.
+struct SeedRow {
+    report: RunReport,
+    deterministic: bool,
+    /// For a violating seed: the shrunk plan, its report, and the artifact
+    /// write's result (`None` when artifacts are off).
+    red: Option<(FaultPlan, RunReport, Option<std::io::Result<PathBuf>>)>,
+}
+
+/// One seed, start to finish: first pass, determinism re-run, and for a red
+/// seed the shrink and the artifact — all pure functions of `(scenario,
+/// seed, plan)`, writing a file no other seed writes.
+fn run_seed(scenario: &dyn Scenario, config: &CampaignConfig, seed: u64) -> SeedRow {
+    let plan = config
+        .plan_override
+        .clone()
+        .unwrap_or_else(|| scenario.default_plan(seed));
+    let report = scenario.run(seed, &plan);
+    let deterministic =
+        !config.check_determinism || scenario.run(seed, &plan).fingerprint == report.fingerprint;
+    let red = report.violated().then(|| {
+        let (shrunk_plan, shrunk_report) = if config.shrink {
+            shrink_plan(scenario, seed, &report.plan, &report)
+        } else {
+            (report.plan.clone(), report.clone())
+        };
+        let written = config
+            .artifact_dir
+            .as_deref()
+            .map(|dir| write_artifact(dir, &report, &shrunk_plan, &shrunk_report));
+        (shrunk_plan, shrunk_report, written)
+    });
+    SeedRow {
+        report,
+        deterministic,
+        red,
     }
 }
 
 /// Sweeps seeds over a scenario according to `config`.
 pub fn run_campaign(scenario: &dyn Scenario, config: &CampaignConfig) -> CampaignOutcome {
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(u64, RunReport, bool)>> = Mutex::new(Vec::new());
-    let total = config.seeds as usize;
-
-    std::thread::scope(|scope| {
-        for _ in 0..config.worker_count().min(total.max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                let seed = config.base_seed + i as u64;
-                let plan = config
-                    .plan_override
-                    .clone()
-                    .unwrap_or_else(|| scenario.default_plan(seed));
-                let report = scenario.run(seed, &plan);
-                let deterministic = if config.check_determinism {
-                    let again = scenario.run(seed, &plan);
-                    again.fingerprint == report.fingerprint
-                } else {
-                    true
-                };
-                results.lock().expect("campaign results poisoned").push((
-                    seed,
-                    report,
-                    deterministic,
-                ));
-            });
-        }
-    });
-
-    let mut rows = results.into_inner().expect("campaign results poisoned");
-    rows.sort_by_key(|(seed, _, _)| *seed);
-
     let mut outcome = CampaignOutcome {
         scenario: scenario.name().to_string(),
         ..CampaignOutcome::default()
     };
-    for (seed, report, deterministic) in rows {
-        if config.keep_reports {
-            outcome.reports.push(report.clone());
-        }
-        outcome.total_events += report.events_processed;
-        outcome.telemetry.merge(&report.telemetry);
-        if let Some(recorded) = &report.policy {
-            match &mut outcome.policy {
-                Some(merged) => merged.merge(recorded),
-                None => outcome.policy = Some(recorded.clone()),
-            }
-        }
-        if !deterministic {
-            outcome.nondeterministic_seeds.push(seed);
-        }
-        if report.violated() {
-            let (shrunk_plan, shrunk_report) = if config.shrink {
-                shrink_plan(scenario, seed, &report.plan, &report)
-            } else {
-                (report.plan.clone(), report.clone())
-            };
-            let artifact = config
-                .artifact_dir
-                .as_deref()
-                .and_then(|dir| write_artifact(dir, &report, &shrunk_plan, &shrunk_report).ok());
-            outcome.failures.push(Failure {
-                report,
-                shrunk_plan,
-                shrunk_report,
-                artifact,
-            });
-        } else if deterministic {
-            outcome.passed += 1;
-        }
-    }
+    in_order(
+        config.seeds as usize,
+        config.workers,
+        |i| run_seed(scenario, config, config.base_seed + i as u64),
+        |_, row| outcome.fold(row, config.keep_reports),
+    );
     outcome
 }
 
@@ -228,9 +316,13 @@ fn same_violation(original: &RunReport, candidate: &RunReport) -> bool {
     !orig.is_empty() && orig.iter().all(|name| cand.contains(name))
 }
 
-/// Greedily shrinks `plan` to a minimal fault set that still reproduces the
-/// violation in `failing`: repeatedly try dropping each fault; keep any drop
-/// after which the failing oracles still fail; stop at a fixpoint.
+/// Shrinks `plan` to a 1-minimal fault set that still reproduces the
+/// violation in `failing`: try dropping chunks of `len, len/2, …, 1` faults,
+/// left to right, keeping a drop whenever the failing oracles still fail,
+/// then repeat the single-fault pass until nothing more can be dropped — so
+/// removing any one fault of the result loses the violation. A plan whose
+/// violation needs no fault costs one run, one where nothing can be dropped
+/// fewer than `2 * len`; no plan is run twice.
 ///
 /// Returns the shrunk plan and the report of its (still-failing) run.
 pub fn shrink_plan(
@@ -240,57 +332,87 @@ pub fn shrink_plan(
     failing: &RunReport,
 ) -> (FaultPlan, RunReport) {
     let mut best_plan = plan.clone();
-    let mut best_report = failing.clone();
-    loop {
-        let mut improved = false;
+    let mut best_report = None;
+    // Specs that were run and lost the violation. A kept candidate becomes
+    // `best_plan`, and every later candidate is smaller, so it never recurs.
+    let mut lost: HashSet<String> = HashSet::new();
+    let mut chunk = best_plan.len();
+    while chunk > 0 {
+        let mut dropped = false;
         let mut i = 0;
         while i < best_plan.len() {
-            let candidate = best_plan.without(i);
-            let report = scenario.run(seed, &candidate);
-            if same_violation(failing, &report) {
-                best_plan = candidate;
-                best_report = report;
-                improved = true;
-                // Do not advance i: the fault now at index i is untested.
-            } else {
-                i += 1;
+            let candidate = best_plan.without(i..(i + chunk).min(best_plan.len()));
+            let spec = candidate.to_spec();
+            if !lost.contains(&spec) {
+                let report = scenario.run(seed, &candidate);
+                if same_violation(failing, &report) {
+                    best_plan = candidate;
+                    best_report = Some(report);
+                    dropped = true;
+                    // Do not advance i: the faults now at i are untested.
+                    continue;
+                }
+                lost.insert(spec);
             }
+            i += chunk;
         }
-        if !improved {
-            break;
-        }
+        // Halve down to single faults, then stay there until a whole pass
+        // drops nothing.
+        chunk = if chunk > 1 {
+            chunk / 2
+        } else {
+            dropped as usize
+        };
     }
-    (best_plan, best_report)
+    (best_plan, best_report.unwrap_or_else(|| failing.clone()))
 }
 
 /// Artifact schema version tag.
 pub const ARTIFACT_SCHEMA: &str = "cb-campaign-failure/v1";
 
-/// Serializes a failure artifact.
+/// Emits a failure artifact's document shape.
+pub fn emit_artifact(
+    report: &RunReport,
+    shrunk_plan: &FaultPlan,
+    shrunk_report: &RunReport,
+    sink: &mut dyn Sink,
+) {
+    sink.begin_obj();
+    sink.key("schema");
+    sink.str(ARTIFACT_SCHEMA);
+    sink.key("scenario");
+    sink.str(&report.scenario);
+    sink.key("seed");
+    sink.display(&report.seed);
+    sink.key("plan");
+    sink.str(&report.plan.to_spec());
+    sink.key("shrunk_plan");
+    sink.str(&shrunk_plan.to_spec());
+    sink.key("failing_oracles");
+    sink.begin_arr();
+    for name in report.failing_oracles() {
+        sink.str(name);
+    }
+    sink.end_arr();
+    sink.key("report");
+    report.emit(sink);
+    sink.key("shrunk_report");
+    shrunk_report.emit(sink);
+    sink.end_obj();
+}
+
+/// Serializes a failure artifact as a tree (see [`emit_artifact`]).
 pub fn artifact_json(
     report: &RunReport,
     shrunk_plan: &FaultPlan,
     shrunk_report: &RunReport,
 ) -> Json {
-    Json::obj()
-        .with("schema", ARTIFACT_SCHEMA)
-        .with("scenario", report.scenario.as_str())
-        .with("seed", report.seed.to_string())
-        .with("plan", report.plan.to_spec().as_str())
-        .with("shrunk_plan", shrunk_plan.to_spec().as_str())
-        .with(
-            "failing_oracles",
-            report
-                .failing_oracles()
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>(),
-        )
-        .with("report", report.to_json())
-        .with("shrunk_report", shrunk_report.to_json())
+    Json::build(|sink| emit_artifact(report, shrunk_plan, shrunk_report, sink))
 }
 
-/// Writes a failure artifact under `dir`, returning its path.
+/// Writes a failure artifact under `dir`, returning its path. The document
+/// is streamed to the file: the bytes are those of
+/// `artifact_json(..).to_string_pretty()` plus a newline, without the tree.
 pub fn write_artifact(
     dir: &Path,
     report: &RunReport,
@@ -299,8 +421,12 @@ pub fn write_artifact(
 ) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{}-seed{}.json", report.scenario, report.seed));
-    let json = artifact_json(report, shrunk_plan, shrunk_report);
-    std::fs::write(&path, json.to_string_pretty() + "\n")?;
+    let file = std::io::BufWriter::with_capacity(1 << 16, std::fs::File::create(&path)?);
+    let mut sink = TextSink::new(file, true);
+    emit_artifact(report, shrunk_plan, shrunk_report, &mut sink);
+    let mut file = sink.finish()?;
+    file.write_all(b"\n")?;
+    file.flush()?;
     Ok(path)
 }
 
@@ -327,7 +453,121 @@ pub enum ReplayError {
         artifact_spans: usize,
         /// Spans in the replay's tail.
         replay_spans: usize,
+        /// Where the two first differ.
+        first: TailDifference,
     },
+}
+
+/// Where an artifact's flight-recorder tail and its replay's first differ.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TailDifference {
+    /// The fleets pushed a different number of spans in total.
+    Recorded {
+        /// Total in the artifact.
+        artifact: u64,
+        /// Total on replay.
+        replay: u64,
+    },
+    /// The rings evicted a different number of spans.
+    Evicted {
+        /// Evictions in the artifact.
+        artifact: u64,
+        /// Evictions on replay.
+        replay: u64,
+    },
+    /// The tails differ at span `index`; each side rendered as a
+    /// [`trace_tail`](crate::provenance::trace_tail) line (`None` where that
+    /// tail has ended), followed by cost and attrs when the lines alone
+    /// would read the same.
+    Span {
+        /// Index into both tails.
+        index: usize,
+        /// The artifact's span there.
+        artifact: Option<String>,
+        /// The replay's span there.
+        replay: Option<String>,
+    },
+}
+
+impl std::fmt::Display for TailDifference {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TailDifference::Recorded { artifact, replay } => {
+                write!(f, "spans recorded: artifact {artifact}, replay {replay}")
+            }
+            TailDifference::Evicted { artifact, replay } => {
+                write!(f, "spans evicted: artifact {artifact}, replay {replay}")
+            }
+            TailDifference::Span {
+                index,
+                artifact,
+                replay,
+            } => {
+                let side = |s: &Option<String>| s.clone().unwrap_or_else(|| "<tail ends>".into());
+                write!(
+                    f,
+                    "first difference at span {index}:\n  artifact: {}\n  replay:   {}",
+                    side(artifact),
+                    side(replay)
+                )
+            }
+        }
+    }
+}
+
+/// Compares the recorded tail with the replayed one, every span field but
+/// `wall_ns` (the only nondeterministic one).
+fn tail_difference(artifact: &Artifact, replay: &RunReport) -> Option<TailDifference> {
+    if artifact.spans_recorded != replay.spans_recorded {
+        return Some(TailDifference::Recorded {
+            artifact: artifact.spans_recorded,
+            replay: replay.spans_recorded,
+        });
+    }
+    if artifact.spans_evicted != replay.spans_evicted {
+        return Some(TailDifference::Evicted {
+            artifact: artifact.spans_evicted,
+            replay: replay.spans_evicted,
+        });
+    }
+    let same = |a: &Span, b: &Span| {
+        let Span {
+            id,
+            kind,
+            name,
+            parents,
+            sim_cost_us,
+            wall_ns: _,
+            attrs,
+        } = a;
+        (id, kind, name, parents, sim_cost_us, attrs)
+            == (
+                &b.id,
+                &b.kind,
+                &b.name,
+                &b.parents,
+                &b.sim_cost_us,
+                &b.attrs,
+            )
+    };
+    let (recorded, replayed) = (&artifact.provenance, &replay.provenance);
+    let index = (0..recorded.len().max(replayed.len())).find(
+        |&i| !matches!((recorded.get(i), replayed.get(i)), (Some(a), Some(b)) if same(a, b)),
+    )?;
+    let mut sides = [recorded.get(index), replayed.get(index)]
+        .map(|s| s.map(|s| tail_line(s.id, s.kind, &s.name, &s.parents)));
+    if sides[0] == sides[1] {
+        for (line, span) in sides.iter_mut().zip([&recorded[index], &replayed[index]]) {
+            let line = line.as_mut().expect("equal lines are both present");
+            line.push_str(&format!(" cost {} us {:?}", span.sim_cost_us, span.attrs));
+        }
+    }
+    let [artifact, replay] = sides;
+    Some(TailDifference::Span {
+        index,
+        artifact,
+        replay,
+    })
 }
 
 impl std::fmt::Display for ReplayError {
@@ -342,10 +582,11 @@ impl std::fmt::Display for ReplayError {
             ReplayError::ProvenanceMismatch {
                 artifact_spans,
                 replay_spans,
+                first,
             } => write!(
                 f,
                 "replay: masked provenance tail diverged \
-                 ({artifact_spans} artifact spans vs {replay_spans} replayed)"
+                 ({artifact_spans} artifact spans vs {replay_spans} replayed)\n{first}"
             ),
         }
     }
@@ -442,9 +683,9 @@ pub fn read_artifact(path: &Path) -> Result<Artifact, ReplayError> {
 /// Replays an artifact against `scenario`: re-runs the recorded seed under
 /// the recorded (original) plan and checks that every recorded failing
 /// oracle fails again — and, when the artifact embeds a provenance tail,
-/// that the replay's *masked* tail is byte-identical to the recorded one
-/// (wall clocks are the only nondeterministic span field). Returns the
-/// replay report.
+/// that the replay's tail equals the recorded one span for span, `wall_ns`
+/// aside (wall clocks are the only nondeterministic span field). Returns
+/// the replay report.
 pub fn replay_artifact(
     scenario: &dyn Scenario,
     artifact: &Artifact,
@@ -464,18 +705,11 @@ pub fn replay_artifact(
         });
     }
     if !artifact.provenance.is_empty() {
-        let recorded = provenance_json(
-            &artifact.provenance,
-            artifact.spans_recorded,
-            artifact.spans_evicted,
-            true,
-        )
-        .to_string_compact();
-        let replayed = report.provenance_masked_json().to_string_compact();
-        if recorded != replayed {
+        if let Some(first) = tail_difference(artifact, &report) {
             return Err(ReplayError::ProvenanceMismatch {
                 artifact_spans: artifact.provenance.len(),
                 replay_spans: report.provenance.len(),
+                first,
             });
         }
     }
@@ -643,6 +877,311 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The ring, with every `run` logged and the verdict replaced: the
+    /// planted bug shows iff the plan still holds every fault of `needed`.
+    struct Planted {
+        needed: FaultPlan,
+        ran: Mutex<Vec<String>>,
+    }
+
+    impl Scenario for Planted {
+        fn name(&self) -> &'static str {
+            "planted"
+        }
+        fn node_count(&self) -> usize {
+            8
+        }
+        fn default_plan(&self, _seed: u64) -> FaultPlan {
+            FaultPlan::none()
+        }
+        fn run(&self, seed: u64, plan: &FaultPlan) -> RunReport {
+            self.ran.lock().unwrap().push(plan.to_spec());
+            let mut report = RingScenario::default().run(seed, plan);
+            report.verdicts = vec![crate::oracle::OracleVerdict::check(
+                "planted.bug",
+                !self.needed.is_subset_of(plan),
+                "the planted bug",
+            )];
+            report
+        }
+    }
+
+    #[test]
+    fn chunked_shrink_run_counts_on_pinned_plans() {
+        let four = FaultPlan::none()
+            .crash(1, 100)
+            .restart(1, 300)
+            .loss(0.05, 100, 200)
+            .stall(2, 100, 200);
+        // (faults the bug needs, most runs the shrinker may spend)
+        let cases = [
+            (FaultPlan::none(), 1),
+            (four.without(0..2).without(1..2), 5), // the loss window alone
+            (four.clone(), 7),
+        ];
+        for (needed, budget) in cases {
+            let s = Planted {
+                needed: needed.clone(),
+                ran: Mutex::new(Vec::new()),
+            };
+            let report = s.run(5, &four);
+            assert!(report.violated());
+            s.ran.lock().unwrap().clear();
+            let (shrunk, shrunk_report) = shrink_plan(&s, 5, &four, &report);
+            assert_eq!(shrunk, needed, "not shrunk to exactly the needed faults");
+            assert_eq!(shrunk_report.plan, shrunk);
+            let ran = s.ran.into_inner().unwrap();
+            assert!(
+                ran.len() <= budget,
+                "{} runs for a bug needing '{needed}' (budget {budget}): {ran:?}",
+                ran.len()
+            );
+            let distinct: HashSet<&String> = ran.iter().collect();
+            assert_eq!(distinct.len(), ran.len(), "a plan was run twice: {ran:?}");
+            assert!(
+                !ran.contains(&four.to_spec()),
+                "the failing plan was re-run"
+            );
+        }
+    }
+
+    /// The ring, with an unhealed partition (plus noise for the shrinker to
+    /// strip) planted on every seed that is 1 mod 3.
+    struct SomeRed(RingScenario);
+
+    impl Scenario for SomeRed {
+        fn name(&self) -> &'static str {
+            "ring"
+        }
+        fn node_count(&self) -> usize {
+            self.0.node_count()
+        }
+        fn default_plan(&self, seed: u64) -> FaultPlan {
+            if seed % 3 != 1 {
+                return self.0.default_plan(seed);
+            }
+            let others: Vec<u32> = (0..8u32).filter(|&i| i != 3).collect();
+            FaultPlan::none()
+                .crash(5, 400)
+                .restart(5, 800)
+                .partition(&[3], &others, 0, None)
+                .loss(0.02, 100, 300)
+        }
+        fn run(&self, seed: u64, plan: &FaultPlan) -> RunReport {
+            self.0.run(seed, plan)
+        }
+    }
+
+    /// Blanks the value of every key containing "wall".
+    fn mask_wall(json: &mut Json) {
+        match json {
+            Json::Obj(fields) => {
+                for (k, v) in fields {
+                    if k.contains("wall") {
+                        *v = Json::Null;
+                    } else {
+                        mask_wall(v);
+                    }
+                }
+            }
+            Json::Arr(items) => items.iter_mut().for_each(mask_wall),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn outcome_and_artifacts_are_the_same_at_every_worker_count() {
+        let s = SomeRed(RingScenario::default());
+        let sweep = |workers: usize| {
+            let dir = tmpdir(&format!("workers{workers}"));
+            let out = run_campaign(
+                &s,
+                &CampaignConfig {
+                    seeds: 8,
+                    base_seed: 0,
+                    workers,
+                    keep_reports: true,
+                    artifact_dir: Some(dir.clone()),
+                    ..CampaignConfig::default()
+                },
+            );
+            let failures: Vec<(u64, String, u64, u64)> = out
+                .failures
+                .iter()
+                .map(|f| {
+                    (
+                        f.report.seed,
+                        f.shrunk_plan.to_spec(),
+                        f.report.fingerprint,
+                        f.shrunk_report.fingerprint,
+                    )
+                })
+                .collect();
+            let reports: Vec<(u64, u64)> = out
+                .reports
+                .iter()
+                .map(|r| (r.seed, r.fingerprint))
+                .collect();
+            let artifacts: Vec<Json> = out
+                .failures
+                .iter()
+                .map(|f| {
+                    let path = f.artifact.as_ref().expect("artifact written");
+                    let mut json = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+                    mask_wall(&mut json);
+                    json
+                })
+                .collect();
+            let _ = std::fs::remove_dir_all(&dir);
+            let totals = (out.passed, out.total_events, out.nondeterministic_seeds);
+            (failures, reports, artifacts, totals)
+        };
+        let one = sweep(1);
+        assert_eq!(
+            one.0.iter().map(|f| f.0).collect::<Vec<_>>(),
+            vec![1, 4, 7],
+            "three red seeds, in seed order"
+        );
+        assert_eq!(one.1.len(), 8);
+        assert_eq!(one.3 .0, 5);
+        for workers in [2, 4, 8] {
+            assert!(sweep(workers) == one, "{workers} workers differ from 1");
+        }
+    }
+
+    #[test]
+    fn in_order_consumes_in_index_order_whoever_finishes_first() {
+        let want: Vec<(usize, usize)> = (0..20).map(|i| (i, i * i)).collect();
+        for workers in [1, 2, 3, 8] {
+            // With more than one worker, index 0 finishes only after index
+            // 1 has: its result must wait in the reorder buffer.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+            let mut seen = Vec::new();
+            in_order(
+                20,
+                workers,
+                |i| {
+                    match i {
+                        0 if workers > 1 => rx.lock().unwrap().recv().unwrap(),
+                        1 => tx.lock().unwrap().send(()).unwrap(),
+                        _ => {}
+                    }
+                    i * i
+                },
+                |i, sq| seen.push((i, sq)),
+            );
+            assert_eq!(seen, want, "{workers} workers");
+        }
+        in_order(0, 4, |i| i, |_, _| panic!("nothing to consume"));
+    }
+
+    #[test]
+    fn a_failed_artifact_write_is_reported() {
+        let s = SomeRed(RingScenario::default());
+        let dir = tmpdir("notadir");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("plain-file");
+        std::fs::write(&file, "in the way").unwrap();
+        let out = run_campaign(
+            &s,
+            &CampaignConfig {
+                seeds: 3,
+                base_seed: 0,
+                artifact_dir: Some(file),
+                ..CampaignConfig::default()
+            },
+        );
+        assert_eq!(out.failures.len(), 1);
+        assert!(out.failures[0].artifact.is_none());
+        assert_eq!(out.artifact_errors.len(), 1);
+        assert_eq!(out.artifact_errors[0].0, 1);
+        assert!(!out.artifact_errors[0].1.is_empty());
+        assert!(
+            out.summary_line().ends_with(", 1 artifacts NOT WRITTEN"),
+            "{}",
+            out.summary_line()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_says_where_the_tail_diverged() {
+        let s = SomeRed(RingScenario::default());
+        let report = s.run(1, &s.default_plan(1));
+        assert!(report.violated());
+        let dir = tmpdir("diverged");
+        let path = write_artifact(&dir, &report, &report.plan, &report).unwrap();
+        let mut artifact = read_artifact(&path).expect("parse artifact");
+        replay_artifact(&s, &artifact).expect("the untouched artifact replays");
+
+        // One parent edge altered.
+        let index = artifact
+            .provenance
+            .iter()
+            .position(|s| !s.parents.is_empty())
+            .expect("some span has a parent");
+        artifact.provenance[index].parents[0].seq += 1;
+        let err = replay_artifact(&s, &artifact).expect_err("altered tail must not replay");
+        let ReplayError::ProvenanceMismatch { first, .. } = &err else {
+            panic!("expected ProvenanceMismatch, got {err:?}");
+        };
+        let TailDifference::Span {
+            index: at,
+            artifact: Some(recorded),
+            replay: Some(replayed),
+        } = first
+        else {
+            panic!("expected a span difference, got {first:?}");
+        };
+        assert_eq!(*at, index);
+        assert_ne!(recorded, replayed);
+        assert!(recorded.contains(" <- "), "{recorded}");
+        let text = err.to_string();
+        assert!(
+            text.contains(&format!("first difference at span {index}:")),
+            "{text}"
+        );
+        assert!(text.contains(recorded) && text.contains(replayed), "{text}");
+
+        // Differences the line alone would hide, and differing totals.
+        artifact = read_artifact(&path).unwrap();
+        artifact.provenance[index].sim_cost_us += 1;
+        let text = replay_artifact(&s, &artifact).unwrap_err().to_string();
+        assert!(text.contains(" cost "), "{text}");
+        artifact = read_artifact(&path).unwrap();
+        artifact.spans_evicted += 1;
+        let text = replay_artifact(&s, &artifact).unwrap_err().to_string();
+        assert!(text.contains("spans evicted: artifact"), "{text}");
+        artifact = read_artifact(&path).unwrap();
+        artifact.provenance.pop();
+        let text = replay_artifact(&s, &artifact).unwrap_err().to_string();
+        assert!(text.contains("artifact: <tail ends>"), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn streamed_artifact_bytes_equal_the_rendered_tree() {
+        let s = SomeRed(RingScenario::default());
+        let report = s.run(4, &s.default_plan(4));
+        assert!(report.violated());
+        let (shrunk, shrunk_report) = shrink_plan(&s, 4, &report.plan, &report);
+        let dir = tmpdir("golden");
+        let path = write_artifact(&dir, &report, &shrunk, &shrunk_report).unwrap();
+        let tree = artifact_json(&report, &shrunk, &shrunk_report);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            tree.to_string_pretty() + "\n"
+        );
+        let mut compact = TextSink::new(Vec::new(), false);
+        emit_artifact(&report, &shrunk, &shrunk_report, &mut compact);
+        assert_eq!(
+            String::from_utf8(compact.finish().unwrap()).unwrap(),
+            tree.to_string_compact()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn shrink_preserves_violation_and_subset() {
         let s = RingScenario::default();
@@ -660,7 +1199,7 @@ mod tests {
         assert!(shrunk.len() <= plan.len());
         // Dropping anything further breaks reproduction.
         for i in 0..shrunk.len() {
-            let candidate = shrunk.without(i);
+            let candidate = shrunk.without(i..i + 1);
             let r = s.run(77, &candidate);
             assert!(
                 !same_violation(&report, &r),

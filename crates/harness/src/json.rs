@@ -5,11 +5,19 @@
 //! deterministic serialization (object keys keep insertion order), pretty
 //! printing, and a strict recursive-descent parser for replaying artifacts.
 //!
+//! A document's shape is written once, as calls into a [`Sink`]. Two sinks
+//! exist: [`TreeSink`] builds a [`Json`] value, [`TextSink`] writes text
+//! (pretty or compact) straight into any `io::Write`. A [`Json`] tree is
+//! itself rendered by emitting it into a `TextSink`, so escaping and
+//! indentation exist in one place and a shape streamed to a file is
+//! byte-identical to the same shape built as a tree and then rendered.
+//!
 //! Numbers are stored as `f64`; anything that must survive a round trip at
 //! full 64-bit precision (seeds, fingerprints) is stored as a string by the
 //! artifact writer.
 
 use std::fmt;
+use std::io;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -104,81 +112,316 @@ impl Json {
 
     /// Compact single-line rendering.
     pub fn to_string_compact(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        self.render(false)
     }
 
     /// Pretty rendering with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
+        self.render(true)
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-            None => ("", String::new(), String::new()),
-        };
+    fn render(&self, pretty: bool) -> String {
+        let mut sink = TextSink::new(Vec::new(), pretty);
+        self.emit(&mut sink);
+        let bytes = sink.finish().expect("writing to a Vec cannot fail");
+        String::from_utf8(bytes).expect("the text sink writes UTF-8")
+    }
+
+    /// Emits this value into `sink`.
+    pub fn emit(&self, sink: &mut dyn Sink) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    if n.fract() == 0.0 && n.abs() < 1e15 {
-                        out.push_str(&format!("{}", *n as i64));
-                    } else {
-                        out.push_str(&format!("{n}"));
-                    }
-                } else {
-                    // JSON has no Infinity/NaN; encode as null.
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Null => sink.null(),
+            Json::Bool(b) => sink.bool(*b),
+            Json::Num(n) => sink.num(*n),
+            Json::Str(s) => sink.str(s),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+                sink.begin_arr();
+                for item in items {
+                    item.emit(sink);
                 }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
-                    item.write(out, indent, depth + 1);
-                }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push(']');
+                sink.end_arr();
             }
             Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
+                sink.begin_obj();
+                for (k, v) in fields {
+                    sink.key(k);
+                    v.emit(sink);
                 }
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
-                    write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
-                }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push('}');
+                sink.end_obj();
             }
         }
+    }
+
+    /// The tree `emit` describes.
+    pub fn build(emit: impl FnOnce(&mut dyn Sink)) -> Json {
+        let mut sink = TreeSink::default();
+        emit(&mut sink);
+        sink.finish()
+    }
+}
+
+/// Where a document's shape goes: one call per token, in document order.
+/// Inside an object every value is preceded by its [`Sink::key`].
+pub trait Sink {
+    /// Opens an object.
+    fn begin_obj(&mut self);
+    /// Closes the innermost open object.
+    fn end_obj(&mut self);
+    /// Opens an array.
+    fn begin_arr(&mut self);
+    /// Closes the innermost open array.
+    fn end_arr(&mut self);
+    /// The key of the next value (objects only).
+    fn key(&mut self, key: &str);
+    /// A string value.
+    fn str(&mut self, s: &str);
+    /// A string value rendered from `v` (ids, and `u64`s riding decimal
+    /// strings).
+    fn display(&mut self, v: &dyn fmt::Display);
+    /// A number.
+    fn num(&mut self, n: f64);
+    /// A boolean.
+    fn bool(&mut self, b: bool);
+    /// `null`.
+    fn null(&mut self);
+}
+
+/// A [`Sink`] that builds the [`Json`] tree.
+#[derive(Default)]
+pub struct TreeSink {
+    /// Open containers, innermost last, each with the key it goes under.
+    open: Vec<(Option<String>, Json)>,
+    key: Option<String>,
+    root: Option<Json>,
+}
+
+impl TreeSink {
+    /// The finished value; panics when nothing (or half a document) was
+    /// emitted.
+    pub fn finish(self) -> Json {
+        assert!(self.open.is_empty(), "unclosed container");
+        self.root.expect("no value emitted")
+    }
+
+    fn value(&mut self, v: Json) {
+        match self.open.last_mut() {
+            Some((_, Json::Obj(fields))) => {
+                let key = self.key.take().expect("object value without a key");
+                fields.push((key, v));
+            }
+            Some((_, Json::Arr(items))) => items.push(v),
+            Some(_) => unreachable!("only containers are opened"),
+            None => self.root = Some(v),
+        }
+    }
+
+    fn close(&mut self) {
+        let (key, v) = self.open.pop().expect("close without open");
+        self.key = key;
+        self.value(v);
+    }
+}
+
+impl Sink for TreeSink {
+    fn begin_obj(&mut self) {
+        self.open.push((self.key.take(), Json::obj()));
+    }
+    fn end_obj(&mut self) {
+        self.close();
+    }
+    fn begin_arr(&mut self) {
+        self.open.push((self.key.take(), Json::Arr(Vec::new())));
+    }
+    fn end_arr(&mut self) {
+        self.close();
+    }
+    fn key(&mut self, key: &str) {
+        self.key = Some(key.to_string());
+    }
+    fn str(&mut self, s: &str) {
+        self.value(Json::Str(s.to_string()));
+    }
+    fn display(&mut self, v: &dyn fmt::Display) {
+        self.value(Json::Str(v.to_string()));
+    }
+    fn num(&mut self, n: f64) {
+        self.value(Json::Num(n));
+    }
+    fn bool(&mut self, b: bool) {
+        self.value(Json::Bool(b));
+    }
+    fn null(&mut self) {
+        self.value(Json::Null);
+    }
+}
+
+/// A [`Sink`] that writes JSON text into `W`: compact on one line, or
+/// pretty with two-space indentation. The first write error is kept and
+/// returned by [`TextSink::finish`]; nothing is written after it.
+pub struct TextSink<W: io::Write> {
+    out: W,
+    pretty: bool,
+    /// One flag per open container: whether it holds an item yet.
+    open: Vec<bool>,
+    /// A key was just written; the next value continues its line.
+    after_key: bool,
+    error: Option<io::Error>,
+    /// Reused by [`Sink::display`].
+    scratch: String,
+}
+
+impl<W: io::Write> TextSink<W> {
+    /// A sink writing into `out`.
+    pub fn new(out: W, pretty: bool) -> Self {
+        TextSink {
+            out,
+            pretty,
+            open: Vec::new(),
+            after_key: false,
+            error: None,
+            scratch: String::new(),
+        }
+    }
+
+    /// The writer back (not flushed), or the first write error.
+    pub fn finish(self) -> io::Result<W> {
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.out),
+        }
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        if self.error.is_none() {
+            self.error = self.out.write_all(bytes).err();
+        }
+    }
+
+    /// Line break plus indentation for `depth` open containers.
+    fn break_line(&mut self, depth: usize) {
+        const SPACES: [u8; 64] = [b' '; 64];
+        if self.pretty {
+            self.put(b"\n");
+            let mut left = 2 * depth;
+            while left > 0 {
+                let n = left.min(SPACES.len());
+                self.put(&SPACES[..n]);
+                left -= n;
+            }
+        }
+    }
+
+    /// Separator and indentation in front of an array item or an object key.
+    fn item(&mut self) {
+        if let Some(has_items) = self.open.last_mut() {
+            if std::mem::replace(has_items, true) {
+                self.put(b",");
+            }
+            self.break_line(self.open.len());
+        }
+    }
+
+    fn before_value(&mut self) {
+        if !std::mem::replace(&mut self.after_key, false) {
+            self.item();
+        }
+    }
+
+    fn close(&mut self, bracket: &[u8]) {
+        if self.open.pop().expect("close without open") {
+            self.break_line(self.open.len());
+        }
+        self.put(bracket);
+    }
+
+    /// Writes `s` quoted, copying runs of plain bytes between escapes.
+    fn quoted(&mut self, s: &str) {
+        self.put(b"\"");
+        let bytes = s.as_bytes();
+        let mut run = 0;
+        for (i, &c) in bytes.iter().enumerate() {
+            if c >= 0x20 && c != b'"' && c != b'\\' {
+                continue;
+            }
+            self.put(&bytes[run..i]);
+            run = i + 1;
+            match c {
+                b'"' => self.put(b"\\\""),
+                b'\\' => self.put(b"\\\\"),
+                b'\n' => self.put(b"\\n"),
+                b'\r' => self.put(b"\\r"),
+                b'\t' => self.put(b"\\t"),
+                _ => {
+                    const HEX: &[u8; 16] = b"0123456789abcdef";
+                    let (hi, lo) = (HEX[(c >> 4) as usize], HEX[(c & 15) as usize]);
+                    self.put(&[b'\\', b'u', b'0', b'0', hi, lo]);
+                }
+            }
+        }
+        self.put(&bytes[run..]);
+        self.put(b"\"");
+    }
+
+    fn formatted(&mut self, args: fmt::Arguments<'_>) {
+        if self.error.is_none() {
+            self.error = self.out.write_fmt(args).err();
+        }
+    }
+}
+
+impl<W: io::Write> Sink for TextSink<W> {
+    fn begin_obj(&mut self) {
+        self.before_value();
+        self.put(b"{");
+        self.open.push(false);
+    }
+    fn end_obj(&mut self) {
+        self.close(b"}");
+    }
+    fn begin_arr(&mut self) {
+        self.before_value();
+        self.put(b"[");
+        self.open.push(false);
+    }
+    fn end_arr(&mut self) {
+        self.close(b"]");
+    }
+    fn key(&mut self, key: &str) {
+        self.item();
+        self.quoted(key);
+        self.put(if self.pretty { b": " as &[u8] } else { b":" });
+        self.after_key = true;
+    }
+    fn str(&mut self, s: &str) {
+        self.before_value();
+        self.quoted(s);
+    }
+    fn display(&mut self, v: &dyn fmt::Display) {
+        use fmt::Write;
+        let mut text = std::mem::take(&mut self.scratch);
+        text.clear();
+        write!(text, "{v}").expect("writing to a String cannot fail");
+        self.str(&text);
+        self.scratch = text;
+    }
+    fn num(&mut self, n: f64) {
+        self.before_value();
+        if !n.is_finite() {
+            // JSON has no Infinity/NaN; encode as null.
+            self.put(b"null");
+        } else if n.fract() == 0.0 && n.abs() < 1e15 {
+            self.formatted(format_args!("{}", n as i64));
+        } else {
+            self.formatted(format_args!("{n}"));
+        }
+    }
+    fn bool(&mut self, b: bool) {
+        self.before_value();
+        self.put(if b { b"true" } else { b"false" });
+    }
+    fn null(&mut self) {
+        self.before_value();
+        self.put(b"null");
     }
 }
 
@@ -236,22 +479,6 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// A parse failure with byte offset context.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
@@ -274,7 +501,7 @@ impl std::error::Error for ParseError {}
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing characters"));
@@ -304,8 +531,15 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), ParseError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// How deep containers may nest. Artifacts nest 7 deep; the bound keeps a
+/// hostile file from overflowing the stack of this recursive parser.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(b, pos);
+    if depth > MAX_DEPTH {
+        return Err(err(*pos, "nesting too deep"));
+    }
     let Some(&c) = b.get(*pos) else {
         return Err(err(*pos, "unexpected end of input"));
     };
@@ -323,7 +557,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(&b',') => *pos += 1,
@@ -351,7 +585,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                     return Err(err(*pos, "expected ':'"));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -376,64 +610,49 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or escape in one piece. Both
+        // are ASCII, so a run never ends inside a multi-byte character.
+        let run = *pos;
+        while *pos < b.len() && b[*pos] != b'"' && b[*pos] != b'\\' {
+            *pos += 1;
+        }
+        out.push_str(std::str::from_utf8(&b[run..*pos]).map_err(|e| ParseError {
+            at: run + e.valid_up_to(),
+            msg: "invalid utf-8".into(),
+        })?);
         let Some(&c) = b.get(*pos) else {
             return Err(err(*pos, "unterminated string"));
         };
         *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&esc) = b.get(*pos) else {
-                    return Err(err(*pos, "unterminated escape"));
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        if *pos + 4 > b.len() {
-                            return Err(err(*pos, "short \\u escape"));
-                        }
-                        let hex = std::str::from_utf8(&b[*pos..*pos + 4])
-                            .map_err(|_| err(*pos, "bad \\u escape"))?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| err(*pos, "bad \\u hex"))?;
-                        *pos += 4;
-                        // Surrogate pairs are not produced by our writer;
-                        // map lone surrogates to the replacement character.
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                    }
-                    _ => return Err(err(*pos, "unknown escape")),
+        if c == b'"' {
+            return Ok(out);
+        }
+        let Some(&esc) = b.get(*pos) else {
+            return Err(err(*pos, "unterminated escape"));
+        };
+        *pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => {
+                if *pos + 4 > b.len() {
+                    return Err(err(*pos, "short \\u escape"));
                 }
+                let hex = std::str::from_utf8(&b[*pos..*pos + 4])
+                    .map_err(|_| err(*pos, "bad \\u escape"))?;
+                let code = u32::from_str_radix(hex, 16).map_err(|_| err(*pos, "bad \\u hex"))?;
+                *pos += 4;
+                // Surrogate pairs are not produced by our writer; map lone
+                // surrogates to the replacement character.
+                out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
             }
-            _ if c < 0x80 => out.push(c as char),
-            _ => {
-                // Multi-byte UTF-8: the lead byte tells us the sequence
-                // length, so validate just this character's bytes (never the
-                // whole remaining input — that would be quadratic over large
-                // documents).
-                let len = match c {
-                    0xc0..=0xdf => 2,
-                    0xe0..=0xef => 3,
-                    0xf0..=0xf7 => 4,
-                    _ => return Err(err(*pos - 1, "invalid utf-8")),
-                };
-                let start = *pos - 1;
-                let end = start + len;
-                if end > b.len() {
-                    return Err(err(start, "invalid utf-8"));
-                }
-                let s =
-                    std::str::from_utf8(&b[start..end]).map_err(|_| err(start, "invalid utf-8"))?;
-                out.push(s.chars().next().expect("nonempty"));
-                *pos = end;
-            }
+            _ => return Err(err(*pos, "unknown escape")),
         }
     }
 }
@@ -493,6 +712,95 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\" 1}").is_err());
+    }
+
+    #[test]
+    fn rendering_is_pinned_byte_for_byte() {
+        let doc = Json::obj()
+            .with("s", "q\"b\\n\nt\tc\u{1}é✓")
+            .with(
+                "n",
+                Json::Arr(vec![1.5.into(), 3u64.into(), f64::NAN.into()]),
+            )
+            .with("empty", Json::Arr(vec![Json::obj(), Json::Arr(vec![])]))
+            .with("deep", Json::obj().with("k", Json::Null).with("b", false));
+        assert_eq!(
+            doc.to_string_compact(),
+            r#"{"s":"q\"b\\n\nt\tc\u0001é✓","n":[1.5,3,null],"empty":[{},[]],"deep":{"k":null,"b":false}}"#
+        );
+        let pretty = r#"{
+  "s": "q\"b\\n\nt\tc\u0001é✓",
+  "n": [
+    1.5,
+    3,
+    null
+  ],
+  "empty": [
+    {},
+    []
+  ],
+  "deep": {
+    "k": null,
+    "b": false
+  }
+}"#;
+        assert_eq!(doc.to_string_pretty(), pretty);
+        // NaN went out as null; everything else reads back.
+        let back = parse(pretty).expect("parse");
+        assert_eq!(back.get("s"), doc.get("s"));
+        assert_eq!(back.get("deep"), doc.get("deep"));
+        // A tree built through the sink is the tree.
+        assert_eq!(Json::build(|sink| back.emit(sink)), back);
+    }
+
+    #[test]
+    fn text_sink_keeps_the_first_write_error() {
+        struct Full;
+        impl io::Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = TextSink::new(Full, true);
+        Json::obj().with("k", 1u64).emit(&mut sink);
+        let err = sink.finish().err().expect("the error is kept");
+        assert_eq!(err.to_string(), "disk full");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 2)).expect_err("too deep");
+        assert_eq!(e.msg, "nesting too deep");
+        // What used to overflow the stack: 200 000 unclosed brackets.
+        let hostile = format!("{{\"schema\":\"x\",\"x\":{}", "[".repeat(200_000));
+        assert_eq!(
+            parse(&hostile).expect_err("hostile").msg,
+            "nesting too deep"
+        );
+        let hostile = "{\"a\":".repeat(200_000);
+        assert_eq!(
+            parse(&hostile).expect_err("hostile").msg,
+            "nesting too deep"
+        );
+    }
+
+    #[test]
+    fn strings_stop_at_the_right_quote() {
+        let v = parse(r#"["plain","é✓ \"quoted\" é","","tail\\"]"#).expect("parse");
+        let items: Vec<&str> = v
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter_map(Json::as_str)
+            .collect();
+        assert_eq!(items, vec!["plain", "é✓ \"quoted\" é", "", "tail\\"]);
+        assert_eq!(parse("\"open").unwrap_err().msg, "unterminated string");
+        assert_eq!(parse("\"open\\").unwrap_err().msg, "unterminated escape");
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   last trace window, metrics) under `results/campaigns/`;
 //! * an **exact replay** path — the artifact's `seed` + `plan` spec string
 //!   rebuild the identical run, fingerprint and all;
-//! * a **shrunk plan** — the greedy shrinker drops faults one at a time
-//!   while the violation persists, so the artifact names a minimal repro.
+//! * a **shrunk plan** — the shrinker drops chunks of faults, then single
+//!   faults to a fixpoint, while the violation persists, so the artifact
+//!   names a 1-minimal repro.
 //!
 //! Layout:
 //!
@@ -57,10 +58,11 @@ pub mod telemetry;
 pub mod toy;
 
 pub use campaign::{
-    artifact_json, read_artifact, replay_artifact, run_campaign, shrink_plan, write_artifact,
-    Artifact, CampaignConfig, CampaignOutcome, Failure, ReplayError, ARTIFACT_SCHEMA,
+    artifact_json, emit_artifact, in_order, read_artifact, replay_artifact, run_campaign,
+    shrink_plan, write_artifact, Artifact, CampaignConfig, CampaignOutcome, Failure, ReplayError,
+    TailDifference, ARTIFACT_SCHEMA,
 };
-pub use json::Json;
+pub use json::{Json, Sink, TextSink, TreeSink};
 pub use linearizability::{
     brute_force_check, check_history, linearizability_verdict, synthetic_history, wgl_check,
     LinViolation, Op, OpKind, INIT_VALUE,

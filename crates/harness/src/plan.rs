@@ -381,11 +381,11 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// A copy of the plan with the fault at `index` removed (used by the
-    /// greedy shrinker).
-    pub fn without(&self, index: usize) -> FaultPlan {
+    /// A copy of the plan with the faults at `range` removed (used by the
+    /// shrinker).
+    pub fn without(&self, range: std::ops::Range<usize>) -> FaultPlan {
         let mut faults = self.faults.clone();
-        faults.remove(index);
+        faults.drain(range);
         FaultPlan { faults }
     }
 
@@ -610,7 +610,7 @@ mod tests {
     #[test]
     fn without_drops_exactly_one() {
         let plan = sample_plan();
-        let smaller = plan.without(2);
+        let smaller = plan.without(2..3);
         assert_eq!(smaller.len(), plan.len() - 1);
         assert!(smaller.is_subset_of(&plan));
         assert!(!plan.is_subset_of(&smaller));

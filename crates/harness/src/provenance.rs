@@ -15,7 +15,7 @@
 //! key-contains-"wall" masking (the CI determinism check) blanks it without
 //! knowing the schema.
 
-use crate::json::Json;
+use crate::json::{Json, Sink};
 use cb_simnet::prelude::{Actor, Sim, SimTime};
 use cb_trace::{FlightRecorder, Span, SpanId, SpanKind, SpanRef};
 
@@ -117,17 +117,19 @@ pub fn trace_tail(fleet: &[FlightRecorder], k: usize) -> Vec<String> {
     last.sort_unstable_by_key(|s| s.id());
     last[last.len().saturating_sub(k)..]
         .iter()
-        .map(|s| {
-            let id = s.id();
-            let at = SimTime::from_nanos(id.at_ns);
-            let mut line = format!("[{at}] {id} {} {}", s.kind().label(), s.name(fleet));
-            for (i, parent) in s.parents().iter().enumerate() {
-                line.push_str(if i == 0 { " <- " } else { ", " });
-                line.push_str(&parent.to_string());
-            }
-            line
-        })
+        .map(|s| tail_line(s.id(), s.kind(), &s.name(fleet), s.parents()))
         .collect()
+}
+
+/// One [`trace_tail`] line: `[time] <span id> <kind> <name> <- <parent ids>`.
+pub(crate) fn tail_line(id: SpanId, kind: SpanKind, name: &str, parents: &[SpanId]) -> String {
+    let at = SimTime::from_nanos(id.at_ns);
+    let mut line = format!("[{at}] {id} {} {name}", kind.label());
+    for (i, parent) in parents.iter().enumerate() {
+        line.push_str(if i == 0 { " <- " } else { ", " });
+        line.push_str(&parent.to_string());
+    }
+    line
 }
 
 /// Synthesises one [`SpanKind::Violation`] span per failing oracle.
@@ -166,24 +168,40 @@ pub fn violation_spans<A: Actor>(sim: &Sim<A>, failing: &[(String, String)]) -> 
         .collect()
 }
 
-/// Renders one span. `u64` clock fields ride decimal strings (the artifact
-/// convention for values that must survive the f64-backed number type).
-pub fn span_json(s: &Span) -> Json {
-    let mut attrs = Json::obj();
-    for (k, v) in &s.attrs {
-        attrs.set(k.clone(), v.as_str());
+/// Emits one span, `wall_ns` as 0 when `masked`. `u64` clock fields ride
+/// decimal strings (the artifact convention for values that must survive
+/// the f64-backed number type).
+pub fn emit_span(s: &Span, masked: bool, sink: &mut dyn Sink) {
+    sink.begin_obj();
+    sink.key("id");
+    sink.display(&s.id);
+    sink.key("kind");
+    sink.str(s.kind.label());
+    sink.key("name");
+    sink.str(&s.name);
+    sink.key("parents");
+    sink.begin_arr();
+    for p in &s.parents {
+        sink.display(p);
     }
-    Json::obj()
-        .with("id", s.id.to_string())
-        .with("kind", s.kind.label())
-        .with("name", s.name.as_str())
-        .with(
-            "parents",
-            s.parents.iter().map(|p| p.to_string()).collect::<Vec<_>>(),
-        )
-        .with("sim_cost_us", s.sim_cost_us.to_string())
-        .with("wall_ns", s.wall_ns.to_string())
-        .with("attrs", attrs)
+    sink.end_arr();
+    sink.key("sim_cost_us");
+    sink.display(&s.sim_cost_us);
+    sink.key("wall_ns");
+    sink.display(&if masked { 0 } else { s.wall_ns });
+    sink.key("attrs");
+    sink.begin_obj();
+    for (k, v) in &s.attrs {
+        sink.key(k);
+        sink.str(v);
+    }
+    sink.end_obj();
+    sink.end_obj();
+}
+
+/// Renders one span (see [`emit_span`]).
+pub fn span_json(s: &Span) -> Json {
+    Json::build(|sink| emit_span(s, false, sink))
 }
 
 fn field_u64(j: &Json, key: &str) -> u64 {
@@ -234,35 +252,42 @@ pub fn span_from_json(j: &Json) -> Result<Span, String> {
     Ok(span)
 }
 
-/// Renders the full `provenance` artifact section. With `masked = true`
-/// every span's `wall_ns` is zeroed first, making the output byte-identical
+/// Emits the full `provenance` artifact section. With `masked = true`
+/// every span's `wall_ns` is written as 0, making the output byte-identical
 /// across replays of the same `(scenario, seed, plan)`.
+pub fn emit_provenance(
+    spans: &[Span],
+    recorded: u64,
+    evicted: u64,
+    masked: bool,
+    sink: &mut dyn Sink,
+) {
+    sink.begin_obj();
+    sink.key("schema");
+    sink.str(PROVENANCE_SCHEMA);
+    sink.key("recorded");
+    sink.display(&recorded);
+    sink.key("evicted");
+    sink.display(&evicted);
+    sink.key("violations");
+    sink.begin_arr();
+    for s in spans.iter().filter(|s| s.kind == SpanKind::Violation) {
+        sink.display(&s.id);
+    }
+    sink.end_arr();
+    sink.key("spans");
+    sink.begin_arr();
+    for s in spans {
+        emit_span(s, masked, sink);
+    }
+    sink.end_arr();
+    sink.end_obj();
+}
+
+/// Renders the full `provenance` artifact section (see
+/// [`emit_provenance`]).
 pub fn provenance_json(spans: &[Span], recorded: u64, evicted: u64, masked: bool) -> Json {
-    let violations: Vec<String> = spans
-        .iter()
-        .filter(|s| s.kind == SpanKind::Violation)
-        .map(|s| s.id.to_string())
-        .collect();
-    Json::obj()
-        .with("schema", PROVENANCE_SCHEMA)
-        .with("recorded", recorded.to_string())
-        .with("evicted", evicted.to_string())
-        .with("violations", violations)
-        .with(
-            "spans",
-            Json::Arr(
-                spans
-                    .iter()
-                    .map(|s| {
-                        if masked {
-                            span_json(&s.masked())
-                        } else {
-                            span_json(s)
-                        }
-                    })
-                    .collect(),
-            ),
-        )
+    Json::build(|sink| emit_provenance(spans, recorded, evicted, masked, sink))
 }
 
 /// Parses a `provenance` section back into spans. Used by the `trace` CLI

@@ -7,11 +7,11 @@
 //! in their `campaign` modules; the harness ships a toy scenario for its own
 //! tests (see `toy.rs`).
 
-use crate::json::Json;
+use crate::json::{Json, Sink};
 use crate::oracle::OracleVerdict;
 use crate::plan::FaultPlan;
-use crate::provenance::{self, provenance_json};
-use crate::telemetry::telemetry_json;
+use crate::provenance::{self, emit_provenance, provenance_json};
+use crate::telemetry::emit_telemetry;
 use cb_simnet::prelude::{Actor, MetricsSummary, Sim, SimTime};
 use cb_telemetry::{keys, Registry};
 use cb_trace::Span;
@@ -192,55 +192,77 @@ impl RunReport {
             .collect()
     }
 
-    /// Serializes the report (used inside failure artifacts).
-    pub fn to_json(&self) -> Json {
-        let mut json = Json::obj()
-            .with("scenario", self.scenario.as_str())
-            // Decimal strings: u64 values survive the f64-backed JSON
-            // number type only up to 2^53.
-            .with("seed", self.seed.to_string())
-            .with("plan", self.plan.to_spec().as_str())
-            .with("fingerprint", self.fingerprint.to_string())
-            .with("events_processed", self.events_processed)
-            .with("pending_events", self.pending_events)
-            .with("end_ms", self.end.as_millis())
-            .with(
-                "metrics",
-                Json::obj()
-                    .with("msgs_sent", self.msgs_sent)
-                    .with("msgs_delivered", self.msgs_delivered)
-                    .with("msgs_dropped", self.msgs_dropped)
-                    .with("bytes_sent", self.bytes_sent),
-            )
-            .with("telemetry", telemetry_json(&self.telemetry))
-            .with(
-                "oracles",
-                Json::Arr(
-                    self.verdicts
-                        .iter()
-                        .map(|v| {
-                            Json::obj()
-                                .with("name", v.name.as_str())
-                                .with("passed", v.passed)
-                                .with("detail", v.detail.as_str())
-                        })
-                        .collect(),
-                ),
-            )
-            .with("last_trace", self.last_trace.clone())
-            .with(
-                "provenance",
-                provenance_json(
-                    &self.provenance,
-                    self.spans_recorded,
-                    self.spans_evicted,
-                    false,
-                ),
-            );
-        if let Some(policy) = &self.policy {
-            json = json.with("policy", policy_json(policy));
+    /// Emits the report's document shape (the `report` and `shrunk_report`
+    /// sections of failure artifacts).
+    pub fn emit(&self, sink: &mut dyn Sink) {
+        sink.begin_obj();
+        sink.key("scenario");
+        sink.str(&self.scenario);
+        // Decimal strings: u64 values survive the f64-backed JSON number
+        // type only up to 2^53.
+        sink.key("seed");
+        sink.display(&self.seed);
+        sink.key("plan");
+        sink.str(&self.plan.to_spec());
+        sink.key("fingerprint");
+        sink.display(&self.fingerprint);
+        sink.key("events_processed");
+        sink.num(self.events_processed as f64);
+        sink.key("pending_events");
+        sink.num(self.pending_events as f64);
+        sink.key("end_ms");
+        sink.num(self.end.as_millis() as f64);
+        sink.key("metrics");
+        sink.begin_obj();
+        for (key, v) in [
+            ("msgs_sent", self.msgs_sent),
+            ("msgs_delivered", self.msgs_delivered),
+            ("msgs_dropped", self.msgs_dropped),
+            ("bytes_sent", self.bytes_sent),
+        ] {
+            sink.key(key);
+            sink.num(v as f64);
         }
-        json
+        sink.end_obj();
+        sink.key("telemetry");
+        emit_telemetry(&self.telemetry, sink);
+        sink.key("oracles");
+        sink.begin_arr();
+        for v in &self.verdicts {
+            sink.begin_obj();
+            sink.key("name");
+            sink.str(&v.name);
+            sink.key("passed");
+            sink.bool(v.passed);
+            sink.key("detail");
+            sink.str(&v.detail);
+            sink.end_obj();
+        }
+        sink.end_arr();
+        sink.key("last_trace");
+        sink.begin_arr();
+        for line in &self.last_trace {
+            sink.str(line);
+        }
+        sink.end_arr();
+        sink.key("provenance");
+        emit_provenance(
+            &self.provenance,
+            self.spans_recorded,
+            self.spans_evicted,
+            false,
+            sink,
+        );
+        if let Some(policy) = &self.policy {
+            sink.key("policy");
+            policy_json(policy).emit(sink);
+        }
+        sink.end_obj();
+    }
+
+    /// Serializes the report as a tree (see [`RunReport::emit`]).
+    pub fn to_json(&self) -> Json {
+        Json::build(|sink| self.emit(sink))
     }
 
     /// The `provenance` section with every span's wall clock blanked —

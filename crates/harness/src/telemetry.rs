@@ -10,10 +10,10 @@
 //! must compare `telemetry_json(&reg.masked())` instead, which blanks the
 //! wall-clock payloads while keeping the keys.
 
-use crate::json::Json;
+use crate::json::{Json, Sink};
 use cb_telemetry::{summary, Registry};
 
-/// Renders a registry as a JSON object with stable (sorted) key order.
+/// Emits a registry as a JSON object with stable (sorted) key order.
 ///
 /// Layout:
 ///
@@ -31,56 +31,90 @@ use cb_telemetry::{summary, Registry};
 ///
 /// Counter/gauge values ride the f64-backed JSON number type; the standard
 /// schema's values stay far below the 2^53 precision cliff.
-pub fn telemetry_json(reg: &Registry) -> Json {
-    let mut counters = Json::obj();
+pub fn emit_telemetry(reg: &Registry, sink: &mut dyn Sink) {
+    sink.begin_obj();
+    sink.key("counters");
+    sink.begin_obj();
     for (k, v) in reg.counters() {
-        counters.set(k, v);
+        sink.key(k);
+        sink.num(v as f64);
     }
-    let mut gauges = Json::obj();
+    sink.end_obj();
+    sink.key("gauges");
+    sink.begin_obj();
     for (k, v) in reg.gauges() {
-        gauges.set(k, Json::Num(v as f64));
+        sink.key(k);
+        sink.num(v as f64);
     }
-    let mut hists = Json::obj();
+    sink.end_obj();
+    sink.key("histograms");
+    sink.begin_obj();
     for (k, h) in reg.hists() {
-        let o = if h.is_empty() {
-            // An empty histogram has no min/max; export just the count so
-            // the schema stays parseable without sentinel values.
-            Json::obj().with("count", 0u64)
-        } else {
+        sink.key(k);
+        sink.begin_obj();
+        // An empty histogram has no min/max; export just the count so the
+        // schema stays parseable without sentinel values.
+        sink.key("count");
+        sink.num(h.count() as f64);
+        if !h.is_empty() {
+            for (key, v) in [
+                ("min", h.min() as f64),
+                ("max", h.max() as f64),
+                ("mean", h.mean()),
+                ("p50", h.quantile(0.5) as f64),
+                ("p90", h.quantile(0.9) as f64),
+                ("p99", h.quantile(0.99) as f64),
+            ] {
+                sink.key(key);
+                sink.num(v);
+            }
             // Raw log-bucket distribution rides along as [bucket, count]
             // pairs so corpus ingestion can compare whole distributions,
             // not just the summary quantiles.
-            let buckets: Vec<Json> = h
-                .buckets()
-                .map(|(b, c)| Json::Arr(vec![Json::Num(b as f64), Json::Num(c as f64)]))
-                .collect();
-            Json::obj()
-                .with("count", h.count())
-                .with("min", h.min())
-                .with("max", h.max())
-                .with("mean", h.mean())
-                .with("p50", h.quantile(0.5))
-                .with("p90", h.quantile(0.9))
-                .with("p99", h.quantile(0.99))
-                .with("buckets", buckets)
-        };
-        hists.set(k, o);
+            sink.key("buckets");
+            sink.begin_arr();
+            for (b, c) in h.buckets() {
+                sink.begin_arr();
+                sink.num(b as f64);
+                sink.num(c as f64);
+                sink.end_arr();
+            }
+            sink.end_arr();
+        }
+        sink.end_obj();
     }
+    sink.end_obj();
     let digest = summary::summarize(reg);
-    let opt = |r: Option<f64>| r.map(Json::Num).unwrap_or(Json::Null);
-    let summary_obj = Json::obj()
-        .with("decisions", digest.decisions)
-        .with("decision_p50_sim_us", digest.decision_p50_sim_us)
-        .with("decision_p99_sim_us", digest.decision_p99_sim_us)
-        .with("cache_hit_rate", opt(digest.cache_hit_rate))
-        .with("states_per_decision", digest.states_per_decision)
-        .with("states_visited", digest.states_visited)
-        .with("dedup_ratio", opt(digest.dedup_ratio));
-    Json::obj()
-        .with("counters", counters)
-        .with("gauges", gauges)
-        .with("histograms", hists)
-        .with("summary", summary_obj)
+    sink.key("summary");
+    sink.begin_obj();
+    for (key, v) in [
+        ("decisions", Some(digest.decisions as f64)),
+        (
+            "decision_p50_sim_us",
+            Some(digest.decision_p50_sim_us as f64),
+        ),
+        (
+            "decision_p99_sim_us",
+            Some(digest.decision_p99_sim_us as f64),
+        ),
+        ("cache_hit_rate", digest.cache_hit_rate),
+        ("states_per_decision", Some(digest.states_per_decision)),
+        ("states_visited", Some(digest.states_visited as f64)),
+        ("dedup_ratio", digest.dedup_ratio),
+    ] {
+        sink.key(key);
+        match v {
+            Some(n) => sink.num(n),
+            None => sink.null(),
+        }
+    }
+    sink.end_obj();
+    sink.end_obj();
+}
+
+/// Renders a registry as a [`Json`] tree (see [`emit_telemetry`]).
+pub fn telemetry_json(reg: &Registry) -> Json {
+    Json::build(|sink| emit_telemetry(reg, sink))
 }
 
 #[cfg(test)]

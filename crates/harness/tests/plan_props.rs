@@ -77,7 +77,7 @@ proptest! {
     fn without_shrinks_compatibly(seed in any::<u64>(), n in 1usize..8) {
         let plan = gen_plan(seed, n);
         for i in 0..plan.len() {
-            let smaller = plan.without(i);
+            let smaller = plan.without(i..i + 1);
             prop_assert_eq!(smaller.len(), plan.len() - 1);
             prop_assert!(smaller.is_subset_of(&plan), "without({}) not a subset", i);
             prop_assert!(

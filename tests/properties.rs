@@ -265,6 +265,36 @@ proptest! {
         prop_assert!(shrunk.is_subset_of(&plan), "shrunk {} not a subset of {}", shrunk, plan);
         prop_assert!(shrunk.len() <= plan.len());
         prop_assert!(!shrunk.is_empty(), "an empty plan cannot violate");
+
+        // 1-minimal: no single remaining fault can be dropped.
+        let still_fails = |candidate: &FaultPlan| {
+            let again = scenario.run(seed, candidate);
+            report.failing_oracles().iter().all(|o| again.failing_oracles().contains(o))
+        };
+        for i in 0..shrunk.len() {
+            prop_assert!(!still_fails(&shrunk.without(i..i + 1)), "{} could lose fault {}", shrunk, i);
+        }
+
+        // The reference: the one-fault-at-a-time greedy loop `shrink_plan`
+        // used before it dropped chunks. Both are 1-minimal; on this
+        // generator (one culprit, independent noise) they agree exactly.
+        let mut greedy = plan.clone();
+        loop {
+            let before = greedy.len();
+            let mut i = 0;
+            while i < greedy.len() {
+                let candidate = greedy.without(i..i + 1);
+                if still_fails(&candidate) {
+                    greedy = candidate;
+                } else {
+                    i += 1;
+                }
+            }
+            if greedy.len() == before {
+                break;
+            }
+        }
+        prop_assert_eq!(shrunk, greedy);
     }
 
     #[test]
