@@ -45,8 +45,8 @@
 //! deadline on randtree (enforced in the ladder arm, reported-only in the
 //! lookahead control arm). Together they reproduce experiment E11.
 //! `--nodes N` overrides the fleet size — `--nodes 10000` is the
-//! internet-scale arm; fleets of 1000+ nodes automatically use the
-//! implicit path store and lite tracing.
+//! internet-scale arm; fleets of 1000+ nodes automatically use lite
+//! tracing.
 //! `--record-policy PILE` trains the cross-run policy store: the
 //! scenarios resolve through the recording ladder, the per-seed
 //! stores are merged deterministically (worker-count invariant), and the

@@ -265,4 +265,58 @@ mod tests {
             assert_eq!(x.fingerprint, y.fingerprint);
         }
     }
+
+    /// The bare lite engine at 1000 hosts on three core shapes, so a
+    /// topology-dependent cliff shows here before a campaign finds it
+    /// (EXPERIMENTS.md holds a pasted run). A star is a full mesh as the
+    /// path store sees it — a router per host, so the core route matrix is
+    /// hosts² — where transit-stub keeps 15² routes and the fat-tree none.
+    ///
+    /// `cargo test --release -p cb-bench -- --ignored --nocapture per_topology`
+    #[test]
+    #[ignore = "release probe: prints wall-clock rates, gates nothing"]
+    fn bare_lite_events_per_s_per_topology_at_1000_hosts() {
+        let n = 1000;
+        let seed = 1;
+        let shapes: [(&str, Topology); 3] = [
+            (
+                "full mesh (star)",
+                Topology::star(n, SimDuration::from_millis(40), 100_000_000),
+            ),
+            (
+                "transit-stub",
+                Topology::transit_stub_exact(
+                    &TransitStubConfig::balanced_for(n),
+                    n,
+                    &mut SimRng::seed_from(seed),
+                ),
+            ),
+            (
+                "fat-tree",
+                Topology::fat_tree(&FatTreeConfig::for_hosts(n), &mut SimRng::seed_from(seed)),
+            ),
+        ];
+        println!("topology          | events  | best of 5, events/s");
+        for (name, topo) in &shapes {
+            let runs: Vec<ArmResult> = (0..5)
+                .map(|_| {
+                    run_arm(
+                        topo,
+                        n,
+                        seed,
+                        SchedulerKind::Wheel,
+                        true,
+                        SimTime::from_secs(2),
+                        SimDuration::from_millis(100),
+                    )
+                })
+                .collect();
+            assert!(runs.iter().all(|r| r.fingerprint == runs[0].fingerprint));
+            let best = runs
+                .iter()
+                .map(ArmResult::events_per_sec)
+                .fold(0.0, f64::max);
+            println!("{name:<17} | {:>7} | {best:>10.0}", runs[0].events);
+        }
+    }
 }

@@ -8,9 +8,10 @@
 //! (§3.3.2: "incorporate confidence in the information as a function of its
 //! age").
 
+use cb_simnet::hash::SmallKeyMap;
 use cb_simnet::time::{SimDuration, SimTime};
 use cb_simnet::topology::NodeId;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 
 /// Smoothing factor for the exponentially weighted moving averages.
 const EWMA_ALPHA: f64 = 0.25;
@@ -77,8 +78,10 @@ impl LinkEstimate {
 /// ```
 #[derive(Clone, Debug)]
 pub struct NetworkModel {
-    /// BTreeMap for deterministic iteration in reports.
-    links: BTreeMap<NodeId, LinkEstimate>,
+    /// Hashed, not ordered: a gossip node hears from a new random partner
+    /// on nearly every delivery, and a tree would allocate a node for each.
+    /// [`NetworkModel::known_peers`], the one ordered view, sorts.
+    links: SmallKeyMap<NodeId, LinkEstimate>,
     /// Confidence halves every this much time without a sample.
     half_life: SimDuration,
     /// Total observations, for accounting.
@@ -94,7 +97,7 @@ impl NetworkModel {
     pub fn new(half_life: SimDuration) -> Self {
         assert!(!half_life.is_zero(), "half-life must be positive");
         NetworkModel {
-            links: BTreeMap::new(),
+            links: SmallKeyMap::default(),
             half_life,
             observations: 0,
         }
@@ -104,11 +107,12 @@ impl NetworkModel {
     /// passively from message timestamps).
     pub fn observe_latency(&mut self, peer: NodeId, sample: SimDuration, now: SimTime) {
         self.observations += 1;
-        match self.links.get_mut(&peer) {
-            None => {
-                self.links.insert(peer, LinkEstimate::new(sample, now));
+        match self.links.entry(peer) {
+            Entry::Vacant(slot) => {
+                slot.insert(LinkEstimate::new(sample, now));
             }
-            Some(est) => {
+            Entry::Occupied(slot) => {
+                let est = slot.into_mut();
                 let old = est.latency.as_nanos() as f64;
                 let s = sample.as_nanos() as f64;
                 let dev = (s - old).abs();
@@ -226,8 +230,10 @@ impl NetworkModel {
     }
 
     /// Peers with any estimate, in id order.
-    pub fn known_peers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.links.keys().copied()
+    pub fn known_peers(&self) -> impl Iterator<Item = NodeId> {
+        let mut peers: Vec<NodeId> = self.links.keys().copied().collect();
+        peers.sort_unstable();
+        peers.into_iter()
     }
 
     /// Total samples ever folded in.

@@ -260,9 +260,12 @@ struct RuntimeCore<M, C> {
     /// *next* decision span — lets handlers label the decision they are
     /// about to expose (e.g. `workload=flash`).
     pending_attrs: Vec<(String, String)>,
-    /// Hot-path telemetry: every standard key (and the resolver-arm
-    /// counter below) is pre-registered in [`RuntimeNode::new`], so
-    /// per-decision updates never allocate.
+    /// Hot-path telemetry. Only the resolver-arm counter below is
+    /// registered up front: a key is allocated the first time this node
+    /// touches it, so a node that never decides holds none of the schema.
+    /// The merged per-run registry ([`fleet_telemetry`]) pre-registers the
+    /// standard key set once, which is what keeps every export's key set
+    /// the same.
     telemetry: Registry,
     /// Pre-formatted `core.resolver_arm.<name>` counter key.
     arm_key: String,
@@ -280,7 +283,6 @@ impl<S: Service> RuntimeNode<S> {
     /// Wraps `service` with a runtime configured by `config`.
     pub fn new(service: S, config: RuntimeConfig<S::Checkpoint>) -> Self {
         let mut telemetry = Registry::new();
-        keys::preregister_standard(&mut telemetry);
         let arm_key = format!(
             "{}{}",
             keys::CORE_RESOLVER_ARM_PREFIX,

@@ -10,11 +10,14 @@
 //!
 //! * [`time`] — virtual instants and durations.
 //! * [`rng`] — self-contained xoshiro256\*\* randomness, forkable per node.
-//! * [`topology`] — router graphs and the end-to-end path-property matrix;
-//!   generators for star, dumbbell, Waxman, and transit-stub shapes.
+//! * [`topology`] — router graphs and the composed end-to-end path store;
+//!   generators for star, dumbbell, Waxman, transit-stub and fat-tree
+//!   shapes.
 //! * [`sim`] — the engine: [`sim::Actor`]s, the event loop, the TCP-like
 //!   and datagram transports, crashes/restarts/partitions.
 //! * [`metrics`] — counters and log-bucketed histograms.
+//! * [`hash`] — the one hasher for tables keyed by ids the program hands
+//!   out itself (the engine's link table, the runtime's per-peer models).
 //! * [`trace`] — the rolling run fingerprint (what happened is recorded in
 //!   the per-node `cb-trace` flight recorders the engine owns).
 //!
@@ -40,6 +43,7 @@
 //! assert_eq!(sim.summary().msgs_delivered, 8);
 //! ```
 
+pub mod hash;
 pub mod metrics;
 pub mod rng;
 pub mod sim;

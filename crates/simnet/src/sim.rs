@@ -26,7 +26,23 @@
 //!
 //! Nodes crash (lose all state) and restart (fresh actor from the factory,
 //! same identity). Directed blackholes ([`Sim::block`]) model partitions.
+//!
+//! # Transport state
+//!
+//! Everything the reliable transport remembers about a pair of hosts is one
+//! entry of one **link table** keyed by the unordered pair: the connection's
+//! epoch, whether its handshake is paid, and the in-order floor of each of
+//! its two directions. A reliable send probes the table once; a delivery
+//! reads the epoch; a break bumps the epoch and zeroes both floors. The
+//! table's key set is exactly "pairs that ever attempted a reliable send",
+//! which is what a crash tears down — so the blackhole set stays a table of
+//! its own: partitioning two groups that never spoke must not hand a later
+//! crash a thousand connections to break. The link table, the blackhole set
+//! and the cancelled-timer set all hash with [`crate::hash`]'s small-key
+//! hasher, and every site that iterates one sorts first, so nothing of a
+//! table's layout reaches the event stream.
 
+use crate::hash::{SmallKeyMap, SmallKeySet};
 use crate::metrics::{HistogramExt, MetricsSummary, NodeMetrics};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -35,7 +51,7 @@ use crate::trace::{digest, Trace};
 use crate::wheel::EventWheel;
 use cb_trace::{FlightRecorder, Label, SpanId, SpanKind};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::fmt::Write;
 
 fn compact(cause: Option<SpanId>) -> u64 {
@@ -236,20 +252,55 @@ impl<M> EventQueue<M> {
     }
 }
 
+/// One reliable connection and its two directed flows: the link table's
+/// value, keyed by the unordered host pair.
 #[derive(Clone, Copy, Debug, Default)]
-struct FlowState {
-    /// Earliest time the next message on this directed flow may arrive
-    /// (preserves in-order delivery).
-    floor: SimTime,
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct ConnState {
+struct LinkState {
     /// Bumped on every break; in-flight reliable messages with an older
     /// epoch are discarded at delivery time.
     epoch: u64,
     /// Whether the handshake has been paid.
     established: bool,
+    /// Per direction (`[low → high, high → low]` by host id), the earliest
+    /// time the next message may arrive: preserves in-order delivery.
+    /// Zeroed when the connection breaks.
+    floor: [SimTime; 2],
+}
+
+/// When each host's access link is next free, per direction.
+struct AccessQueues {
+    tx_free: Vec<SimTime>,
+    rx_free: Vec<SimTime>,
+}
+
+impl AccessQueues {
+    /// Computes when `bytes` sent at `now` from `from` arrive at `to`:
+    /// sender-uplink serialization (queued behind earlier sends), path
+    /// propagation plus bottleneck serialization, then receiver-downlink
+    /// queueing.
+    fn price_delivery(
+        &mut self,
+        topo: &Topology,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        bytes: u32,
+        path: PathProps,
+    ) -> SimTime {
+        let bits = bytes as u64 * 8;
+        let up_bps = topo.access(from).up_bps.min(path.bandwidth_bps).max(1);
+        let ser_up = SimDuration::from_secs_f64(bits as f64 / up_bps as f64);
+        let tx_start = now.max(self.tx_free[from.index()]);
+        let tx_done = tx_start + ser_up;
+        self.tx_free[from.index()] = tx_done;
+        let arrival = tx_done + path.latency;
+        let down_bps = topo.access(to).down_bps.max(1);
+        let ser_down = SimDuration::from_secs_f64(bits as f64 / down_bps as f64);
+        let rx_start = arrival.max(self.rx_free[to.index()]);
+        let done = rx_start + ser_down;
+        self.rx_free[to.index()] = done;
+        done
+    }
 }
 
 /// The sentinel epoch used by unreliable datagrams (never filtered).
@@ -263,15 +314,18 @@ pub struct World<M> {
     queue: EventQueue<M>,
     seq: u64,
     next_timer: u64,
-    cancelled: HashSet<TimerId>,
+    cancelled: SmallKeySet<TimerId>,
     up: Vec<bool>,
     incarnation: Vec<u32>,
     node_rng: Vec<SimRng>,
-    flows: HashMap<(NodeId, NodeId), FlowState>,
-    conns: HashMap<(NodeId, NodeId), ConnState>,
-    tx_free: Vec<SimTime>,
-    rx_free: Vec<SimTime>,
-    blocked: HashSet<(NodeId, NodeId)>,
+    /// The link table: every pair that ever attempted a reliable send, by
+    /// [`link_key`].
+    links: SmallKeyMap<(NodeId, NodeId), LinkState>,
+    access: AccessQueues,
+    /// Directed blackholes. Not part of the link table: a crash tears down
+    /// exactly the pairs in `links`, and a partition of two groups that
+    /// never spoke must not add to them.
+    blocked: SmallKeySet<(NodeId, NodeId)>,
     /// Per-node gray-failure stall horizon: while `now` is before a node's
     /// entry, events addressed to it are deferred (not dropped) to the
     /// horizon. `SimTime::ZERO` means not stalled.
@@ -305,11 +359,13 @@ const EV_CONN_BROKEN: u64 = 7;
 const EV_NOTE: u64 = 8;
 const EV_STALL: u64 = 9;
 
-fn conn_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
+/// The link-table key of the pair and the index of the `from → to`
+/// direction in [`LinkState::floor`].
+fn link_key(from: NodeId, to: NodeId) -> ((NodeId, NodeId), usize) {
+    if from <= to {
+        ((from, to), 0)
     } else {
-        (b, a)
+        ((to, from), 1)
     }
 }
 
@@ -324,15 +380,16 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             queue: EventQueue::new(scheduler),
             seq: 0,
             next_timer: 0,
-            cancelled: HashSet::new(),
+            cancelled: SmallKeySet::default(),
             up: vec![false; n],
             incarnation: vec![0; n],
             node_rng,
-            flows: HashMap::new(),
-            conns: HashMap::new(),
-            tx_free: vec![SimTime::ZERO; n],
-            rx_free: vec![SimTime::ZERO; n],
-            blocked: HashSet::new(),
+            links: SmallKeyMap::default(),
+            access: AccessQueues {
+                tx_free: vec![SimTime::ZERO; n],
+                rx_free: vec![SimTime::ZERO; n],
+            },
+            blocked: SmallKeySet::default(),
             stalled_until: vec![SimTime::ZERO; n],
             metrics: (0..n).map(|_| NodeMetrics::default()).collect(),
             trace: Trace::default(),
@@ -391,15 +448,19 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// here: the text names the send span (and, by inheritance, the
     /// delivery's) and its digest puts the content under the fingerprint, so
     /// a delivery has nothing to render or hash again. Lite mode skips the
-    /// rendering; its label stays empty and its content word zero.
+    /// rendering: [`World::span`] keeps no label there, and the content
+    /// word is zero.
     fn trace_send(&mut self, from: NodeId, to: NodeId, bytes: u32, msg: &M) -> SpanId {
-        let mut content = 0;
-        if !self.lite {
+        let (label, content) = if self.lite {
+            (Label::Static(""), 0)
+        } else {
             self.rendered.clear();
             let _ = write!(self.rendered, "{msg:?}");
-            content = digest(self.rendered.as_bytes());
-        }
-        let label = Label::text(&self.rendered);
+            (
+                Label::text(&self.rendered),
+                digest(self.rendered.as_bytes()),
+            )
+        };
         let span = self.span(from, SpanKind::Send, label, self.current_cause);
         self.trace.push_words(&[
             EV_SEND,
@@ -442,6 +503,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         self.metrics[from.index()].msgs_sent.inc();
         self.metrics[from.index()].bytes_sent.add(bytes as u64);
         let send_span = self.trace_send(from, to, bytes, &msg);
+        let (key, dir) = link_key(from, to);
         if self.blocked.contains(&(from, to)) {
             // Partitioned: TCP eventually times out; tell the sender.
             self.trace_drop(from, from, to, "partitioned", Some(send_span));
@@ -455,11 +517,10 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                     cause: Some(send_span),
                 },
             );
-            let key = conn_key(from, to);
-            let conn = self.conns.entry(key).or_default();
-            let was_established = conn.established;
-            conn.established = false;
-            conn.epoch += 1;
+            let link = self.links.entry(key).or_default();
+            let was_established = link.established;
+            link.established = false;
+            link.epoch += 1;
             if was_established {
                 self.metrics[from.index()].conns_broken.inc();
                 self.metrics[to.index()].conns_broken.inc();
@@ -485,15 +546,16 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             return;
         }
         let path = self.topo.path(from, to);
-        let key = conn_key(from, to);
-        let conn = self.conns.entry(key).or_default();
+        // The one probe of the link table on this path: `link` stays
+        // borrowed down to the floor update.
+        let link = self.links.entry(key).or_default();
         let mut extra = SimDuration::ZERO;
-        if !conn.established {
-            conn.established = true;
+        if !link.established {
+            link.established = true;
             extra += path.latency * 2; // SYN handshake
             self.metrics[from.index()].conns_established.inc();
         }
-        let epoch = conn.epoch;
+        let epoch = link.epoch;
         // Loss becomes retransmission delay on the reliable transport.
         let mut retries = 0;
         while retries < MAX_RETRIES && self.node_rng[from.index()].gen_bool(path.loss) {
@@ -506,11 +568,12 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             self.break_conn(from, to, Some(send_span));
             return;
         }
-        let deliver_at = self.price_delivery(from, to, bytes, path) + extra;
+        let priced = self
+            .access
+            .price_delivery(&self.topo, self.now, from, to, bytes, path);
         // In-order per flow.
-        let flow = self.flows.entry((from, to)).or_default();
-        let deliver_at = deliver_at.max(flow.floor);
-        flow.floor = deliver_at;
+        let deliver_at = (priced + extra).max(link.floor[dir]);
+        link.floor[dir] = deliver_at;
         self.push(
             deliver_at,
             Ev::Deliver {
@@ -540,7 +603,9 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             self.trace_drop(from, from, to, "loss", Some(send_span));
             return;
         }
-        let deliver_at = self.price_delivery(from, to, bytes, path);
+        let deliver_at = self
+            .access
+            .price_delivery(&self.topo, self.now, from, to, bytes, path);
         self.push(
             deliver_at,
             Ev::Deliver {
@@ -555,38 +620,23 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         );
     }
 
-    /// Computes when `bytes` sent now from `from` arrive at `to`:
-    /// sender-uplink serialization (queued behind earlier sends), path
-    /// propagation plus bottleneck serialization, then receiver-downlink
-    /// queueing.
-    fn price_delivery(&mut self, from: NodeId, to: NodeId, bytes: u32, path: PathProps) -> SimTime {
-        let bits = bytes as u64 * 8;
-        let up_bps = self.topo.access(from).up_bps.min(path.bandwidth_bps).max(1);
-        let ser_up = SimDuration::from_secs_f64(bits as f64 / up_bps as f64);
-        let tx_start = self.now.max(self.tx_free[from.index()]);
-        let tx_done = tx_start + ser_up;
-        self.tx_free[from.index()] = tx_done;
-        let arrival = tx_done + path.latency;
-        let down_bps = self.topo.access(to).down_bps.max(1);
-        let ser_down = SimDuration::from_secs_f64(bits as f64 / down_bps as f64);
-        let rx_start = arrival.max(self.rx_free[to.index()]);
-        let done = rx_start + ser_down;
-        self.rx_free[to.index()] = done;
-        done
+    /// The current epoch of the pair's connection (0 before any send).
+    fn link_epoch(&self, a: NodeId, b: NodeId) -> u64 {
+        self.links.get(&link_key(a, b).0).map_or(0, |l| l.epoch)
     }
 
     fn break_conn(&mut self, a: NodeId, b: NodeId, cause: Option<SpanId>) {
-        let key = conn_key(a, b);
-        let conn = self.conns.entry(key).or_default();
-        conn.epoch += 1;
-        let was_established = conn.established;
-        conn.established = false;
+        let link = self.links.entry(link_key(a, b).0).or_default();
+        link.epoch += 1;
+        let was_established = link.established;
+        link.established = false;
+        // Neither direction of the next connection queues behind a segment
+        // of this one.
+        link.floor = [SimTime::ZERO; 2];
         if was_established {
             self.metrics[a.index()].conns_broken.inc();
             self.metrics[b.index()].conns_broken.inc();
         }
-        self.flows.remove(&(a, b));
-        self.flows.remove(&(b, a));
         self.trace.push_words(&[
             EV_CONN_BROKEN,
             self.now.as_nanos(),
@@ -1020,28 +1070,14 @@ impl<A: Actor> Sim<A> {
                     // connection (re-)established while the peer was down
                     // would survive the peer's restart and the sender would
                     // never learn its in-flight data was lost.
-                    if epoch != EPOCH_UNRELIABLE {
-                        let current = self
-                            .world
-                            .conns
-                            .get(&conn_key(from, to))
-                            .map_or(0, |c| c.epoch);
-                        if epoch == current {
-                            self.world.break_conn(from, to, cause);
-                        }
+                    if epoch != EPOCH_UNRELIABLE && epoch == self.world.link_epoch(from, to) {
+                        self.world.break_conn(from, to, cause);
                     }
                     return Some(at);
                 }
-                if epoch != EPOCH_UNRELIABLE {
-                    let current = self
-                        .world
-                        .conns
-                        .get(&conn_key(from, to))
-                        .map_or(0, |c| c.epoch);
-                    if epoch != current {
-                        self.world.trace_drop(to, from, to, "conn-broken", cause);
-                        return Some(at);
-                    }
+                if epoch != EPOCH_UNRELIABLE && epoch != self.world.link_epoch(from, to) {
+                    self.world.trace_drop(to, from, to, "conn-broken", cause);
+                    return Some(at);
                 }
                 let m = &mut self.world.metrics[to.index()];
                 m.msgs_delivered.inc();
@@ -1107,15 +1143,20 @@ impl<A: Actor> Sim<A> {
                     .trace
                     .push_words(&[EV_CRASH, self.world.now.as_nanos(), node.0 as u64]);
                 // All of the node's connections break; peers will be
-                // notified (they observe a TCP reset / timeout).
+                // notified (they observe a TCP reset / timeout). The scan
+                // reads every key of the link table — > 100 k pairs by the
+                // end of a 1000-node gossip run, ~200 crashes per run — and
+                // measured 1 % of that run's profile samples (PR 22). A
+                // per-node peer index would be kept up on every pair's first
+                // send to save it; not until a profile asks.
                 let mut peers: Vec<NodeId> = self
                     .world
-                    .conns
+                    .links
                     .keys()
                     .filter(|&&(a, b)| a == node || b == node)
                     .map(|&(a, b)| if a == node { b } else { a })
                     .collect();
-                // HashMap iteration order is nondeterministic; the break
+                // Hash-table iteration order is unspecified; the break
                 // order decides ConnBroken delivery order, which must be a
                 // pure function of the seed.
                 peers.sort_unstable();

@@ -159,3 +159,141 @@ proptest! {
         }
     }
 }
+
+/// Logs every delivery as `(sender, message id, arrival time)`.
+#[derive(Default)]
+struct Logger {
+    got: Vec<(NodeId, u32, SimTime)>,
+}
+
+impl Actor for Logger {
+    type Msg = u32;
+    fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, from: NodeId, msg: u32) {
+        self.got.push((from, msg, ctx.now()));
+    }
+}
+
+/// What the script driver remembers of one reliable send.
+struct Sent {
+    from: NodeId,
+    to: NodeId,
+    at: SimTime,
+    /// Position in the script, which orders same-instant sends and breaks.
+    step: usize,
+    /// The transport gave up inside the send (retries exhausted).
+    rejected: bool,
+    /// Sent loss-free as the first message of its flow since the pair's
+    /// last break (or ever).
+    fresh: bool,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The link table against a scripted schedule on a 3-node star: sends
+    /// in both directions of every pair, explicit connection breaks, waits
+    /// and a loss regime switched on and off (retransmission delay is what
+    /// pushes a flow's in-order floor past the priced arrival).
+    #[test]
+    fn link_table_breaks_reset_floors_and_drop_stale_segments(
+        seed in any::<u64>(),
+        script in prop::collection::vec(any::<u32>(), 1..48),
+    ) {
+        let spoke = SimDuration::from_millis(20);
+        let mut sim = Sim::new(Topology::star(3, spoke, 10_000_000), seed, |_| Logger::default());
+        sim.start_all();
+        let pair = |a: NodeId, b: NodeId| (a.min(b), a.max(b));
+        let broken_total = |sim: &Sim<Logger>| sim.summary().conns_broken;
+        let mut sent: Vec<Sent> = Vec::new();
+        // (pair, time, script step) of every break, explicit or not.
+        let mut breaks: Vec<((NodeId, NodeId), SimTime, usize)> = Vec::new();
+        let mut used = [[false; 3]; 3];
+        let mut lossy = false;
+        for (step, &op) in script.iter().enumerate() {
+            let a = NodeId((op >> 3) % 3);
+            let b = NodeId((a.0 + 1 + (op >> 5) % 2) % 3);
+            match op % 8 {
+                0..=3 => {
+                    let before = broken_total(&sim);
+                    let id = sent.len() as u32;
+                    sim.invoke(a, |_, ctx| ctx.send(b, id));
+                    let rejected = broken_total(&sim) != before;
+                    if rejected {
+                        breaks.push((pair(a, b), sim.now(), step));
+                        used[a.index()][b.index()] = false;
+                        used[b.index()][a.index()] = false;
+                    }
+                    let fresh = !lossy && !rejected && !used[a.index()][b.index()];
+                    used[a.index()][b.index()] |= !rejected;
+                    sent.push(Sent { from: a, to: b, at: sim.now(), step, rejected, fresh });
+                }
+                4 => {
+                    sim.invoke(a, |_, ctx| ctx.break_connection(b));
+                    breaks.push((pair(a, b), sim.now(), step));
+                    used[a.index()][b.index()] = false;
+                    used[b.index()][a.index()] = false;
+                }
+                5 => {
+                    sim.run_for(SimDuration::from_millis((op >> 3) as u64 % 80));
+                }
+                6 if !lossy => {
+                    sim.topology_mut().add_loss_all(0.5);
+                    lossy = true;
+                }
+                7 if lossy => {
+                    sim.topology_mut().add_loss_all(-0.5);
+                    lossy = false;
+                }
+                _ => {}
+            }
+        }
+        sim.run_until_quiescent(SimTime::from_secs(600));
+
+        let mut arrival: Vec<Option<SimTime>> = vec![None; sent.len()];
+        for node in sim.topology().hosts() {
+            // In order per flow, across break → reconnect: ids on one flow
+            // only ever rise at the receiver.
+            let mut last = [None; 3];
+            for &(from, id, at) in &sim.actor(node).got {
+                prop_assert!(last[from.index()] < Some(id), "{from}->{node} reordered at id {id}");
+                last[from.index()] = Some(id);
+                prop_assert!(arrival[id as usize].replace(at).is_none(), "id {id} delivered twice");
+            }
+        }
+        let mut stale = 0;
+        for (m, arrived) in sent.iter().zip(&arrival) {
+            let broken_after_send = |until: SimTime| {
+                breaks.iter().any(|&(p, at, step)| {
+                    p == pair(m.from, m.to) && step > m.step && at < until
+                })
+            };
+            match *arrived {
+                Some(at) => {
+                    prop_assert!(!m.rejected, "a rejected send was delivered");
+                    // A segment of a broken connection never arrives.
+                    prop_assert!(!broken_after_send(at), "{}->{} sent {} survived a break", m.from, m.to, m.at);
+                    if m.fresh {
+                        // Handshake + propagation + every access queue it
+                        // could wait in; any floor a lossy predecessor left
+                        // behind is at least two more path latencies out.
+                        let bound = m.at + spoke * 2 * 3 + SimDuration::from_millis(sent.len() as u64);
+                        prop_assert!(at <= bound, "{}->{} sent {} arrived {at}: held behind a pre-break floor", m.from, m.to, m.at);
+                    }
+                }
+                None if m.rejected => {}
+                None => {
+                    prop_assert!(broken_after_send(SimTime::MAX), "{}->{} sent {} vanished without a break", m.from, m.to, m.at);
+                    stale += 1;
+                }
+            }
+        }
+        // Each of them was dropped at its receiver, with the reason.
+        let fleet = sim.flight_recorders();
+        let dropped = fleet
+            .iter()
+            .flat_map(|r| r.spans())
+            .filter(|s| s.kind() == SpanKind::Drop && s.name(fleet) == "conn-broken")
+            .count();
+        prop_assert_eq!(dropped, stale);
+    }
+}

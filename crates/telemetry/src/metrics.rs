@@ -10,7 +10,6 @@
 //! the whole workspace grew a shared telemetry registry; `cb-simnet`
 //! re-exports them for compatibility.)
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A monotonically increasing counter.
@@ -71,8 +70,11 @@ impl Gauge {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
-    /// bucket index -> count; BTreeMap keeps iteration ordered by magnitude.
-    buckets: BTreeMap<u32, u64>,
+    /// Count per bucket index, grown to the highest bucket ever recorded
+    /// (`bucket_of` tops out at 496). The last element is therefore never
+    /// zero, so equal histograms have equal vectors and the derived
+    /// `PartialEq` holds.
+    buckets: Vec<u64>,
     count: u64,
     sum: u64,
     min: u64,
@@ -110,7 +112,7 @@ impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Histogram {
-            buckets: BTreeMap::new(),
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -120,7 +122,11 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, v: u64) {
-        *self.buckets.entry(bucket_of(v)).or_insert(0) += 1;
+        let b = bucket_of(v) as usize;
+        if b >= self.buckets.len() {
+            self.buckets.resize(b + 1, 0);
+        }
+        self.buckets[b] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
@@ -174,7 +180,7 @@ impl Histogram {
             return self.max;
         }
         let mut seen = 0;
-        for (&b, &c) in &self.buckets {
+        for (b, c) in self.buckets() {
             seen += c;
             if seen >= rank {
                 return bucket_low(b).clamp(self.min, self.max);
@@ -188,7 +194,11 @@ impl Histogram {
     /// index back to the smallest value it covers — together they expose
     /// the raw distribution for exports and cross-run divergence checks.
     pub fn buckets(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.buckets.iter().map(|(&b, &c)| (b, c))
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c != 0)
+            .map(|(b, &c)| (b as u32, c))
     }
 
     /// The smallest value that lands in bucket `b` (inverse of the
@@ -199,8 +209,11 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (&b, &c) in &other.buckets {
-            *self.buckets.entry(b).or_insert(0) += c;
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (mine, &theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
         }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);

@@ -1,0 +1,113 @@
+//! Behaviour pins: `(fingerprint, events_processed, msgs_delivered)` of one
+//! seed per scenario, recorded before the simulator's path store, link table
+//! and per-node models changed representation (PR 22) and required equal
+//! ever since.
+//!
+//! The corpus baseline pins kv only, and in full-trace mode; nothing else
+//! held a *lite* fingerprint at the fleet size the benchmark measures. The
+//! two 1000-node pins run the `fleet-large` workload's fault plans at a
+//! short horizon so a debug build finishes each in a few seconds. A
+//! representation change must leave every number here alone; a deliberate
+//! behaviour change re-records them (run with `--nocapture`: a mismatch
+//! prints the observed triple).
+
+use cb_bench::registry::{configure, scenario_names, ArmSpec};
+use cb_dissem::SwarmCampaign;
+use cb_gossip::GossipCampaign;
+use cb_harness::prelude::*;
+use cb_simnet::prelude::SimTime;
+
+type Pin = (u64, u64, u64);
+
+fn observed(r: &RunReport) -> Pin {
+    (r.fingerprint, r.events_processed, r.msgs_delivered)
+}
+
+#[track_caller]
+fn assert_pin(what: &str, r: &RunReport, pin: Pin) {
+    let got = observed(r);
+    assert_eq!(
+        got, pin,
+        "{what}: observed ({:#018x}, {}, {}), pinned ({:#018x}, {}, {})",
+        got.0, got.1, got.2, pin.0, pin.1, pin.2
+    );
+}
+
+const NODES: u32 = 1000;
+
+fn all_but(cut: &[u32]) -> Vec<u32> {
+    (0..NODES).filter(|i| !cut.contains(i)).collect()
+}
+
+/// `fleet-large`'s gossip arm (benchmark/src/workloads.rs) at a 6 s horizon.
+#[test]
+fn gossip_1000_lite_fingerprint_is_pinned() {
+    let churners: Vec<u32> = (1..=NODES / 8).collect();
+    let plan = FaultPlan::none()
+        .churn(&churners, 1_000, 5_000, 2_000, 500)
+        .loss(0.10, 1_000, 5_000)
+        .partition(&[7, 11], &all_but(&[7, 11]), 3_000, Some(7_000));
+    let scenario = GossipCampaign {
+        nodes: NODES as usize,
+        horizon: SimTime::from_secs(6),
+        ..GossipCampaign::default()
+    };
+    assert_pin(
+        "gossip-1000 seed 2",
+        &scenario.run(2, &plan),
+        (0x3715_b6ac_f213_39b8, 38_790, 18_004),
+    );
+}
+
+/// `fleet-large`'s dissem arm at a 15 s horizon.
+#[test]
+fn dissem_1000_lite_fingerprint_is_pinned() {
+    let plan = FaultPlan::none()
+        .crash(5, 4_000)
+        .restart(5, 12_000)
+        .loss(0.05, 1_000, 8_000)
+        .partition(&[9], &all_but(&[9]), 30_000, Some(40_000));
+    let scenario = SwarmCampaign {
+        peers: NODES as usize,
+        blocks: 8,
+        horizon: SimTime::from_secs(15),
+        ..SwarmCampaign::default()
+    };
+    assert_pin(
+        "dissem-1000 seed 2",
+        &scenario.run(2, &plan),
+        (0x01fd_e3ee_16a4_4fec, 165_600, 101_573),
+    );
+}
+
+/// The stock arm of every registered scenario, seed 3, under its own
+/// default plan.
+#[test]
+fn stock_scenarios_are_pinned() {
+    let pins: [(&str, Pin); 7] = [
+        ("randtree", (0x35e2_9a67_0144_700d, 83_526, 50_180)),
+        ("gossip", (0x7200_1f19_d7f2_83d1, 7_000, 3_653)),
+        ("paxos", (0x4d39_5b25_eb4e_d27b, 1_824, 1_335)),
+        ("dissem", (0x478e_528d_c846_53c9, 11_519, 9_872)),
+        ("ring", (0x6d74_01f7_9c30_6f1a, 334, 158)),
+        ("kv", (0xa7f6_e7c1_8f26_d771, 4_987, 2_373)),
+        ("mencius", (0xe6b8_ffac_0f62_0b71, 6_015, 3_681)),
+    ];
+    assert_eq!(
+        pins.map(|(name, _)| name).as_slice(),
+        scenario_names().as_slice(),
+        "a registered scenario has no pin"
+    );
+    let mut wrong = Vec::new();
+    for (name, pin) in pins {
+        let scenario = configure(name, &ArmSpec::default()).expect("stock arm configures");
+        let got = observed(&scenario.run(3, &scenario.default_plan(3)));
+        if got != pin {
+            wrong.push(format!(
+                "(\"{name}\", ({:#018x}, {}, {})),",
+                got.0, got.1, got.2
+            ));
+        }
+    }
+    assert!(wrong.is_empty(), "observed:\n{}", wrong.join("\n"));
+}

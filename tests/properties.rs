@@ -11,6 +11,71 @@ use cb_simnet::time::{SimDuration, SimTime};
 use cb_simnet::topology::{NodeId, Topology};
 use proptest::prelude::*;
 
+/// `Histogram` as it was before its buckets went flat — a count per bucket
+/// index in an ordered map — kept as the model the flat form is compared
+/// with.
+#[derive(Clone, Default, PartialEq)]
+struct MapHistogram {
+    buckets: std::collections::BTreeMap<u32, u64>,
+    count: u64,
+    min: Option<u64>,
+    max: u64,
+}
+
+impl MapHistogram {
+    /// Base-2 buckets with 8 linear sub-buckets, as `cb_telemetry` maps
+    /// values; `Histogram::bucket_lower_bound` is the public inverse.
+    fn bucket_of(v: u64) -> u32 {
+        if v < 8 {
+            return v as u32;
+        }
+        let exp = 63 - v.leading_zeros();
+        8 + (exp - 3) * 8 + ((v >> (exp - 3)) as u32 & 0x7)
+    }
+
+    fn record(&mut self, v: u64) {
+        *self.buckets.entry(Self::bucket_of(v)).or_insert(0) += 1;
+        self.count += 1;
+        self.min = Some(self.min.map_or(v, |m| m.min(v)));
+        self.max = self.max.max(v);
+    }
+
+    fn merge(&mut self, other: &MapHistogram) {
+        for (&b, &c) in &other.buckets {
+            *self.buckets.entry(b).or_insert(0) += c;
+        }
+        self.count += other.count;
+        self.min = [self.min, other.min].into_iter().flatten().min();
+        self.max = self.max.max(other.max);
+    }
+
+    fn min(&self) -> u64 {
+        self.min.unwrap_or(0)
+    }
+
+    fn buckets(&self) -> Vec<(u32, u64)> {
+        self.buckets.iter().map(|(&b, &c)| (b, c)).collect()
+    }
+
+    fn quantile(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((q * self.count as f64).ceil() as u64).max(1);
+        if rank >= self.count {
+            return self.max;
+        }
+        let mut seen = 0;
+        for (&b, &c) in &self.buckets {
+            seen += c;
+            if seen >= rank {
+                return Histogram::bucket_lower_bound(b).clamp(self.min(), self.max);
+            }
+        }
+        self.max
+    }
+}
+
 proptest! {
     // ---- simnet: time ----
 
@@ -94,6 +159,49 @@ proptest! {
         prop_assert_eq!(ha.quantile(0.5), hall.quantile(0.5));
     }
 
+    /// The flat-bucket histogram against the ordered-map form it replaced:
+    /// same buckets, quantiles and equality after any mix of `record` and
+    /// `merge`, whichever side reaches the higher bucket.
+    #[test]
+    fn histogram_matches_the_ordered_map_model(
+        a in prop::collection::vec(any::<u64>(), 0..80),
+        b in prop::collection::vec(any::<u64>(), 0..80),
+    ) {
+        // Spread magnitudes over all 64 bit widths.
+        let spread = |v: &[u64]| -> Vec<u64> { v.iter().map(|&x| x >> (x % 64)).collect() };
+        let (a, b) = (spread(&a), spread(&b));
+        let record_all = |vs: &[u64]| {
+            let (mut h, mut m) = (Histogram::new(), MapHistogram::default());
+            for &v in vs {
+                h.record(v);
+                m.record(v);
+            }
+            (h, m)
+        };
+        let (ha, ma) = record_all(&a);
+        let (hb, mb) = record_all(&b);
+        prop_assert_eq!(ha == hb, ma == mb);
+        // Shorter into longer and the reverse: one of the two directions
+        // grows the receiver.
+        let (mut hab, mut mab) = (ha.clone(), ma.clone());
+        hab.merge(&hb);
+        mab.merge(&mb);
+        let (mut hba, mut mba) = (hb.clone(), mb.clone());
+        hba.merge(&ha);
+        mba.merge(&ma);
+        let (hall, mall) = record_all(&[a.as_slice(), b.as_slice()].concat());
+        for (h, m) in [(&ha, &ma), (&hb, &mb), (&hab, &mab), (&hba, &mba), (&hall, &mall)] {
+            prop_assert_eq!(h.buckets().collect::<Vec<_>>(), m.buckets());
+            prop_assert_eq!((h.count(), h.min(), h.max()), (m.count, m.min(), m.max));
+            for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0] {
+                prop_assert_eq!(h.quantile(q), m.quantile(q), "q{}", q);
+            }
+        }
+        // Merged either way round, or recorded in bulk: one value.
+        prop_assert_eq!(&hab, &hall);
+        prop_assert_eq!(&hba, &hall);
+    }
+
     // ---- simnet: topology ----
 
     #[test]
@@ -165,6 +273,32 @@ proptest! {
         let est = net.estimate(NodeId(1)).expect("estimate").latency;
         prop_assert!(est >= SimDuration::from_millis(lo), "{est} below {lo}ms");
         prop_assert!(est <= SimDuration::from_millis(hi), "{est} above {hi}ms");
+    }
+
+    #[test]
+    fn known_peers_ascend_whatever_the_insertion_order(
+        peers in prop::collection::vec(0u32..5000, 0..200),
+        evict_below in 0u32..5000,
+    ) {
+        let mut net = NetworkModel::new(SimDuration::from_secs(10));
+        for (i, &p) in peers.iter().enumerate() {
+            // Peers below the cut-off are last heard from at t = 0.
+            let now = SimTime::from_secs(if p < evict_below { 0 } else { 100 });
+            match i % 3 {
+                0 => net.observe_latency(NodeId(p), SimDuration::from_millis(10), now),
+                1 => net.observe_loss(NodeId(p), false, now),
+                _ => net.observe_bandwidth(NodeId(p), 1e6, now),
+            }
+        }
+        let sorted = |keep: &dyn Fn(u32) -> bool| {
+            let mut v: Vec<NodeId> = peers.iter().filter(|&&p| keep(p)).map(|&p| NodeId(p)).collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        prop_assert_eq!(net.known_peers().collect::<Vec<_>>(), sorted(&|_| true));
+        net.evict_stale(SimTime::from_secs(100), SimDuration::from_secs(50));
+        prop_assert_eq!(net.known_peers().collect::<Vec<_>>(), sorted(&|p| p >= evict_below));
     }
 
     // ---- core: resolvers ----

@@ -142,8 +142,8 @@ impl Actor for ChaosActor {
 }
 
 /// Builds a random topology family — star, generated transit-stub, or
-/// fat-tree — from the schedule seed, so the differential covers the dense
-/// and implicit path stores alike.
+/// fat-tree — from the schedule seed, so the differential covers both core
+/// models of the path store (route matrix and closed form).
 fn random_topology(seed: u64, hosts: usize) -> Topology {
     let mut rng = SimRng::seed_from(seed ^ 0x70_70);
     match seed % 3 {
