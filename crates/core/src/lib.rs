@@ -80,8 +80,8 @@ pub mod prelude {
     pub use crate::objective::ObjectiveSet;
     pub use crate::predict::{ModelEvaluator, PredictConfig};
     pub use crate::resolve::{
-        BanditPolicy, CachedResolver, DampedResolver, HeuristicResolver, LadderResolver,
-        LearnedResolver, LookaheadResolver, PrecomputedResolver, RandomResolver,
+        BanditPolicy, CachedResolver, HeuristicResolver, LadderResolver, LearnedResolver,
+        LookaheadResolver, RandomResolver,
     };
     pub use crate::runtime::{
         fleet_telemetry, Envelope, RuntimeConfig, RuntimeNode, Service, ServiceCtx, SteeringAdvice,

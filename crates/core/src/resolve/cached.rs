@@ -9,7 +9,7 @@
 //! standing in for the background recomputation a multi-core deployment
 //! would run concurrently.
 
-use crate::choice::{ChoiceId, ChoiceRequest, ContextKey, OptionEvaluator, Resolver};
+use crate::choice::{ChoiceId, ChoiceRequest, ContextKey, OptionEvaluator, Prediction, Resolver};
 use cb_mck::hash::fingerprint;
 use std::collections::BTreeMap;
 
@@ -19,6 +19,8 @@ struct CacheEntry {
     /// The chosen option's key (not index: option order may vary between
     /// requests with the same set).
     chosen_key: u64,
+    /// The inner resolver's prediction for that option when it was cached.
+    prediction: Option<Prediction>,
     /// Uses since the last refresh.
     uses: u64,
 }
@@ -50,6 +52,9 @@ pub struct CachedResolver<R: Resolver> {
     hits: u64,
     misses: u64,
     refreshes: u64,
+    /// The prediction backing the most recent resolve: the inner
+    /// resolver's on a miss or refresh, the entry's own on a hit.
+    last_prediction: Option<Prediction>,
 }
 
 impl<R: Resolver> CachedResolver<R> {
@@ -68,6 +73,7 @@ impl<R: Resolver> CachedResolver<R> {
             hits: 0,
             misses: 0,
             refreshes: 0,
+            last_prediction: None,
         }
     }
 
@@ -99,9 +105,10 @@ impl<R: Resolver> CachedResolver<R> {
         self.cache.clear();
     }
 
-    /// Access to the wrapped resolver.
-    pub fn inner(&self) -> &R {
-        &self.inner
+    /// The wrapped resolver, for a caller that sometimes resolves past the
+    /// cache (the ladder's rung 0).
+    pub fn inner_mut(&mut self) -> &mut R {
+        &mut self.inner
     }
 
     fn option_set_hash(request: &ChoiceRequest<'_>) -> u64 {
@@ -131,6 +138,12 @@ impl<R: Resolver> Resolver for CachedResolver<R> {
                     .position(|o| o.key == entry.chosen_key)
                 {
                     self.hits += 1;
+                    // A hit reports the prediction of the decision it
+                    // memoizes, at no exploration cost.
+                    self.last_prediction = entry.prediction.map(|p| Prediction {
+                        states_explored: 0,
+                        ..p
+                    });
                     return idx;
                 }
                 false // collision: treat as a cold miss
@@ -148,10 +161,12 @@ impl<R: Resolver> Resolver for CachedResolver<R> {
             idx < request.len(),
             "inner resolver returned out-of-range index"
         );
+        self.last_prediction = self.inner.last_prediction();
         self.cache.insert(
             key,
             CacheEntry {
                 chosen_key: request.options[idx].key,
+                prediction: self.last_prediction,
                 uses: 0,
             },
         );
@@ -166,8 +181,8 @@ impl<R: Resolver> Resolver for CachedResolver<R> {
         "cached"
     }
 
-    fn last_prediction(&self) -> Option<crate::choice::Prediction> {
-        self.inner.last_prediction()
+    fn last_prediction(&self) -> Option<Prediction> {
+        self.last_prediction
     }
 
     fn export_metrics(&self, reg: &mut cb_telemetry::Registry) {
@@ -278,6 +293,36 @@ mod tests {
                 + reg.counter(keys::CORE_CACHE_MISSES)
                 + reg.counter(keys::CORE_CACHE_REFRESHES),
             6
+        );
+    }
+
+    #[test]
+    fn a_hit_reports_its_own_prediction_at_zero_states() {
+        use crate::choice::FnEvaluator;
+        use crate::resolve::lookahead::LookaheadResolver;
+        let mut r = CachedResolver::new(LookaheadResolver::new(), 100);
+        let o = opts(&[1, 2]);
+        let (a, b) = (ChoiceRequest::new("a", &o), ChoiceRequest::new("b", &o));
+        let scored = |base: f64| {
+            FnEvaluator(move |i| Prediction {
+                objective: base + i as f64,
+                violations: 0,
+                states_explored: 7,
+            })
+        };
+        r.resolve(&a, &mut scored(10.0)); // miss A
+        r.resolve(&b, &mut scored(20.0)); // miss B
+        assert_eq!(r.last_prediction().map(|p| p.objective), Some(21.0));
+        r.resolve(&a, &mut scored(99.0)); // hit A: the evaluator is not asked
+        assert_eq!(r.hits(), 1);
+        assert_eq!(
+            r.last_prediction(),
+            Some(Prediction {
+                objective: 11.0,
+                violations: 0,
+                states_explored: 0,
+            }),
+            "a hit must not bill the last miss"
         );
     }
 

@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | 0 | full lookahead ([`LookaheadResolver`]) | fresh models, budget |
 //! | 1 | cached lookahead ([`CachedResolver`]) | occasionally-fresh models |
-//! | 2 | precomputed table ([`PrecomputedResolver`]) | a cross-run policy store hit |
+//! | 2 | policy-store hit ([`PolicyStore`]) | a cross-run store entry for this exact decision |
 //! | 3 | learned bandit ([`LearnedResolver`]) | prior feedback or warm-start |
 //! | 4 | feature heuristic (lowest first feature) | option features only |
 //! | 5 | static safe default (first option) | nothing |
@@ -25,6 +25,12 @@
 //! bandit has arm statistics for the (choice, context) pair — and are
 //! consulted *before* the expensive chain rungs, so a warm store turns the
 //! common-case decision into a table lookup (~ns, zero modeled states).
+//!
+//! The ladder holds three tables and no copy of any of them: the store
+//! (rung 2 answers from the entry itself — its index is the position of
+//! the stored option key among the offered ones), the rung-1 cache, and
+//! the bandit's arms. Rungs 0 and 1 share one `LookaheadResolver`, so
+//! `core.lookahead.evaluations` is one counter.
 //!
 //! Staleness degrades safely two ways. A stored entry whose chosen option
 //! key is no longer offered is a miss, never a wrong answer. And while the
@@ -46,7 +52,6 @@ use crate::governor::{DegradationGovernor, GovernorConfig, Health, HealthSignals
 use crate::resolve::cached::CachedResolver;
 use crate::resolve::learned::{BanditPolicy, LearnedResolver};
 use crate::resolve::lookahead::LookaheadResolver;
-use crate::resolve::precomputed::PrecomputedResolver;
 use cb_mck::hash::fingerprint;
 use cb_policy::{PolicyEntry, PolicyKey, PolicyStore};
 use cb_telemetry::{keys, Registry};
@@ -106,33 +111,13 @@ impl PolicyDisposition {
     }
 }
 
-/// Fallback type for the ladder's precomputed rung. Never invoked: the
-/// ladder consults the table through `try_resolve`, which has no fallback
-/// path.
-struct NoFallback;
-
-impl Resolver for NoFallback {
-    fn resolve(&mut self, _request: &ChoiceRequest<'_>, _eval: &mut dyn OptionEvaluator) -> usize {
-        unreachable!("ladder consults the precomputed table via try_resolve only")
-    }
-
-    fn name(&self) -> &'static str {
-        "unreachable"
-    }
-}
-
 /// A health-governed resolver that steps down a ladder of strategies as the
 /// predictive model degrades, and climbs back only after sustained health.
 pub struct LadderResolver {
-    /// Rung 0: full per-decision lookahead.
-    lookahead: LookaheadResolver,
-    /// Rung 1: cached lookahead (its own inner `LookaheadResolver` runs
-    /// only on misses/refreshes).
+    /// Rungs 0 and 1 share one `LookaheadResolver`: rung 1 is the cache,
+    /// which runs it only on misses and refreshes; rung 0 (and a due
+    /// policy refresh) runs it directly, past the cache.
     cached: CachedResolver<LookaheadResolver>,
-    /// Rung 2: the precomputed table, lazily materialized from policy-store
-    /// hits (the store keys are hashed; the live request supplies the
-    /// `'static` choice id the table needs).
-    precomputed: PrecomputedResolver<NoFallback>,
     /// Rung 3: contextual bandit, trained by live feedback and warm-started
     /// from policy-store hits. ε=0 (pure exploitation): the rung only fires
     /// when arms exist, and exploration is the store's job, not survival
@@ -150,12 +135,13 @@ pub struct LadderResolver {
     last_rung: usize,
     /// The prediction backing the most recent decision (rungs 0–2 only).
     last_prediction: Option<Prediction>,
-    /// Warm side: the loaded cross-run policy store.
+    /// Warm side: the loaded cross-run policy store. Rung 2 answers
+    /// straight from it.
     policy: Option<Arc<PolicyStore>>,
     /// Training side: where rung-0 decisions are recorded.
     recorder: Option<Arc<Mutex<PolicyStore>>>,
     /// Every n-th store hit is re-checked by fresh lookahead while Healthy.
-    /// 0 disables refresh.
+    /// Never 0: `with_config` rejects it.
     policy_refresh_every: u64,
     policy_hits: u64,
     policy_misses: u64,
@@ -175,17 +161,17 @@ impl LadderResolver {
         LadderResolver::with_config(GovernorConfig::default(), 16)
     }
 
-    /// A ladder with explicit governor thresholds and cache refresh
-    /// interval (also used as the policy-store refresh cadence).
+    /// A ladder with explicit governor thresholds and a refresh interval
+    /// that is both the rung-1 cache's reuse budget and the policy-store
+    /// refresh cadence (every `refresh_every`-th hit while `Healthy`).
     ///
     /// # Panics
     ///
-    /// Panics if `refresh_every` is zero (via [`CachedResolver::new`]).
+    /// Panics if `refresh_every` is zero (via [`CachedResolver::new`]):
+    /// there is no "refresh off" setting.
     pub fn with_config(cfg: GovernorConfig, refresh_every: u64) -> Self {
         LadderResolver {
-            lookahead: LookaheadResolver::new(),
             cached: CachedResolver::new(LookaheadResolver::new(), refresh_every),
-            precomputed: PrecomputedResolver::new(NoFallback),
             learned: LearnedResolver::new(BanditPolicy::EpsilonGreedy { epsilon: 0.0 }, 0),
             governor: DegradationGovernor::new(cfg),
             deadline_pending: false,
@@ -205,7 +191,7 @@ impl LadderResolver {
     }
 
     /// Loads a cross-run policy store: content-addressed hits are served on
-    /// the precomputed rung without evaluating anything.
+    /// rung 2 without evaluating anything.
     pub fn with_policy(mut self, store: Arc<PolicyStore>) -> Self {
         self.policy = Some(store);
         self
@@ -282,6 +268,15 @@ impl LadderResolver {
         best
     }
 
+    /// Fresh lookahead past the rung-1 cache: rung 0, and a due policy
+    /// refresh.
+    fn lookahead(&mut self, request: &ChoiceRequest<'_>, eval: &mut dyn OptionEvaluator) -> usize {
+        let lookahead = self.cached.inner_mut();
+        let idx = lookahead.resolve(request, eval);
+        self.last_prediction = lookahead.last_prediction();
+        idx
+    }
+
     /// Records the decision just made (chosen key + backing prediction)
     /// into the training store, if one is attached.
     fn record(&mut self, request: &ChoiceRequest<'_>, idx: usize) {
@@ -315,12 +310,16 @@ impl LadderResolver {
                 return None;
             }
         };
-        if !request.options.iter().any(|o| o.key == entry.chosen_key) {
+        let Some(idx) = request
+            .options
+            .iter()
+            .position(|o| o.key == entry.chosen_key)
+        else {
             // The stored option left the set (peer gone, block done): a
             // safe miss, never a wrong answer.
             self.policy_misses += 1;
             return None;
-        }
+        };
         self.policy_hits += 1;
         // Governor-gated honesty check: only while Healthy is fresh
         // lookahead trustworthy enough to arbitrate staleness — and under
@@ -330,12 +329,10 @@ impl LadderResolver {
         // the chain mapping ever changes.
         let refresh_due = base == 0
             && self.governor.health() == Health::Healthy
-            && self.policy_refresh_every > 0
             && self.policy_hits.is_multiple_of(self.policy_refresh_every);
         if refresh_due {
             self.policy_refreshes += 1;
-            let fresh = self.lookahead.resolve(request, eval);
-            self.last_prediction = self.lookahead.last_prediction();
+            let fresh = self.lookahead(request, eval);
             self.last_policy = if request.options[fresh].key != entry.chosen_key {
                 self.policy_stale += 1;
                 PolicyDisposition::Stale
@@ -345,12 +342,9 @@ impl LadderResolver {
             self.record(request, fresh);
             return Some((fresh, 0));
         }
-        // Warm the first-class fast rungs with the store's conclusion: the
-        // precomputed table serves this decision; the bandit gains a prior
-        // arm so rung 3 can generalize when the option set shifts later.
+        // The store's answer also warms the bandit with a prior arm, so
+        // rung 3 can generalize when the option set shifts later.
         self.last_policy = PolicyDisposition::Hit;
-        self.precomputed
-            .insert(request.id, request.context, entry.chosen_key);
         if self
             .learned
             .arm(request.id, request.context, entry.chosen_key)
@@ -359,10 +353,6 @@ impl LadderResolver {
             self.learned
                 .feedback(request.id, request.context, entry.chosen_key, 1.0);
         }
-        let idx = self
-            .precomputed
-            .try_resolve(request)
-            .expect("entry just warmed must resolve");
         self.last_prediction = Some(Prediction {
             objective: entry.objective(),
             violations: entry.violations,
@@ -404,8 +394,7 @@ impl Resolver for LadderResolver {
             Some(v) => v,
             None => match base {
                 0 => {
-                    let i = self.lookahead.resolve(request, eval);
-                    self.last_prediction = self.lookahead.last_prediction();
+                    let i = self.lookahead(request, eval);
                     self.record(request, i);
                     (i, 0)
                 }
@@ -442,7 +431,6 @@ impl Resolver for LadderResolver {
     }
 
     fn feedback(&mut self, id: ChoiceId, context: ContextKey, option_key: u64, reward: f64) {
-        self.lookahead.feedback(id, context, option_key, reward);
         self.cached.feedback(id, context, option_key, reward);
         self.learned.feedback(id, context, option_key, reward);
     }
@@ -496,16 +484,9 @@ impl Resolver for LadderResolver {
         reg.set_counter(keys::CORE_POLICY_INSERTS, self.policy_inserts);
         reg.set_counter(keys::CORE_POLICY_REFRESH, self.policy_refreshes);
         self.governor.export_metrics(reg);
-        // Both rungs 0 and 1 run lookahead evaluations; export the sum
-        // rather than delegating (delegation would overwrite the shared
-        // key with whichever inner exported last).
-        reg.set_counter(
-            keys::CORE_LOOKAHEAD_EVALUATIONS,
-            self.lookahead.evaluations() + self.cached.inner().evaluations(),
-        );
-        reg.set_counter(keys::CORE_CACHE_HITS, self.cached.hits());
-        reg.set_counter(keys::CORE_CACHE_MISSES, self.cached.misses());
-        reg.set_counter(keys::CORE_CACHE_REFRESHES, self.cached.refreshes());
+        // Cache hit/miss/refresh counts plus the shared lookahead
+        // resolver's evaluations, whichever rung ran them.
+        self.cached.export_metrics(reg);
     }
 }
 

@@ -12,28 +12,24 @@
 //!   realized rewards: the fast learned alternative of §3.4.
 //! * [`cached`] — memoizes any inner resolver to keep expensive prediction
 //!   off the critical path.
-//! * [`precomputed`] — offline decision tables (§3.4's "precompute the
-//!   impact of actions before the system is deployed").
-//! * [`damped`] — switch hysteresis against synchronized flapping (§3.4's
-//!   emergent-behavior concern).
 //! * [`ladder`] — the health-governed fallback ladder: lookahead → cached →
 //!   heuristic → static safe default, stepped by the
-//!   [`DegradationGovernor`](crate::governor::DegradationGovernor).
+//!   [`DegradationGovernor`](crate::governor::DegradationGovernor). Its
+//!   rung 2 is §3.4's "precompute the impact of actions before the system
+//!   is deployed": a hit in a cross-run [`cb_policy::PolicyStore`], answered
+//!   from the store itself. The ladder holds three tables — the store, the
+//!   rung-1 cache and the bandit's arms — and no copy of any of them.
 
 pub mod cached;
-pub mod damped;
 pub mod heuristic;
 pub mod ladder;
 pub mod learned;
 pub mod lookahead;
-pub mod precomputed;
 pub mod random;
 
 pub use cached::CachedResolver;
-pub use damped::DampedResolver;
 pub use heuristic::HeuristicResolver;
 pub use ladder::LadderResolver;
 pub use learned::{ArmStats, BanditPolicy, LearnedResolver};
 pub use lookahead::LookaheadResolver;
-pub use precomputed::{precompute_table, PrecomputedResolver};
 pub use random::RandomResolver;

@@ -152,6 +152,11 @@ pub struct SteeringInput<'a, C> {
 /// filters. Runs on the controller cycle, off the message path.
 pub type SteeringAdvisor<C> = Box<dyn FnMut(&SteeringInput<'_, C>) -> Vec<SteeringAdvice>>;
 
+/// Staleness bound for checkpoints entering snapshots.
+const MAX_CHECKPOINT_STALENESS: SimDuration = SimDuration::from_secs(30);
+/// Half-life of network-model confidence.
+const NET_HALF_LIFE: SimDuration = SimDuration::from_secs(20);
+
 /// Runtime configuration for one node.
 pub struct RuntimeConfig<C> {
     /// The choice resolver.
@@ -159,10 +164,6 @@ pub struct RuntimeConfig<C> {
     /// Controller (checkpoint + prediction) period. Zero disables the
     /// controller entirely.
     pub controller_interval: SimDuration,
-    /// Staleness bound for checkpoints entering snapshots.
-    pub max_checkpoint_staleness: SimDuration,
-    /// Half-life of network-model confidence.
-    pub net_half_life: SimDuration,
     /// Optional predicted-violation steering.
     pub advisor: Option<SteeringAdvisor<C>>,
     /// Probe neighbors whose estimates have decayed below this confidence
@@ -181,14 +182,11 @@ pub struct RuntimeConfig<C> {
 
 impl<C> RuntimeConfig<C> {
     /// A configuration with the given resolver and sensible defaults:
-    /// 1 s controller cycle, 30 s checkpoint staleness, 20 s confidence
-    /// half-life, no steering advisor.
+    /// 1 s controller cycle, no steering advisor, no auto-probing.
     pub fn new(resolver: Box<dyn Resolver>) -> Self {
         RuntimeConfig {
             resolver,
             controller_interval: SimDuration::from_secs(1),
-            max_checkpoint_staleness: SimDuration::from_secs(30),
-            net_half_life: SimDuration::from_secs(20),
             advisor: None,
             probe_below_confidence: 0.0,
             report_deadline_states: 0,
@@ -297,8 +295,8 @@ impl<S: Service> RuntimeNode<S> {
                 advisor: config.advisor,
                 probe_below_confidence: config.probe_below_confidence,
                 report_deadline_states: config.report_deadline_states,
-                net_model: NetworkModel::new(config.net_half_life),
-                state_model: StateModel::new(config.max_checkpoint_staleness),
+                net_model: NetworkModel::new(NET_HALF_LIFE),
+                state_model: StateModel::new(MAX_CHECKPOINT_STALENESS),
                 steering: Steering::new(),
                 decisions: Vec::new(),
                 controller_cycles: 0,

@@ -15,8 +15,9 @@
 //!    option sets and rotations of their order.
 //! 3. **Memoized predicates survive parallel exploration.** A property
 //!    wrapped in a shared `EvalCache` verdict memo produces the same
-//!    deterministic exploration report under `parallel_bfs` at 1/2/4/8
-//!    threads as the unwrapped property does sequentially.
+//!    exploration report as the unwrapped property while 1/2/4/8 threads
+//!    run `bfs` against the one cache at once — the only concurrent
+//!    exercise of the cache's mutex.
 
 use cb_core::choice::{ChoiceRequest, OptionDesc, OptionEvaluator, Resolver};
 use cb_core::evalcache::EvalCache;
@@ -25,7 +26,6 @@ use cb_core::predict::{ModelEvaluator, PredictConfig};
 use cb_core::resolve::LookaheadResolver;
 use cb_mck::explore::{bfs, ExplorationReport, ExploreConfig};
 use cb_mck::hash::fingerprint;
-use cb_mck::parallel::parallel_bfs;
 use cb_mck::props::Property;
 use cb_mck::system::TransitionSystem;
 use cb_simnet::rng::SimRng;
@@ -206,8 +206,8 @@ proptest! {
     }
 
     /// An `EvalCache`-memoized property predicate is interchangeable with
-    /// the raw predicate under parallel exploration at any thread count:
-    /// the deterministic face of the report is identical.
+    /// the raw predicate while any number of threads explore against the
+    /// same cache concurrently.
     #[test]
     fn memoized_predicates_survive_parallel_exploration(
         seed in any::<u64>(),
@@ -232,13 +232,23 @@ proptest! {
             memo_cache.verdict(0, fingerprint(s), || s % 7 != 1)
         })];
         for threads in [1usize, 2, 4, 8] {
-            let par = parallel_bfs(&sys, &memoized, &cfg, threads);
-            prop_assert_eq!(
-                &face(&par),
-                &reference,
-                "memoized predicate diverged at {} threads",
-                threads
-            );
+            let faces: Vec<ReportFace> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|_| scope.spawn(|| face(&bfs(&sys, &memoized, &cfg))))
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("explorer thread panicked"))
+                    .collect()
+            });
+            for f in &faces {
+                prop_assert_eq!(
+                    f,
+                    &reference,
+                    "memoized predicate diverged at {} threads",
+                    threads
+                );
+            }
         }
         prop_assert_eq!(
             cache.hits() + cache.misses() > 0,
@@ -248,17 +258,15 @@ proptest! {
     }
 }
 
-/// The deterministic face of an exploration report (worker scheduling may
-/// reorder within-level discovery, so violation sets are compared sorted).
+/// The comparable face of an exploration report.
 type ReportFace = (u64, u64, u64, u64, usize, bool, Vec<(String, usize)>);
 
 fn face(r: &ExplorationReport<u64>) -> ReportFace {
-    let mut viols: Vec<(String, usize)> = r
+    let viols = r
         .violations
         .iter()
         .map(|v| (v.property.clone(), v.path.len()))
         .collect();
-    viols.sort();
     (
         r.states_visited,
         r.states_expanded,

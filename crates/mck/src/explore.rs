@@ -1,4 +1,4 @@
-//! Bounded breadth-first and depth-first state-space exploration.
+//! Bounded breadth-first state-space exploration.
 //!
 //! This is the workhorse the paper's §3.4 refers to as "state space
 //! exploration up to a certain depth": walk every interleaving of enabled
@@ -79,19 +79,10 @@ pub struct ExplorationReport<A> {
     /// Transitions taken (successor generations).
     pub transitions: u64,
     /// Transitions whose successor had already been visited (the dedup
-    /// ratio is `dedup_hits / transitions`). Deterministic even for the
-    /// level-synchronized parallel search: per level, it equals
-    /// transitions minus unique new states, both pure functions of the
-    /// system.
+    /// ratio is `dedup_hits / transitions`).
     pub dedup_hits: u64,
-    /// Peak size of the pending frontier (BFS queue / DFS stack /
-    /// parallel level), in states.
+    /// Peak size of the pending frontier (the BFS queue), in states.
     pub frontier_peak: u64,
-    /// Visited-set shard-lock contention events in the parallel search
-    /// (try_lock failures). Scheduling-dependent — exported under a
-    /// `wall` key and masked by determinism checks. Always 0 for the
-    /// sequential searches.
-    pub shard_contention_wall: u64,
     /// Deepest level reached.
     pub max_depth_reached: usize,
     /// True when a budget cut the search short.
@@ -116,7 +107,6 @@ impl<A> ExplorationReport<A> {
             transitions: 0,
             dedup_hits: 0,
             frontier_peak: 0,
-            shard_contention_wall: 0,
             max_depth_reached: 0,
             truncated: false,
             violations: Vec::new(),
@@ -132,7 +122,6 @@ impl<A> ExplorationReport<A> {
         reg.add(keys::MCK_STATES_EXPANDED, self.states_expanded);
         reg.add(keys::MCK_TRANSITIONS, self.transitions);
         reg.add(keys::MCK_DEDUP_HITS, self.dedup_hits);
-        reg.add(keys::MCK_SHARD_CONTENTION_WALL, self.shard_contention_wall);
         reg.gauge_raise(keys::MCK_FRONTIER_PEAK, self.frontier_peak as i64);
         reg.gauge_raise(keys::MCK_MAX_DEPTH, self.max_depth_reached as i64);
     }
@@ -342,188 +331,6 @@ pub fn bfs<T: TransitionSystem>(
     report
 }
 
-/// Depth-first variant with the same budgets; explores deep paths first,
-/// which finds deep violations faster at the cost of breadth coverage.
-///
-/// `eventually` properties are judged on complete paths exactly like
-/// [`bfs`]: a path is complete when the depth bound cuts it, the state
-/// deadlocks, or every successor was already visited. (Earlier revisions
-/// silently dropped liveness here — the `eventually_seen` bitmask was
-/// carried but never updated or reported.)
-pub fn dfs<T: TransitionSystem>(
-    sys: &T,
-    props: &[Property<T::State>],
-    cfg: &ExploreConfig,
-) -> ExplorationReport<T::Action> {
-    let mut report = ExplorationReport::new();
-    let safety: Vec<&Property<T::State>> = props
-        .iter()
-        .filter(|p| p.kind() == PropertyKind::Safety)
-        .collect();
-    let eventually: Vec<&Property<T::State>> = props
-        .iter()
-        .filter(|p| p.kind() == PropertyKind::EventuallyWithinHorizon)
-        .collect();
-    assert!(
-        eventually.len() <= 64,
-        "at most 64 eventually-properties supported"
-    );
-    let mut liveness: Vec<LivenessOutcome> = vec![LivenessOutcome::default(); eventually.len()];
-
-    let initial = sys.initial();
-    let mut visited = FingerprintSet::default();
-    visited.insert(fingerprint(&initial));
-    let mut arena: Vec<SearchNode<T::Action>> = Vec::new();
-    let mut seen0 = 0u64;
-    for (i, p) in eventually.iter().enumerate() {
-        if p.holds(&initial) {
-            seen0 |= 1 << i;
-        }
-    }
-    arena.push(SearchNode {
-        parent: None,
-        depth: 0,
-        eventually_seen: seen0,
-    });
-    report.states_visited = 1;
-    for p in &safety {
-        if !p.holds(&initial) {
-            report.violations.push(Violation {
-                property: p.name().to_string(),
-                kind: PropertyKind::Safety,
-                path: Vec::new(),
-            });
-            if cfg.stop_at_first_violation {
-                return report;
-            }
-        }
-    }
-
-    let finish_path =
-        |idx: usize, arena: &[SearchNode<T::Action>], liveness: &mut Vec<LivenessOutcome>| {
-            let seen = arena[idx].eventually_seen;
-            for (i, out) in liveness.iter_mut().enumerate() {
-                out.paths_checked += 1;
-                if seen & (1 << i) == 0 {
-                    out.paths_missed += 1;
-                }
-            }
-        };
-    let emit_liveness = |report: &mut ExplorationReport<T::Action>,
-                         eventually: &[&Property<T::State>],
-                         liveness: &[LivenessOutcome]| {
-        for (i, p) in eventually.iter().enumerate() {
-            report
-                .liveness
-                .push((p.name().to_string(), liveness[i].clone()));
-        }
-    };
-
-    let mut stack: Vec<(usize, T::State)> = vec![(0, initial)];
-    report.frontier_peak = 1;
-    let mut actions_buf: Vec<T::Action> = Vec::new();
-    while let Some((idx, state)) = stack.pop() {
-        let depth = arena[idx].depth;
-        report.max_depth_reached = report.max_depth_reached.max(depth);
-        if depth >= cfg.max_depth {
-            finish_path(idx, &arena, &mut liveness);
-            continue;
-        }
-        actions_buf.clear();
-        sys.actions_into(&state, &mut actions_buf);
-        if actions_buf.is_empty() {
-            finish_path(idx, &arena, &mut liveness);
-            continue;
-        }
-        report.states_expanded += 1;
-        let mut any_new = false;
-        for action in actions_buf.drain(..) {
-            report.transitions += 1;
-            let next = sys.step(&state, &action);
-            let fp = fingerprint(&next);
-            if !visited.insert(fp) {
-                report.dedup_hits += 1;
-                continue;
-            }
-            any_new = true;
-            report.states_visited += 1;
-            let mut seen = arena[idx].eventually_seen;
-            for (i, p) in eventually.iter().enumerate() {
-                if seen & (1 << i) == 0 && p.holds(&next) {
-                    seen |= 1 << i;
-                }
-            }
-            let child = arena.len();
-            arena.push(SearchNode {
-                parent: Some((idx, action)),
-                depth: depth + 1,
-                eventually_seen: seen,
-            });
-            for p in &safety {
-                if !p.holds(&next) {
-                    report.violations.push(Violation {
-                        property: p.name().to_string(),
-                        kind: PropertyKind::Safety,
-                        path: reconstruct(&arena, child),
-                    });
-                    if cfg.stop_at_first_violation || report.violations.len() >= cfg.max_violations
-                    {
-                        report.truncated = true;
-                        emit_liveness(&mut report, &eventually, &liveness);
-                        return report;
-                    }
-                }
-            }
-            if report.states_visited as usize >= cfg.max_states {
-                report.truncated = true;
-                emit_liveness(&mut report, &eventually, &liveness);
-                return report;
-            }
-            stack.push((child, next));
-            report.frontier_peak = report.frontier_peak.max(stack.len() as u64);
-        }
-        if !any_new {
-            finish_path(idx, &arena, &mut liveness);
-        }
-    }
-    emit_liveness(&mut report, &eventually, &liveness);
-    report
-}
-
-/// Iterative-deepening DFS: runs [`dfs`] at increasing depth bounds until a
-/// safety violation is found, the full bound is reached, or a budget trips.
-///
-/// Finds a *shallowest* violation like BFS does, with DFS's frontier memory
-/// footprint — the classic trade: transitions are re-explored at each
-/// deepening round. The returned report is the final round's, with
-/// `transitions` accumulated across rounds.
-pub fn iddfs<T: TransitionSystem>(
-    sys: &T,
-    props: &[Property<T::State>],
-    cfg: &ExploreConfig,
-) -> ExplorationReport<T::Action> {
-    let mut total_transitions = 0;
-    let mut total_dedup = 0;
-    let mut peak = 0;
-    for depth in 1..=cfg.max_depth.max(1) {
-        let round_cfg = ExploreConfig {
-            max_depth: depth,
-            ..cfg.clone()
-        };
-        let mut report = dfs(sys, props, &round_cfg);
-        total_transitions += report.transitions;
-        total_dedup += report.dedup_hits;
-        peak = peak.max(report.frontier_peak);
-        if !report.safe() || report.truncated || depth == cfg.max_depth.max(1) {
-            report.transitions = total_transitions;
-            report.dedup_hits = total_dedup;
-            report.frontier_peak = peak;
-            return report;
-        }
-    }
-    unreachable!("loop always returns on the final depth");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,92 +441,6 @@ mod tests {
         let (_, out) = &report.liveness[0];
         assert!(out.paths_missed > 0);
         assert!(out.satisfaction() < 1.0);
-    }
-
-    #[test]
-    fn dfs_reaches_deep_states_and_agrees_on_reachability() {
-        let sys = CounterRing { n: 2, modulus: 3 };
-        let d = dfs(
-            &sys,
-            &[],
-            &ExploreConfig {
-                max_depth: 10,
-                ..Default::default()
-            },
-        );
-        assert_eq!(d.states_visited, 9);
-        let props = [Property::safety(
-            "no 2s",
-            |s: &crate::system::toy::RingState| !s.0.contains(&2),
-        )];
-        let d2 = dfs(&sys, &props, &ExploreConfig::depth(6));
-        assert!(!d2.safe());
-        let states = crate::system::replay(&sys, &d2.violations[0].path);
-        assert!(states.last().expect("end").0.contains(&2));
-    }
-
-    #[test]
-    fn dfs_reports_liveness_like_bfs() {
-        // Regression: dfs used to hardwire `eventually_seen` to 0 and never
-        // emit liveness outcomes. On a single-path system (TokenRing) BFS
-        // and DFS see the same set of complete paths, so their liveness
-        // verdicts must agree exactly.
-        let sys = TokenRing { n: 5 };
-        let props = [Property::eventually("token reaches 3", |s: &usize| *s == 3)];
-        let cfg = ExploreConfig::depth(6);
-        let b = bfs(&sys, &props, &cfg);
-        let d = dfs(&sys, &props, &cfg);
-        assert_eq!(d.liveness.len(), 1, "dfs must report liveness outcomes");
-        assert_eq!(d.liveness, b.liveness);
-        let (_, out) = &d.liveness[0];
-        assert!(out.paths_checked > 0);
-        assert_eq!(out.paths_missed, 0);
-    }
-
-    #[test]
-    fn dfs_liveness_miss_when_horizon_too_short() {
-        let sys = TokenRing { n: 10 };
-        let props = [Property::eventually("token reaches 7", |s: &usize| *s == 7)];
-        let d = dfs(&sys, &props, &ExploreConfig::depth(3));
-        assert_eq!(d.liveness.len(), 1);
-        let (_, out) = &d.liveness[0];
-        assert!(out.paths_missed > 0);
-        assert!(out.satisfaction() < 1.0);
-        // And the verdict matches bfs on the same horizon.
-        let b = bfs(&sys, &props, &ExploreConfig::depth(3));
-        assert_eq!(d.liveness, b.liveness);
-    }
-
-    #[test]
-    fn dfs_liveness_satisfied_in_initial_state() {
-        let sys = TokenRing { n: 4 };
-        let props = [Property::eventually("starts at 0", |s: &usize| *s == 0)];
-        let d = dfs(&sys, &props, &ExploreConfig::depth(2));
-        let (_, out) = &d.liveness[0];
-        assert_eq!(out.paths_missed, 0);
-        assert_eq!(out.satisfaction(), 1.0);
-    }
-
-    #[test]
-    fn iddfs_finds_shallowest_violation() {
-        let sys = TokenRing { n: 10 };
-        let props = [Property::safety("below 4", |s: &usize| *s < 4)];
-        let report = iddfs(&sys, &props, &ExploreConfig::depth(9));
-        assert!(!report.safe());
-        // The shallowest counterexample is exactly 4 steps.
-        assert_eq!(report.violations[0].path.len(), 4);
-        // Deepening re-explores: cumulative transitions exceed one pass.
-        assert!(report.transitions >= 4);
-    }
-
-    #[test]
-    fn iddfs_safe_system_reaches_full_depth() {
-        let sys = CounterRing { n: 2, modulus: 3 };
-        let report = iddfs(&sys, &[], &ExploreConfig::depth(5));
-        assert!(report.safe());
-        // Counters wrap (mod 3), so the search runs to its full bound.
-        assert_eq!(report.max_depth_reached, 5);
-        assert_eq!(report.states_visited, 9, "3x3 product lattice");
     }
 
     #[test]

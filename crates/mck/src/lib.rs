@@ -6,13 +6,12 @@
 //!
 //! * [`system::TransitionSystem`] — the abstraction being explored: states,
 //!   enabled actions, a pure `step`.
-//! * [`explore`] — bounded BFS/DFS with visited-state fingerprinting,
+//! * [`explore`] — bounded BFS with visited-state fingerprinting,
 //!   safety checking on every state, bounded liveness on paths.
 //! * [`consequence`] — CrystalBall's consequence prediction: explore
 //!   causally related chains of events instead of all interleavings.
 //! * [`walk`] — weighted random walks: the "model checker as simulator"
 //!   mode used for performance prediction.
-//! * [`parallel`] — level-synchronized parallel BFS over multiple cores.
 //! * [`props`] — safety and bounded-liveness properties with
 //!   counterexample paths.
 //! * [`hash`] — stable (non-randomized) state fingerprinting.
@@ -53,14 +52,12 @@
 pub mod consequence;
 pub mod explore;
 pub mod hash;
-pub mod parallel;
 pub mod props;
 pub mod system;
 pub mod walk;
 
 pub use consequence::{predict, ConsequenceReport};
-pub use explore::{bfs, dfs, iddfs, ExplorationReport, ExploreConfig, LivenessOutcome};
-pub use parallel::parallel_bfs;
+pub use explore::{bfs, ExplorationReport, ExploreConfig, LivenessOutcome};
 pub use props::{Property, PropertyKind, Violation};
 pub use system::{replay, TransitionSystem};
 pub use walk::{random_walks, WalkConfig, WalkReport};

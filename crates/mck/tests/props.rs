@@ -1,6 +1,6 @@
 //! Property-based tests of the exploration engines.
 
-use cb_mck::explore::{bfs, dfs, ExploreConfig};
+use cb_mck::explore::{bfs, ExploreConfig};
 use cb_mck::props::Property;
 use cb_mck::system::{replay, TransitionSystem};
 use proptest::prelude::*;
@@ -50,14 +50,6 @@ proptest! {
         prop_assert!(!report.truncated);
     }
 
-    /// DFS and BFS agree on reachability.
-    #[test]
-    fn dfs_matches_bfs_reachability(n in 1usize..4, cap in 1u8..4) {
-        let sys = Grid { n, cap };
-        let cfg = ExploreConfig { max_depth: n * (cap as usize) + 1, max_states: 1_000_000, ..Default::default() };
-        prop_assert_eq!(bfs(&sys, &[], &cfg).states_visited, dfs(&sys, &[], &cfg).states_visited);
-    }
-
     /// Consequence prediction never visits more states than BFS.
     #[test]
     fn consequence_is_a_pruning(n in 1usize..4, cap in 1u8..4, depth in 1usize..6) {
@@ -99,13 +91,4 @@ proptest! {
         prop_assert!(report.states_visited as usize <= budget);
     }
 
-    /// Parallel BFS agrees with sequential BFS for every thread count.
-    #[test]
-    fn parallel_agrees_with_sequential(n in 1usize..4, cap in 1u8..4, threads in 1usize..5) {
-        let sys = Grid { n, cap };
-        let cfg = ExploreConfig { max_depth: 8, max_states: 1_000_000, ..Default::default() };
-        let seq = bfs(&sys, &[], &cfg);
-        let par = cb_mck::parallel::parallel_bfs(&sys, &[], &cfg, threads);
-        prop_assert_eq!(seq.states_visited, par.states_visited);
-    }
 }

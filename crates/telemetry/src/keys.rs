@@ -107,8 +107,8 @@ pub const CORE_GOVERNOR_SURVIVAL_NS: &str = "core.governor.in_survival_sim_ns";
 pub const CORE_LADDER_RUNG_LOOKAHEAD: &str = "core.ladder.rung_lookahead";
 /// Decisions the ladder resolved on the cached-lookahead rung (rung 1).
 pub const CORE_LADDER_RUNG_CACHED: &str = "core.ladder.rung_cached";
-/// Decisions the ladder resolved on the precomputed-table rung (rung 2) —
-/// store-served warm hits.
+/// Decisions the ladder resolved on rung 2, a policy-store hit. The name
+/// predates the store (it is on disk in artifacts and corpus records).
 pub const CORE_LADDER_RUNG_PRECOMPUTED: &str = "core.ladder.rung_precomputed";
 /// Decisions the ladder resolved on the learned-bandit rung (rung 3).
 pub const CORE_LADDER_RUNG_LEARNED: &str = "core.ladder.rung_learned";
@@ -199,8 +199,9 @@ pub const MCK_DEDUP_HITS: &str = "mck.dedup_hits";
 pub const MCK_FRONTIER_PEAK: &str = "mck.frontier_peak";
 /// Deepest level reached (gauge; merge keeps the max).
 pub const MCK_MAX_DEPTH: &str = "mck.max_depth";
-/// Parallel-BFS shard-lock contention events (try_lock failures).
-/// Scheduling-dependent, hence `wall`: fingerprint-exempt.
+/// Shard-lock contention events of the parallel explorer that cb-mck no
+/// longer has: always 0, kept because the name is on disk in artifacts
+/// and corpus records (`wall`: fingerprint-exempt).
 pub const MCK_SHARD_CONTENTION_WALL: &str = "mck.shard_contention_wall";
 
 /// Pre-creates every standard metric at its zero value (idempotent).
