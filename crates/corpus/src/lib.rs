@@ -50,3 +50,13 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     }
     h
 }
+
+#[cfg(test)]
+mod tests {
+    /// Record object names and the `index.cbc` checksum are this hash.
+    #[test]
+    fn fnv1a_is_golden() {
+        assert_eq!(super::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(super::fnv1a(b"cb-corpus"), 0x5613_c3ec_cea1_9bd3);
+    }
+}

@@ -630,6 +630,22 @@ mod tests {
         assert_eq!(loaded.total_entries(), 11);
     }
 
+    /// On-disk ids: choice hashes and content ids are checksums inside
+    /// every saved store and pile, so their exact values are part of the
+    /// format.
+    #[test]
+    fn content_ids_are_golden() {
+        assert_eq!(hash_str(""), 0xc381_7c01_6ba4_ff30);
+        assert_eq!(hash_str("kv.read_replica"), 0xeb13_2962_6b09_d73f);
+        assert_eq!(PolicyStore::new("kv").content_id(), 0xefeb_8f8d_0508_7bba);
+        assert_eq!(sample_store().content_id(), 0x9467_648c_4abf_07fa);
+        let mut pile = PolicyPile::new();
+        assert_eq!(pile.content_id(), 0xc381_7c01_6ba4_ff30);
+        pile.insert_store(sample_store());
+        pile.insert_store(PolicyStore::new("gossip"));
+        assert_eq!(pile.content_id(), 0xd2a3_54a3_5fbb_1ceb);
+    }
+
     #[test]
     fn merge_is_order_independent_and_idempotent() {
         let a = sample_store();

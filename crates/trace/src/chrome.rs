@@ -148,5 +148,8 @@ mod tests {
         };
         assert_eq!(flow_id(a, b), flow_id(a, b));
         assert_ne!(flow_id(a, b), flow_id(b, a));
+        // Golden: exported traces name their flow arrows by these ids.
+        assert_eq!(flow_id(a, b), 0xd897_eec5_68ba_d337);
+        assert_eq!(flow_id(b, a), 0xf439_ab91_4b76_4257);
     }
 }

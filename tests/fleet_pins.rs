@@ -12,10 +12,12 @@
 //! prints the observed triple).
 
 use cb_bench::registry::{configure, scenario_names, ArmSpec};
+use cb_bench::steeringlab::run_lab;
 use cb_dissem::SwarmCampaign;
 use cb_gossip::GossipCampaign;
 use cb_harness::prelude::*;
-use cb_simnet::prelude::SimTime;
+use cb_simnet::prelude::{SimDuration, SimTime};
+use cb_workload::WorkloadProfile;
 
 type Pin = (u64, u64, u64);
 
@@ -110,4 +112,73 @@ fn stock_scenarios_are_pinned() {
         }
     }
     assert!(wrong.is_empty(), "observed:\n{}", wrong.join("\n"));
+}
+
+/// Arms whose run bodies share the replica-group plan, the agreement and
+/// linearizability oracles and the workload windows rule, seed 3 under the
+/// default plan: `(fingerprint, events_processed, failing oracles)`.
+/// Recorded at PR 24, before those decisions moved behind one definition
+/// each (PR 25).
+#[test]
+fn replica_group_arms_are_pinned() {
+    let flash = || WorkloadProfile::by_name("flash");
+    let arms: [(&str, ArmSpec, (u64, u64, &[&str])); 3] = [
+        (
+            "kv",
+            ArmSpec {
+                workload: flash(),
+                ..ArmSpec::default()
+            },
+            (0x2067_8f73_b96d_0463, 15_375, &[]),
+        ),
+        (
+            "mencius",
+            ArmSpec {
+                workload: flash(),
+                ..ArmSpec::default()
+            },
+            (0x92f1_39d3_9cdf_16c5, 46_752, &[]),
+        ),
+        (
+            "kv",
+            ArmSpec {
+                unsafe_reads: true,
+                ..ArmSpec::default()
+            },
+            (0x2290_5736_a8e0_b80a, 4_802, &["kv.linearizable"]),
+        ),
+    ];
+    let mut wrong = Vec::new();
+    for (name, arm, pin) in arms {
+        let scenario = configure(name, &arm).expect("arm configures");
+        let r = scenario.run(3, &scenario.default_plan(3));
+        let got = (r.fingerprint, r.events_processed, r.failing_oracles());
+        if (got.0, got.1, got.2.as_slice()) != pin {
+            wrong.push(format!(
+                "(\"{name}\" {:?}): ({:#018x}, {}, &{:?}),",
+                arm.set_fields(),
+                got.0,
+                got.1,
+                got.2
+            ));
+        }
+    }
+    assert!(wrong.is_empty(), "observed:\n{}", wrong.join("\n"));
+}
+
+/// The A2 steering lab at its three cadences — advisor off, 50 ms, 5 s —
+/// over the 12-node racing waves, seed 3: `(conflicts, filtered)`.
+#[test]
+fn steering_lab_cadences_are_pinned() {
+    let hop = SimDuration::from_millis(400);
+    let cadences = [
+        None,
+        Some(SimDuration::from_millis(50)),
+        Some(SimDuration::from_secs(5)),
+    ];
+    let got = cadences.map(|cadence| {
+        let out = run_lab(12, hop, cadence, 3);
+        (out.conflicts, out.filtered)
+    });
+    assert_eq!(got, [(2, 0), (0, 1), (2, 0)]);
 }
