@@ -99,48 +99,51 @@ pub struct LabOutcome {
     pub filtered: u64,
 }
 
-/// Runs the racing waves over `nodes` nodes.
+/// The predicted-violation advisor: drop (and break the connection to)
+/// any peer whose last checkpoint adopted a different value than ours.
+fn conflict_advisor() -> SteeringAdvisor<Option<u32>> {
+    Box::new(|input| {
+        let Some(mine) = input.my_state else {
+            return Vec::new();
+        };
+        input
+            .model
+            .known()
+            .filter_map(|peer| match input.model.view(peer) {
+                NodeView::Known(s) => match s.state {
+                    Some(theirs) if theirs != mine => Some(SteeringAdvice {
+                        reason: format!("predicted conflict {mine} vs {theirs}"),
+                        from: peer,
+                        action: FilterAction::DropAndBreak,
+                    }),
+                    _ => None,
+                },
+                NodeView::Generic => None,
+            })
+            .collect()
+    })
+}
+
+/// The racing waves over `nodes` nodes, built but not started.
 ///
 /// `controller_interval = None` disables the advisor entirely (the
-/// unprotected baseline).
-pub fn run_lab(
+/// unprotected baseline, controller every 100 ms); `Some(cadence)` runs
+/// the conflict advisor on that cadence.
+pub fn lab_fleet(
     nodes: usize,
     hop_delay: SimDuration,
     controller_interval: Option<SimDuration>,
     seed: u64,
-) -> LabOutcome {
+) -> Sim<RuntimeNode<Register>> {
     let topo = Topology::star(nodes, SimDuration::from_millis(10), 10_000_000);
-    let mut sim = Sim::new(topo, seed, move |id| {
-        let mut config: RuntimeConfig<Option<u32>> =
-            RuntimeConfig::new(Box::new(RandomResolver::new(1)));
-        match controller_interval {
-            None => {
-                config = config.controller_every(SimDuration::from_millis(100));
-            }
-            Some(interval) => {
-                let advisor: SteeringAdvisor<Option<u32>> = Box::new(|input| {
-                    let Some(mine) = input.my_state else {
-                        return Vec::new();
-                    };
-                    input
-                        .model
-                        .known()
-                        .filter_map(|peer| match input.model.view(peer) {
-                            NodeView::Known(s) => match s.state {
-                                Some(theirs) if theirs != mine => Some(SteeringAdvice {
-                                    reason: format!("predicted conflict {mine} vs {theirs}"),
-                                    from: peer,
-                                    action: FilterAction::DropAndBreak,
-                                }),
-                                _ => None,
-                            },
-                            NodeView::Generic => None,
-                        })
-                        .collect()
-                });
-                config = config.controller_every(interval).with_advisor(advisor);
-            }
-        }
+    Sim::new(topo, seed, move |id| {
+        let config = RuntimeConfig::new(Box::new(RandomResolver::new(1)));
+        let config = match controller_interval {
+            None => config.controller_every(SimDuration::from_millis(100)),
+            Some(interval) => config
+                .controller_every(interval)
+                .with_advisor(conflict_advisor()),
+        };
         RuntimeNode::new(
             Register {
                 me: id,
@@ -151,7 +154,18 @@ pub fn run_lab(
             },
             config,
         )
-    });
+    })
+}
+
+/// Runs the racing waves over `nodes` nodes to quiescence (see
+/// [`lab_fleet`]).
+pub fn run_lab(
+    nodes: usize,
+    hop_delay: SimDuration,
+    controller_interval: Option<SimDuration>,
+    seed: u64,
+) -> LabOutcome {
+    let mut sim = lab_fleet(nodes, hop_delay, controller_interval, seed);
     sim.start_all();
     sim.run_until_quiescent(SimTime::from_secs(60));
     let conflicts = sim
@@ -167,115 +181,6 @@ pub fn run_lab(
     LabOutcome {
         conflicts,
         filtered,
-    }
-}
-
-/// Campaign wrapper around the steering lab: the racing waves with the
-/// advisor enabled, run under the campaign runner so the full steering
-/// filter lifecycle (`core.steering.installed/fired/expired/removed`)
-/// flows into the merged campaign telemetry and failure artifacts.
-pub struct SteeringLabCampaign {
-    /// Participants in the racing waves.
-    pub nodes: usize,
-    /// Wave hop delay.
-    pub hop_delay: SimDuration,
-    /// Controller cadence for the advisor.
-    pub cadence: SimDuration,
-}
-
-impl Default for SteeringLabCampaign {
-    fn default() -> Self {
-        SteeringLabCampaign {
-            nodes: 12,
-            hop_delay: SimDuration::from_millis(400),
-            cadence: SimDuration::from_millis(50),
-        }
-    }
-}
-
-impl cb_harness::scenario::Scenario for SteeringLabCampaign {
-    fn name(&self) -> &'static str {
-        "steeringlab"
-    }
-
-    fn node_count(&self) -> usize {
-        self.nodes
-    }
-
-    fn default_plan(&self, _seed: u64) -> cb_harness::plan::FaultPlan {
-        // The lab's adversary is its own racing waves; no injected faults.
-        cb_harness::plan::FaultPlan::none()
-    }
-
-    fn run(
-        &self,
-        seed: u64,
-        plan: &cb_harness::plan::FaultPlan,
-    ) -> cb_harness::scenario::RunReport {
-        use cb_core::runtime::fleet_telemetry;
-        use cb_harness::oracle::OracleVerdict;
-
-        let nodes = self.nodes;
-        let hop_delay = self.hop_delay;
-        let cadence = self.cadence;
-        let topo = Topology::star(nodes, SimDuration::from_millis(10), 10_000_000);
-        let mut sim = Sim::new(topo, seed, move |id| {
-            let advisor: SteeringAdvisor<Option<u32>> = Box::new(|input| {
-                let Some(mine) = input.my_state else {
-                    return Vec::new();
-                };
-                input
-                    .model
-                    .known()
-                    .filter_map(|peer| match input.model.view(peer) {
-                        NodeView::Known(s) => match s.state {
-                            Some(theirs) if theirs != mine => Some(SteeringAdvice {
-                                reason: format!("predicted conflict {mine} vs {theirs}"),
-                                from: peer,
-                                action: FilterAction::DropAndBreak,
-                            }),
-                            _ => None,
-                        },
-                        NodeView::Generic => None,
-                    })
-                    .collect()
-            });
-            RuntimeNode::new(
-                Register {
-                    me: id,
-                    n: nodes,
-                    hop_delay,
-                    value: None,
-                    conflicts_seen: 0,
-                },
-                RuntimeConfig::new(Box::new(RandomResolver::new(1)))
-                    .controller_every(cadence)
-                    .with_advisor(advisor),
-            )
-        });
-        sim.start_all();
-        let horizon = SimTime::from_secs(60);
-        plan.drive(&mut sim, seed ^ 0x57ee_7113, horizon);
-        let filtered: u64 = sim
-            .topology()
-            .hosts()
-            .map(|n| sim.actor(n).steering_stats().0)
-            .sum();
-        let verdicts = vec![OracleVerdict::check(
-            "steering.engaged",
-            filtered > 0,
-            format!("{filtered} messages filtered"),
-        )];
-        cb_harness::scenario::RunReport::from_sim_quiescence(
-            self.name(),
-            seed,
-            plan,
-            &sim,
-            horizon,
-            verdicts,
-            false,
-        )
-        .with_telemetry(fleet_telemetry(&sim))
     }
 }
 
@@ -307,36 +212,47 @@ mod tests {
     }
 
     #[test]
-    fn campaign_telemetry_carries_the_filter_lifecycle() {
-        use cb_harness::prelude::{run_campaign, CampaignConfig};
+    fn fleet_telemetry_carries_the_filter_lifecycle_deterministically() {
+        use cb_core::runtime::fleet_telemetry;
         use cb_telemetry::keys;
 
-        let scenario = SteeringLabCampaign::default();
-        let cfg = CampaignConfig {
-            seeds: 2,
-            check_determinism: true,
-            shrink: false,
-            artifact_dir: None,
-            ..CampaignConfig::default()
-        };
-        let outcome = run_campaign(&scenario, &cfg);
-        assert!(outcome.all_passed(), "steering lab campaign failed");
-        let t = &outcome.telemetry;
-        let installed = t.counter(keys::CORE_STEERING_INSTALLED);
-        let fired = t.counter(keys::CORE_STEERING_FIRED);
-        let expired = t.counter(keys::CORE_STEERING_EXPIRED);
-        let removed = t.counter(keys::CORE_STEERING_REMOVED);
-        assert!(installed > 0, "no filters installed");
-        assert!(fired > 0, "no filter ever fired");
-        // Lifecycle conservation: every filter that left did so by budget
-        // exhaustion or explicit removal, and never more left than entered.
-        assert!(
-            expired + removed <= installed,
-            "more filters left ({expired} expired + {removed} removed) than installed ({installed})"
-        );
-        // The legacy drop counter and the lifecycle fired counter describe
-        // the same events from two vantage points.
-        assert_eq!(fired, t.counter(keys::CORE_STEERING_DROPPED));
+        for seed in [1, 2] {
+            let run = || {
+                let mut sim = lab_fleet(
+                    12,
+                    SimDuration::from_millis(400),
+                    Some(SimDuration::from_millis(50)),
+                    seed,
+                );
+                sim.start_all();
+                sim.run_until_quiescent(SimTime::from_secs(60));
+                (sim.trace().fingerprint(), fleet_telemetry(&sim))
+            };
+            let (fingerprint, t) = run();
+            let (again, t2) = run();
+            assert_eq!(fingerprint, again, "seed {seed}: lab run nondeterministic");
+            assert_eq!(
+                t.masked(),
+                t2.masked(),
+                "seed {seed}: masked telemetry differs"
+            );
+            let installed = t.counter(keys::CORE_STEERING_INSTALLED);
+            let fired = t.counter(keys::CORE_STEERING_FIRED);
+            let expired = t.counter(keys::CORE_STEERING_EXPIRED);
+            let removed = t.counter(keys::CORE_STEERING_REMOVED);
+            assert!(installed > 0, "seed {seed}: no filters installed");
+            assert!(fired > 0, "seed {seed}: no filter ever fired");
+            // Lifecycle conservation: every filter that left did so by
+            // budget exhaustion or explicit removal, and never more left
+            // than entered.
+            assert!(
+                expired + removed <= installed,
+                "more filters left ({expired} expired + {removed} removed) than installed ({installed})"
+            );
+            // The legacy drop counter and the lifecycle fired counter
+            // describe the same events from two vantage points.
+            assert_eq!(fired, t.counter(keys::CORE_STEERING_DROPPED));
+        }
     }
 
     #[test]

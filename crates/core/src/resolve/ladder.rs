@@ -368,6 +368,44 @@ impl Default for LadderResolver {
     }
 }
 
+/// The policy-store side of a fleet of ladders: the warm store every node
+/// serves rung 2 from, and the one store every node records its rung-0
+/// decisions into. Cloning shares both, so a fleet factory can hold one.
+#[derive(Clone)]
+pub struct PolicyArm {
+    warm: Option<Arc<PolicyStore>>,
+    recorder: Option<Arc<Mutex<PolicyStore>>>,
+}
+
+impl PolicyArm {
+    /// Serves hits from `warm` when set; records into a fresh store for
+    /// `scenario` when `record` is.
+    pub fn new(scenario: &str, warm: Option<Arc<PolicyStore>>, record: bool) -> Self {
+        PolicyArm {
+            warm,
+            recorder: record.then(|| Arc::new(Mutex::new(PolicyStore::new(scenario)))),
+        }
+    }
+
+    /// A default ladder wired to this arm's stores.
+    pub fn ladder(&self) -> LadderResolver {
+        let mut ladder = LadderResolver::new();
+        if let Some(store) = &self.warm {
+            ladder = ladder.with_policy(store.clone());
+        }
+        if let Some(rec) = &self.recorder {
+            ladder = ladder.recording_into(rec.clone());
+        }
+        ladder
+    }
+
+    /// What the fleet recorded so far (`None` unless recording).
+    pub fn recorded(&self) -> Option<PolicyStore> {
+        let rec = self.recorder.as_ref()?;
+        Some(rec.lock().expect("policy recorder poisoned").clone())
+    }
+}
+
 impl Resolver for LadderResolver {
     fn resolve(&mut self, request: &ChoiceRequest<'_>, eval: &mut dyn OptionEvaluator) -> usize {
         assert!(!request.is_empty(), "cannot resolve an empty choice");

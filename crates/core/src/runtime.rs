@@ -584,26 +584,15 @@ impl<S: Service> Actor for RuntimeNode<S> {
 }
 
 /// Aggregates telemetry across a whole simulated fleet of runtime nodes:
-/// every node's [`RuntimeNode::telemetry`] snapshot merged (counters add,
-/// peak gauges keep the max, histograms merge), plus the simulator's
-/// `net.*` traffic summary. This is the per-run registry campaign
+/// the simulator's own registry ([`Sim::telemetry`]) with every node's
+/// [`RuntimeNode::telemetry`] snapshot merged in (counters add, peak gauges
+/// keep the max, histograms merge). This is the per-run registry campaign
 /// harnesses embed in their artifacts.
 pub fn fleet_telemetry<S: Service>(sim: &Sim<RuntimeNode<S>>) -> Registry {
-    let mut reg = Registry::new();
-    keys::preregister_standard(&mut reg);
+    let mut reg = sim.telemetry();
     for n in sim.topology().hosts() {
         reg.merge(&sim.actor(n).telemetry());
     }
-    sim.summary().record_into(&mut reg);
-    // Provenance accounting: the flight recorders' span totals
-    // (deterministic for a given seed).
-    let (mut recorded, mut evicted) = (0u64, 0u64);
-    for rec in sim.flight_recorders() {
-        recorded += rec.pushed();
-        evicted += rec.evicted();
-    }
-    reg.set_counter(keys::TRACE_SPANS_RECORDED, recorded);
-    reg.set_counter(keys::TRACE_SPANS_EVICTED, evicted);
     reg
 }
 

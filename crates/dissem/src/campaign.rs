@@ -146,10 +146,8 @@ impl Scenario for SwarmCampaign {
                 format!("incomplete at horizon: {}", incomplete.join(", "))
             },
         )];
-        // Request timers and the controller re-arm forever; skip the
-        // quiescence oracle.
-        RunReport::from_sim_quiescence(self.name(), seed, plan, &sim, self.horizon, verdicts, false)
-            .with_telemetry(fleet_telemetry(&sim))
+        let telemetry = fleet_telemetry(&sim);
+        RunReport::from_sim(self.name(), seed, plan, &sim, verdicts, telemetry)
     }
 }
 

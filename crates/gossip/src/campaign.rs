@@ -168,9 +168,8 @@ impl Scenario for GossipCampaign {
                 starving.join("; ")
             },
         )];
-        // Gossip rounds never stop; skip the quiescence oracle.
-        RunReport::from_sim_quiescence(self.name(), seed, plan, &sim, self.horizon, verdicts, false)
-            .with_telemetry(fleet_telemetry(&sim))
+        let telemetry = fleet_telemetry(&sim);
+        RunReport::from_sim(self.name(), seed, plan, &sim, verdicts, telemetry)
     }
 }
 

@@ -330,21 +330,11 @@ impl LinViolation {
 }
 
 /// Runs the per-key check and wraps the outcome as an [`OracleVerdict`]
-/// under the given oracle name.
+/// under the given oracle name (`kv.linearizable`,
+/// `mencius.linearizable`).
 pub fn linearizability_verdict(name: &str, history: &[Op]) -> OracleVerdict {
-    let keys = history
-        .iter()
-        .map(|o| o.key)
-        .collect::<std::collections::BTreeSet<_>>()
-        .len();
     match check_history(history) {
-        Ok(()) => OracleVerdict::pass(
-            name,
-            format!(
-                "{} ops over {keys} keys linearizable per key",
-                history.len()
-            ),
-        ),
+        Ok(()) => OracleVerdict::pass(name, format!("{} ops linearizable", history.len())),
         Err(v) => OracleVerdict::fail(name, v.detail()),
     }
 }

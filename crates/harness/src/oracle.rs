@@ -6,12 +6,15 @@
 //! harness itself ships only the generic ones that every scenario gets for
 //! free:
 //!
-//! * **quiescence** — the simulator ran out of work before the horizon, i.e.
-//!   the protocol does not spin forever;
+//! * **quiescence** ([`quiescence`]) — the simulator ran out of work before
+//!   the horizon, i.e. the protocol does not spin forever. Only scenarios
+//!   that are meant to stop ask for it: runtime fleets re-arm their
+//!   controller timers forever and never quiesce by design;
 //! * **determinism** — re-running the same seed + fault plan yields an
 //!   identical trace fingerprint (checked by the campaign runner itself
 //!   because it needs a second run, see `campaign.rs`).
 
+use cb_simnet::prelude::{Actor, Sim, SimTime};
 use std::fmt;
 
 /// The outcome of one oracle check.
@@ -64,6 +67,21 @@ impl fmt::Display for OracleVerdict {
             self.detail
         )
     }
+}
+
+/// `generic.quiescence`: no events are left queued once the run stopped at
+/// `horizon`.
+pub fn quiescence<A: Actor>(sim: &Sim<A>, horizon: SimTime) -> OracleVerdict {
+    let pending = sim.pending_events();
+    OracleVerdict::check(
+        "generic.quiescence",
+        pending == 0,
+        format!(
+            "{} events pending at horizon {} ms",
+            pending,
+            horizon.as_millis()
+        ),
+    )
 }
 
 /// An invariant checked against a world of type `W` after a run.

@@ -371,6 +371,34 @@ impl FaultPlan {
         self
     }
 
+    /// The default plan of a replica group — replicas `0..replicas` among
+    /// `hosts` nodes (paxos, kv, mencius): crash one rotating replica
+    /// mid-run and restart it (a majority stays up), cut a different
+    /// replica off behind a healed partition, and add a loss window; a
+    /// `storm` layers a stall, a delay spike and heavier loss on top.
+    /// Clients are never faulted.
+    pub fn replica_group(replicas: usize, hosts: usize, seed: u64, storm: bool) -> FaultPlan {
+        let r = replicas as u64;
+        let victim = (seed % r) as u32;
+        let cut = ((seed + 2) % r) as u32;
+        let mut plan = FaultPlan::none()
+            .crash(victim, 20_000)
+            .restart(victim, 45_000)
+            .loss(0.05, 10_000, 30_000);
+        if cut != victim {
+            let others: Vec<u32> = (0..hosts as u32).filter(|&i| i != cut).collect();
+            plan = plan.partition(&[cut], &others, 30_000, Some(60_000));
+        }
+        if storm {
+            let stalled = ((seed + 3) % r) as u32;
+            plan = plan
+                .stall(stalled, 12_000, 22_000)
+                .delayspike(150, 8_000, 25_000)
+                .loss(0.10, 65_000, 80_000);
+        }
+        plan
+    }
+
     /// Number of faults in the plan.
     pub fn len(&self) -> usize {
         self.faults.len()

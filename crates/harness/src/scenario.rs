@@ -3,17 +3,22 @@
 //! A [`Scenario`] packages one protocol experiment — topology construction,
 //! actor wiring, workload, fault application, and invariant oracles — behind
 //! a uniform interface so the campaign runner can sweep seeds over any of
-//! them. App crates (randtree, gossip, paxos, dissem) implement this trait
-//! in their `campaign` modules; the harness ships a toy scenario for its own
-//! tests (see `toy.rs`).
+//! them. Every registered scenario implements it in its crate's `campaign`
+//! module (randtree, gossip, paxos, dissem, kv; mencius in
+//! `cb_paxos::mencius`); the harness ships the ring toy for its own tests
+//! (see `toy.rs`). What scenarios share lives here and beside it — the
+//! replica-group plan ([`FaultPlan::replica_group`]), the quiescence and
+//! linearizability verdicts, one report constructor
+//! ([`RunReport::from_sim`]) — so a `run` body holds only its fleet, its
+//! drive salt and its own oracles.
 
 use crate::json::{Json, Sink};
 use crate::oracle::OracleVerdict;
 use crate::plan::FaultPlan;
 use crate::provenance::{self, emit_provenance, provenance_json};
 use crate::telemetry::emit_telemetry;
-use cb_simnet::prelude::{Actor, MetricsSummary, Sim, SimTime};
-use cb_telemetry::{keys, Registry};
+use cb_simnet::prelude::{Actor, Sim, SimTime};
+use cb_telemetry::Registry;
 use cb_trace::Span;
 
 /// Everything the campaign runner keeps from one seed's run.
@@ -58,13 +63,15 @@ pub struct RunReport {
     /// Spans evicted from the bounded rings (the tail may be incomplete
     /// when nonzero).
     pub spans_evicted: u64,
-    /// Full telemetry registry for the run (standard schema pre-registered,
-    /// `net.*` filled from the sim summary; runtime scenarios replace it
-    /// with a fleet-wide registry via [`RunReport::with_telemetry`]).
+    /// Full telemetry registry for the run, handed to
+    /// [`RunReport::from_sim`]: the standard schema pre-registered, the
+    /// `net.*` traffic summary and span totals ([`Sim::telemetry`]), plus
+    /// every node's registry for runtime fleets
+    /// (`cb_core::runtime::fleet_telemetry`).
     pub telemetry: Registry,
     /// The policy store this run recorded (scenarios running with
-    /// `--record-policy` attach it via [`RunReport::with_policy`]); the
-    /// campaign runner merges per-seed stores deterministically.
+    /// `--record-policy` set it); the campaign runner merges per-seed
+    /// stores deterministically.
     pub policy: Option<cb_policy::PolicyStore>,
 }
 
@@ -72,49 +79,20 @@ impl RunReport {
     /// How many trace lines a failing report embeds.
     pub const TRACE_WINDOW: usize = 40;
 
-    /// Builds a report by inspecting a finished sim. `verdicts` should
-    /// already contain the scenario-specific oracle results; this adds the
-    /// generic quiescence oracle and snapshots metrics/trace.
+    /// Builds a report by inspecting a finished sim: `verdicts` are every
+    /// oracle result in report order, `telemetry` the run's registry
+    /// ([`Sim::telemetry`], or a runtime fleet's
+    /// `cb_core::runtime::fleet_telemetry`). Snapshots metrics and the
+    /// flight-recorder tail.
     pub fn from_sim<A: Actor>(
         scenario: &str,
         seed: u64,
         plan: &FaultPlan,
         sim: &Sim<A>,
-        horizon: SimTime,
         verdicts: Vec<OracleVerdict>,
+        telemetry: Registry,
     ) -> Self {
-        Self::from_sim_quiescence(scenario, seed, plan, sim, horizon, verdicts, true)
-    }
-
-    /// [`RunReport::from_sim`] with the generic quiescence oracle made
-    /// optional — periodic protocols (gossip rounds, heartbeats) never
-    /// quiesce by design and pass `expect_quiescence = false`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_sim_quiescence<A: Actor>(
-        scenario: &str,
-        seed: u64,
-        plan: &FaultPlan,
-        sim: &Sim<A>,
-        horizon: SimTime,
-        mut verdicts: Vec<OracleVerdict>,
-        expect_quiescence: bool,
-    ) -> Self {
-        let pending = sim.pending_events();
-        if expect_quiescence {
-            verdicts.push(OracleVerdict::check(
-                "generic.quiescence",
-                pending == 0,
-                format!(
-                    "{} events pending at horizon {} ms",
-                    pending,
-                    horizon.as_millis()
-                ),
-            ));
-        }
-        let summary: MetricsSummary = sim.summary();
-        let mut telemetry = Registry::new();
-        keys::preregister_standard(&mut telemetry);
-        summary.record_into(&mut telemetry);
+        let summary = sim.summary();
         let failed = verdicts.iter().any(|v| !v.passed);
         let last_trace = if failed {
             provenance::trace_tail(sim.flight_recorders(), Self::TRACE_WINDOW)
@@ -134,20 +112,14 @@ impl RunReport {
                 .collect();
             provenance.extend(provenance::violation_spans(sim, &failing));
         }
-        let (mut spans_recorded, mut spans_evicted) = (0u64, 0u64);
-        for rec in sim.flight_recorders() {
-            spans_recorded += rec.pushed();
-            spans_evicted += rec.evicted();
-        }
-        telemetry.set_counter(keys::TRACE_SPANS_RECORDED, spans_recorded);
-        telemetry.set_counter(keys::TRACE_SPANS_EVICTED, spans_evicted);
+        let (spans_recorded, spans_evicted) = sim.span_totals();
         RunReport {
             scenario: scenario.to_string(),
             seed,
             plan: plan.clone(),
             fingerprint: sim.trace().fingerprint(),
             events_processed: sim.events_processed(),
-            pending_events: pending,
+            pending_events: sim.pending_events(),
             end: sim.now(),
             msgs_sent: summary.msgs_sent,
             msgs_delivered: summary.msgs_delivered,
@@ -161,21 +133,6 @@ impl RunReport {
             telemetry,
             policy: None,
         }
-    }
-
-    /// Replaces the report's telemetry with a richer registry — typically
-    /// [`cb_core::runtime::fleet_telemetry`]'s fleet-wide merge, which
-    /// already contains the `net.*` metrics this report pre-filled (replace,
-    /// not merge, so network counters are not double-counted).
-    pub fn with_telemetry(mut self, telemetry: Registry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Attaches the policy store the run recorded into.
-    pub fn with_policy(mut self, policy: cb_policy::PolicyStore) -> Self {
-        self.policy = Some(policy);
-        self
     }
 
     /// Whether any oracle failed.

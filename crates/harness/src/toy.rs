@@ -8,7 +8,7 @@
 //! is never restarted. That gives the campaign/shrink tests a scenario with
 //! a *controllable* violation at near-zero cost.
 
-use crate::oracle::OracleVerdict;
+use crate::oracle::{self, OracleVerdict};
 use crate::plan::FaultPlan;
 use crate::scenario::{RunReport, Scenario};
 use cb_simnet::prelude::*;
@@ -134,16 +134,19 @@ impl Scenario for RingScenario {
                 missing.push(format!("{} never heard from {}", i, p.0));
             }
         }
-        let verdicts = vec![OracleVerdict::check(
-            "ring.heartbeat_connectivity",
-            missing.is_empty(),
-            if missing.is_empty() {
-                "every up node heard its predecessor".to_string()
-            } else {
-                missing.join("; ")
-            },
-        )];
-        RunReport::from_sim(self.name(), seed, plan, &sim, self.horizon, verdicts)
+        let verdicts = vec![
+            OracleVerdict::check(
+                "ring.heartbeat_connectivity",
+                missing.is_empty(),
+                if missing.is_empty() {
+                    "every up node heard its predecessor".to_string()
+                } else {
+                    missing.join("; ")
+                },
+            ),
+            oracle::quiescence(&sim, self.horizon),
+        ];
+        RunReport::from_sim(self.name(), seed, plan, &sim, verdicts, sim.telemetry())
     }
 }
 

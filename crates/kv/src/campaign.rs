@@ -17,9 +17,10 @@ use crate::loadgen::LoadGen;
 use crate::node::KvNode;
 use crate::replica::{OverloadConfig, Replica};
 use crate::session::Session;
+use cb_core::choice::Resolver;
+use cb_core::resolve::ladder::PolicyArm;
 use cb_core::resolve::random::RandomResolver;
 use cb_core::runtime::{fleet_telemetry, RuntimeConfig, RuntimeNode};
-use cb_harness::linearizability::{check_history, Op};
 use cb_harness::overload;
 use cb_harness::prelude::*;
 use cb_harness::scenario::RunReport;
@@ -77,24 +78,6 @@ impl Default for KvCampaign {
     }
 }
 
-impl KvCampaign {
-    /// Runs a campaign and returns the concatenated, completed-or-pending
-    /// history — exposed for tests that want to inspect it directly.
-    pub fn collect_history(
-        sim: &Sim<RuntimeNode<KvNode>>,
-        replicas: usize,
-        clients: usize,
-    ) -> Vec<Op> {
-        let mut history = Vec::new();
-        for i in replicas as u32..(replicas + clients) as u32 {
-            if let Some(s) = sim.actor(NodeId(i)).service().as_session() {
-                history.extend(s.history.iter().cloned());
-            }
-        }
-        history
-    }
-}
-
 impl Scenario for KvCampaign {
     fn name(&self) -> &'static str {
         "kv"
@@ -106,31 +89,7 @@ impl Scenario for KvCampaign {
     }
 
     fn default_plan(&self, seed: u64) -> FaultPlan {
-        // Crash one rotating replica mid-run and restart it (majority
-        // stays up), cut a different replica off behind a healed
-        // partition, and add a loss window; a storm layers stalls and a
-        // delay spike on top. Clients are never faulted.
-        let r = self.replicas as u64;
-        let victim = (seed % r) as u32;
-        let cut = ((seed + 2) % r) as u32;
-        let mut plan = FaultPlan::none()
-            .crash(victim, 20_000)
-            .restart(victim, 45_000)
-            .loss(0.05, 10_000, 30_000);
-        if cut != victim {
-            let others: Vec<u32> = (0..self.node_count() as u32)
-                .filter(|&i| i != cut)
-                .collect();
-            plan = plan.partition(&[cut], &others, 30_000, Some(60_000));
-        }
-        if self.storm {
-            let stalled = ((seed + 3) % r) as u32;
-            plan = plan
-                .stall(stalled, 12_000, 22_000)
-                .delayspike(150, 8_000, 25_000)
-                .loss(0.10, 65_000, 80_000);
-        }
-        plan
+        FaultPlan::replica_group(self.replicas, self.node_count(), seed, self.storm)
     }
 
     fn run(&self, seed: u64, plan: &FaultPlan) -> RunReport {
@@ -141,18 +100,13 @@ impl Scenario for KvCampaign {
         let per_client = self.ops_per_client;
         let keys = self.keys;
         let unsafe_reads = self.unsafe_reads;
-        let group_clone = group.clone();
         // Workload arms always run the ladder: only a health-aware
         // resolver owns the governor the load signal is wired into.
         let ladder = self.policy.is_some() || self.record_policy || self.workload.is_some();
-        let policy = self.policy.clone();
+        let policy = PolicyArm::new(self.name(), self.policy.clone(), self.record_policy);
+        let arm = policy.clone();
         let workload = self.workload.clone();
-        // Offered load ends at two-thirds of the horizon, leaving a tail
-        // in which a healthy fleet must drain and recover (what the
-        // metastability oracle judges).
-        let windows = workload.as_ref().map_or(0, |p| {
-            (self.horizon.as_nanos() * 2 / 3) / p.window.as_nanos().max(1)
-        });
+        let windows = workload.as_ref().map_or(0, |p| p.windows(self.horizon));
         // Under a workload the controller runs faster: governor recovery
         // takes `up_patience` observations, and those must fit inside the
         // profile's recovery window even on nodes that stop deciding.
@@ -161,38 +115,25 @@ impl Scenario for KvCampaign {
         } else {
             SimDuration::from_secs(5)
         };
-        let recorder = self.record_policy.then(|| {
-            std::sync::Arc::new(std::sync::Mutex::new(cb_policy::PolicyStore::new(
-                self.name(),
-            )))
-        });
-        let rec_for_nodes = recorder.clone();
         let mut sim: Sim<RuntimeNode<KvNode>> = Sim::new(topo, seed, move |id| {
             let svc = if (id.0 as usize) < replicas {
-                let mut r = Replica::new(id, group_clone.clone(), unsafe_reads);
+                let mut r = Replica::new(id, group.clone(), unsafe_reads);
                 if let Some(p) = &workload {
                     r = r.with_overload(OverloadConfig::from_profile(p));
                 }
                 KvNode::Replica(r)
             } else if (id.0 as usize) < replicas + clients {
-                KvNode::Client(Session::new(id, group_clone.clone(), keys, per_client))
+                KvNode::Client(Session::new(id, group.clone(), keys, per_client))
             } else if let Some(p) = workload
                 .clone()
                 .filter(|_| id.0 as usize == replicas + clients)
             {
-                KvNode::Load(LoadGen::new(id, group_clone.clone(), p, seed, windows))
+                KvNode::Load(LoadGen::new(id, group.clone(), p, seed, windows))
             } else {
                 KvNode::Idle
             };
-            let resolver: Box<dyn cb_core::choice::Resolver> = if ladder {
-                let mut l = cb_core::resolve::ladder::LadderResolver::new();
-                if let Some(store) = &policy {
-                    l = l.with_policy(store.clone());
-                }
-                if let Some(rec) = &rec_for_nodes {
-                    l = l.recording_into(rec.clone());
-                }
-                Box::new(l)
+            let resolver: Box<dyn Resolver> = if ladder {
+                Box::new(arm.ladder())
             } else {
                 Box::new(RandomResolver::new(seed ^ ((id.0 as u64) << 24)))
             };
@@ -201,31 +142,23 @@ impl Scenario for KvCampaign {
                 RuntimeConfig::new(resolver).controller_every(controller_every),
             )
         });
-        for i in 0..self.node_count() as u32 {
-            sim.schedule_start(NodeId(i), SimTime::ZERO);
-        }
+        sim.start_all();
         plan.drive(&mut sim, seed ^ 0x5eed, self.horizon);
 
         // Linearizability: the WGL checker over all sessions' histories.
-        let history = Self::collect_history(&sim, replicas, clients);
-        let lin = match check_history(&history) {
-            Ok(()) => OracleVerdict::pass(
-                "kv.linearizable",
-                format!("{} ops linearizable", history.len()),
-            ),
-            Err(v) => OracleVerdict::fail("kv.linearizable", v.detail()),
-        };
         // Progress: every session finished its budget.
+        let mut history: Vec<Op> = Vec::new();
         let mut completed = 0usize;
         for i in replicas as u32..(replicas + clients) as u32 {
             if let Some(s) = sim.actor(NodeId(i)).service().as_session() {
+                history.extend(s.history.iter().cloned());
                 completed += s.completed();
             }
         }
         let target = clients * per_client as usize;
         let fleet = fleet_telemetry(&sim);
         let mut verdicts = vec![
-            lin,
+            linearizability_verdict("kv.linearizable", &history),
             OracleVerdict::check(
                 "kv.progress",
                 completed >= target,
@@ -249,21 +182,8 @@ impl Scenario for KvCampaign {
                 self.horizon,
             ));
         }
-        // Replica ticks and session sweeps re-arm forever; skip the
-        // quiescence oracle.
-        let mut report = RunReport::from_sim_quiescence(
-            self.name(),
-            seed,
-            plan,
-            &sim,
-            self.horizon,
-            verdicts,
-            false,
-        )
-        .with_telemetry(fleet);
-        if let Some(rec) = recorder {
-            report = report.with_policy(rec.lock().expect("policy recorder poisoned").clone());
-        }
+        let mut report = RunReport::from_sim(self.name(), seed, plan, &sim, verdicts, fleet);
+        report.policy = policy.recorded();
         report
     }
 }

@@ -56,23 +56,7 @@ impl Scenario for PaxosCampaign {
     }
 
     fn default_plan(&self, seed: u64) -> FaultPlan {
-        // Crash one rotating replica mid-run and restart it (majority
-        // stays up), cut a different replica off behind a healed
-        // partition, and add a loss window. Clients are never faulted.
-        let r = self.replicas as u64;
-        let victim = (seed % r) as u32;
-        let cut = ((seed + 2) % r) as u32;
-        let mut plan = FaultPlan::none()
-            .crash(victim, 20_000)
-            .restart(victim, 45_000)
-            .loss(0.05, 10_000, 30_000);
-        if cut != victim {
-            let others: Vec<u32> = (0..self.node_count() as u32)
-                .filter(|&i| i != cut)
-                .collect();
-            plan = plan.partition(&[cut], &others, 30_000, Some(60_000));
-        }
-        plan
+        FaultPlan::replica_group(self.replicas, self.node_count(), seed, false)
     }
 
     fn run(&self, seed: u64, plan: &FaultPlan) -> RunReport {
@@ -107,35 +91,9 @@ impl Scenario for PaxosCampaign {
                     .controller_every(SimDuration::from_secs(5)),
             )
         });
-        for i in 0..self.node_count() as u32 {
-            sim.schedule_start(NodeId(i), SimTime::ZERO);
-        }
+        sim.start_all();
         plan.drive(&mut sim, seed ^ 0x5eed, self.horizon);
 
-        // Agreement: across replicas, every learned slot maps to one
-        // command. A restarted replica has a truncated log; that's fine —
-        // what it *has* learned must still agree.
-        let mut by_slot: BTreeMap<u64, (u64, NodeId)> = BTreeMap::new();
-        let mut conflict = None;
-        for &r in &group {
-            let Some(rep) = sim.actor(r).service().as_replica() else {
-                continue;
-            };
-            for (&slot, &cmd) in &rep.learned {
-                match by_slot.get(&slot) {
-                    Some(&(prev, who)) if prev != cmd.0 => {
-                        conflict = Some(format!(
-                            "slot {slot}: replica {} learned {prev:#x}, replica {} learned {:#x}",
-                            who.0, r.0, cmd.0
-                        ));
-                    }
-                    Some(_) => {}
-                    None => {
-                        by_slot.insert(slot, (cmd.0, r));
-                    }
-                }
-            }
-        }
         // Progress: every client committed everything it submitted.
         let mut committed = 0usize;
         for i in replicas as u32..(replicas + clients) as u32 {
@@ -145,12 +103,11 @@ impl Scenario for PaxosCampaign {
         }
         let submitted = clients * per_client as usize;
         let verdicts = vec![
-            OracleVerdict::check(
+            agreement(
                 "paxos.agreement",
-                conflict.is_none(),
-                conflict.unwrap_or_else(|| {
-                    format!("{} learned slots consistent across replicas", by_slot.len())
-                }),
+                group
+                    .iter()
+                    .filter_map(|&r| sim.actor(r).service().as_replica()),
             ),
             OracleVerdict::check(
                 "paxos.progress",
@@ -158,11 +115,45 @@ impl Scenario for PaxosCampaign {
                 format!("{committed}/{submitted} commands committed"),
             ),
         ];
-        // Clients keep resubmit timers armed and the controller re-arms
-        // forever; skip the quiescence oracle.
-        RunReport::from_sim_quiescence(self.name(), seed, plan, &sim, self.horizon, verdicts, false)
-            .with_telemetry(fleet_telemetry(&sim))
+        let telemetry = fleet_telemetry(&sim);
+        RunReport::from_sim(self.name(), seed, plan, &sim, verdicts, telemetry)
     }
+}
+
+/// Consensus safety over a replica group: across `replicas`, every learned
+/// slot maps to one command. A restarted replica has a truncated log;
+/// that's fine — what it *has* learned must still agree. `name` is the
+/// oracle's (`paxos.agreement`, `mencius.agreement`).
+pub(crate) fn agreement<'a>(
+    name: &str,
+    replicas: impl IntoIterator<Item = &'a Replica>,
+) -> OracleVerdict {
+    let mut by_slot: BTreeMap<u64, (u64, NodeId)> = BTreeMap::new();
+    let mut conflict = None;
+    for rep in replicas {
+        let me = rep.id();
+        for (&slot, &cmd) in &rep.learned {
+            match by_slot.get(&slot) {
+                Some(&(prev, who)) if prev != cmd.0 => {
+                    conflict = Some(format!(
+                        "slot {slot}: replica {} learned {prev:#x}, replica {} learned {:#x}",
+                        who.0, me.0, cmd.0
+                    ));
+                }
+                Some(_) => {}
+                None => {
+                    by_slot.insert(slot, (cmd.0, me));
+                }
+            }
+        }
+    }
+    OracleVerdict::check(
+        name,
+        conflict.is_none(),
+        conflict.unwrap_or_else(|| {
+            format!("{} learned slots consistent across replicas", by_slot.len())
+        }),
+    )
 }
 
 #[cfg(test)]

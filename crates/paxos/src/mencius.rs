@@ -37,12 +37,13 @@
 //! helped decide. It stays a learner and proposer, which a 5-replica
 //! group tolerates: quorums only need 3 of the 4 intact acceptors.
 
+use crate::campaign::agreement;
 use crate::proto::{Command, PaxosMsg};
 use crate::replica::{Replica, ReplicaCheckpoint, SlotOwnership};
 use cb_core::choice::{ContextKey, OptionDesc};
 use cb_core::resolve::random::RandomResolver;
 use cb_core::runtime::{fleet_telemetry, RuntimeConfig, RuntimeNode, Service, ServiceCtx};
-use cb_harness::linearizability::{check_history, Op, OpKind, INIT_VALUE};
+use cb_harness::linearizability::{Op, OpKind, INIT_VALUE};
 use cb_harness::overload;
 use cb_harness::prelude::*;
 use cb_harness::scenario::RunReport;
@@ -844,27 +845,7 @@ impl Scenario for MenciusCampaign {
     }
 
     fn default_plan(&self, seed: u64) -> FaultPlan {
-        let r = self.replicas as u64;
-        let victim = (seed % r) as u32;
-        let cut = ((seed + 2) % r) as u32;
-        let mut plan = FaultPlan::none()
-            .crash(victim, 20_000)
-            .restart(victim, 45_000)
-            .loss(0.05, 10_000, 30_000);
-        if cut != victim {
-            let others: Vec<u32> = (0..self.node_count() as u32)
-                .filter(|&i| i != cut)
-                .collect();
-            plan = plan.partition(&[cut], &others, 30_000, Some(60_000));
-        }
-        if self.storm {
-            let stalled = ((seed + 3) % r) as u32;
-            plan = plan
-                .stall(stalled, 12_000, 22_000)
-                .delayspike(150, 8_000, 25_000)
-                .loss(0.10, 65_000, 80_000);
-        }
-        plan
+        FaultPlan::replica_group(self.replicas, self.node_count(), seed, self.storm)
     }
 
     fn run(&self, seed: u64, plan: &FaultPlan) -> RunReport {
@@ -876,11 +857,7 @@ impl Scenario for MenciusCampaign {
         let keys = self.keys;
         let group_clone = group.clone();
         let workload = self.workload.clone();
-        // Offered load ends at two-thirds of the horizon, leaving a tail
-        // in which the consensus pipeline must drain outstanding bulks.
-        let windows = workload.as_ref().map_or(0, |p| {
-            (self.horizon.as_nanos() * 2 / 3) / p.window.as_nanos().max(1)
-        });
+        let windows = workload.as_ref().map_or(0, |p| p.windows(self.horizon));
         let mut sim: Sim<RuntimeNode<MenciusNode>> = Sim::new(topo, seed, move |id| {
             let svc = if (id.0 as usize) < replicas {
                 MenciusNode::Replica(MenciusReplica::new(id, id.0 as u64, group_clone.clone()))
@@ -911,34 +888,9 @@ impl Scenario for MenciusCampaign {
                     .controller_every(SimDuration::from_secs(5)),
             )
         });
-        for i in 0..self.node_count() as u32 {
-            sim.schedule_start(NodeId(i), SimTime::ZERO);
-        }
+        sim.start_all();
         plan.drive(&mut sim, seed ^ 0x5eed, self.horizon);
 
-        // Agreement: across replicas, every learned slot maps to one
-        // command (a restarted replica's truncated log must still agree).
-        let mut by_slot: BTreeMap<u64, (u64, NodeId)> = BTreeMap::new();
-        let mut conflict = None;
-        for &r in &group {
-            let Some(rep) = sim.actor(r).service().as_replica() else {
-                continue;
-            };
-            for (&slot, &cmd) in &rep.core.learned {
-                match by_slot.get(&slot) {
-                    Some(&(prev, who)) if prev != cmd.0 => {
-                        conflict = Some(format!(
-                            "slot {slot}: replica {} learned {prev:#x}, replica {} learned {:#x}",
-                            who.0, r.0, cmd.0
-                        ));
-                    }
-                    Some(_) => {}
-                    None => {
-                        by_slot.insert(slot, (cmd.0, r));
-                    }
-                }
-            }
-        }
         // Linearizability: the WGL checker over all sessions' histories.
         let mut history: Vec<Op> = Vec::new();
         let mut completed = 0usize;
@@ -948,24 +900,17 @@ impl Scenario for MenciusCampaign {
                 completed += s.completed();
             }
         }
-        let lin = match check_history(&history) {
-            Ok(()) => OracleVerdict::pass(
-                "mencius.linearizable",
-                format!("{} ops linearizable", history.len()),
-            ),
-            Err(v) => OracleVerdict::fail("mencius.linearizable", v.detail()),
-        };
         let target = clients * per_client as usize;
         let fleet = fleet_telemetry(&sim);
         let mut verdicts = vec![
-            OracleVerdict::check(
+            agreement(
                 "mencius.agreement",
-                conflict.is_none(),
-                conflict.unwrap_or_else(|| {
-                    format!("{} learned slots consistent across replicas", by_slot.len())
-                }),
+                group
+                    .iter()
+                    .filter_map(|&r| sim.actor(r).service().as_replica())
+                    .map(|m| &m.core),
             ),
-            lin,
+            linearizability_verdict("mencius.linearizable", &history),
             OracleVerdict::check(
                 "mencius.progress",
                 completed >= target,
@@ -975,8 +920,7 @@ impl Scenario for MenciusCampaign {
         if let Some(p) = &self.workload {
             verdicts.push(overload::goodput_floor(&fleet, p.goodput_floor));
         }
-        RunReport::from_sim_quiescence(self.name(), seed, plan, &sim, self.horizon, verdicts, false)
-            .with_telemetry(fleet)
+        RunReport::from_sim(self.name(), seed, plan, &sim, verdicts, fleet)
     }
 }
 

@@ -117,6 +117,11 @@ impl Replica {
         r
     }
 
+    /// This replica's node.
+    pub(crate) fn id(&self) -> NodeId {
+        self.me
+    }
+
     /// The replica the schedule designates for fresh commands when this one
     /// owns no slots.
     fn schedule_leader(&self) -> NodeId {

@@ -21,7 +21,7 @@ use crate::choice::ChoiceRandTree;
 use crate::metrics::tree_stats;
 use cb_core::choice::Resolver;
 use cb_core::predict::PredictConfig;
-use cb_core::resolve::ladder::LadderResolver;
+use cb_core::resolve::ladder::PolicyArm;
 use cb_core::resolve::lookahead::LookaheadResolver;
 use cb_core::resolve::random::RandomResolver;
 use cb_core::runtime::{fleet_telemetry, RuntimeConfig, RuntimeNode};
@@ -47,9 +47,10 @@ pub struct RandTreeCampaign {
     /// modulo the cache's own hit/miss accounting); the
     /// `cache_transparency` integration test pins exactly that.
     pub evalcache: bool,
-    /// Resolve choices through the degradation-governed
-    /// [`LadderResolver`] instead of a fixed strategy. Takes precedence
-    /// over [`lookahead`](Self::lookahead). Combined with
+    /// Resolve choices through the degradation-governed ladder
+    /// ([`LadderResolver`](cb_core::resolve::ladder::LadderResolver))
+    /// instead of a fixed strategy. Takes precedence over
+    /// [`lookahead`](Self::lookahead). Combined with
     /// [`deadline_states`](Self::deadline_states) this is the *enforced*
     /// arm of the degradation experiments: the evaluator stops exploring
     /// at the deadline, reports [`Partial`], and the ladder steps down.
@@ -70,10 +71,10 @@ pub struct RandTreeCampaign {
     /// horizon, so the oracles must hold.
     pub storm: bool,
     /// Warm-start every node's ladder from this cross-run policy store
-    /// (forces the [`LadderResolver`] arm). Loaded by `campaign --policy`.
+    /// (forces the ladder arm). Loaded by `campaign --policy`.
     pub policy: Option<std::sync::Arc<cb_policy::PolicyStore>>,
     /// Record every fresh-lookahead decision into a policy store attached
-    /// to the report (forces the [`LadderResolver`] arm). Driven by
+    /// to the report (forces the ladder arm). Driven by
     /// `campaign --record-policy`.
     pub record_policy: bool,
 }
@@ -149,24 +150,12 @@ impl Scenario for RandTreeCampaign {
         let evalcache = self.evalcache;
         let ladder = self.ladder || self.policy.is_some() || self.record_policy;
         let deadline = self.deadline_states;
-        let policy = self.policy.clone();
-        let recorder = self.record_policy.then(|| {
-            std::sync::Arc::new(std::sync::Mutex::new(cb_policy::PolicyStore::new(
-                self.name(),
-            )))
-        });
-        let rec_for_nodes = recorder.clone();
+        let policy = PolicyArm::new(self.name(), self.policy.clone(), self.record_policy);
+        let arm = policy.clone();
         let mut sim: Sim<RuntimeNode<ChoiceRandTree>> = Sim::new(topo, seed, move |id| {
             let delay = SimDuration::from_millis(400) * (id.0 as u64 + 1);
             let resolver: Box<dyn Resolver> = if ladder {
-                let mut l = LadderResolver::new();
-                if let Some(store) = &policy {
-                    l = l.with_policy(store.clone());
-                }
-                if let Some(rec) = &rec_for_nodes {
-                    l = l.recording_into(rec.clone());
-                }
-                Box::new(l)
+                Box::new(arm.ladder())
             } else if lookahead {
                 Box::new(LookaheadResolver::new())
             } else {
@@ -213,21 +202,15 @@ impl Scenario for RandTreeCampaign {
                 format!("{} of {up} up nodes reachable from root", stats.reachable),
             ),
         ];
-        // The runtime's controller timer re-arms forever, so RuntimeNode
-        // scenarios never quiesce; skip the generic quiescence oracle.
-        let mut report = RunReport::from_sim_quiescence(
+        let mut report = RunReport::from_sim(
             self.name(),
             seed,
             plan,
             &sim,
-            self.horizon,
             verdicts,
-            false,
-        )
-        .with_telemetry(fleet_telemetry(&sim));
-        if let Some(rec) = recorder {
-            report = report.with_policy(rec.lock().expect("policy recorder poisoned").clone());
-        }
+            fleet_telemetry(&sim),
+        );
+        report.policy = policy.recorded();
         report
     }
 }

@@ -49,6 +49,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, PathProps, Topology};
 use crate::trace::{digest, Trace};
 use crate::wheel::EventWheel;
+use cb_telemetry::{keys, Registry};
 use cb_trace::{FlightRecorder, Label, SpanId, SpanKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -1322,6 +1323,31 @@ impl<A: Actor> Sim<A> {
     /// One node's provenance flight recorder.
     pub fn flight_recorder(&self, n: NodeId) -> &FlightRecorder {
         &self.world.recorders[n.index()]
+    }
+
+    /// Spans the fleet's flight recorders ever pushed, and how many of
+    /// those their bounded rings evicted.
+    pub fn span_totals(&self) -> (u64, u64) {
+        self.world
+            .recorders
+            .iter()
+            .fold((0, 0), |(pushed, evicted), r| {
+                (pushed + r.pushed(), evicted + r.evicted())
+            })
+    }
+
+    /// The sim-level part of a run's telemetry registry: the standard key
+    /// schema pre-registered, the `net.*` traffic [`summary`](Self::summary)
+    /// and the flight recorders' span totals. A fleet of runtime nodes
+    /// merges its nodes' registries into this one.
+    pub fn telemetry(&self) -> Registry {
+        let mut reg = Registry::new();
+        keys::preregister_standard(&mut reg);
+        self.summary().record_into(&mut reg);
+        let (recorded, evicted) = self.span_totals();
+        reg.set_counter(keys::TRACE_SPANS_RECORDED, recorded);
+        reg.set_counter(keys::TRACE_SPANS_EVICTED, evicted);
+        reg
     }
 }
 

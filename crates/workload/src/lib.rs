@@ -170,6 +170,13 @@ impl WorkloadProfile {
         self.users as f64 * self.per_user_hz * self.window.as_secs_f64()
     }
 
+    /// Windows of offered load in a run of `horizon`: load ends at
+    /// two-thirds of the horizon, leaving a tail in which a healthy fleet
+    /// must drain and recover (what the metastability oracle judges).
+    pub fn windows(&self, horizon: SimTime) -> u64 {
+        (horizon.as_nanos() * 2 / 3) / self.window.as_nanos().max(1)
+    }
+
     /// Whether sim time `t` falls inside the flash crowd.
     pub fn in_flash(&self, t: SimTime) -> bool {
         self.flash_mult > 1.0 && t >= self.flash_start && t < self.flash_end

@@ -270,9 +270,9 @@ fn ten_thousand_node_gossip_campaign_replays_byte_identically() {
     // Full artifact byte-identity, wall-clock telemetry masked. Verdicts
     // ride along, so oracle evaluation is pinned too (whatever the
     // verdicts are at this short horizon, they must replay identically).
-    let render = |r: cb_harness::RunReport| {
-        let masked = r.telemetry.masked();
-        r.with_telemetry(masked).to_json().to_string_pretty()
+    let render = |mut r: cb_harness::RunReport| {
+        r.telemetry = r.telemetry.masked();
+        r.to_json().to_string_pretty()
     };
     assert_eq!(
         render(a),

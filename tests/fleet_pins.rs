@@ -122,7 +122,8 @@ fn stock_scenarios_are_pinned() {
 #[test]
 fn replica_group_arms_are_pinned() {
     let flash = || WorkloadProfile::by_name("flash");
-    let arms: [(&str, ArmSpec, (u64, u64, &[&str])); 3] = [
+    type OraclePin = (u64, u64, &'static [&'static str]);
+    let arms: [(&str, ArmSpec, OraclePin); 3] = [
         (
             "kv",
             ArmSpec {
