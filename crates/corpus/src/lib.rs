@@ -41,15 +41,9 @@ pub use query::{parse_predicate, select, top_blame, BlameTally, Cmp, Predicate};
 pub use record::{SeedRecord, RECORD_SCHEMA};
 pub use store::{Corpus, CorpusError, INDEX_FILE, INDEX_MAGIC};
 
-/// FNV-1a 64-bit hash — the workspace's convention for content ids.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+/// FNV-1a 64-bit hash — the workspace's one content hash, owned by
+/// `cb-policy` (record object names and the index checksum are this).
+pub use cb_policy::fnv1a;
 
 #[cfg(test)]
 mod tests {

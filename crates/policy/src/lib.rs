@@ -46,19 +46,57 @@ pub const STORE_MAGIC: [u8; 4] = *b"CBPS";
 /// Magic prefix of a serialized [`PolicyPile`].
 pub const PILE_MAGIC: [u8; 4] = *b"CBPI";
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// Byte-wise 64-bit FNV-1a — the workspace's one content hash. It names
+/// policy stores and piles, choice ids, corpus records and the corpus
+/// index checksum, and trace flow arrows, so its output is part of those
+/// on-disk formats. Feed it bytes or little-endian `u64` words;
+/// [`Fnv1a::finish`] is the bare FNV state (policy ids add [`mix64`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The FNV-1a offset basis.
+    pub const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds in a byte string.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// Folds in a word as its eight little-endian bytes.
+    pub fn write_u64(&mut self, word: u64) {
+        self.write(&word.to_le_bytes());
+    }
+
+    /// The hash so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
+/// FNV-1a of one byte string, no finish.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
 
 /// Stable FNV-1a over a byte string, with an avalanche finish. Used to
 /// content-address choice ids (`&'static str` at runtime, but only the hash
-/// survives on disk) and as the accumulator behind [`PolicyStore::content_id`].
+/// survives on disk).
 pub fn hash_str(s: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    mix64(h)
+    mix64(fnv1a(s.as_bytes()))
 }
 
 /// SplitMix64-style avalanche: spreads low-entropy inputs (small integers,
@@ -267,26 +305,24 @@ impl PolicyStore {
     /// scenario name, and sorted entries. Equal stores — however produced —
     /// have equal ids; the id doubles as the on-disk checksum.
     pub fn content_id(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        let mut eat = |word: u64| {
-            for b in word.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(FORMAT_VERSION as u64);
-        eat(hash_str(&self.scenario));
-        eat(self.entries.len() as u64);
+        let mut h = Fnv1a::new();
+        h.write_u64(FORMAT_VERSION as u64);
+        h.write_u64(hash_str(&self.scenario));
+        h.write_u64(self.entries.len() as u64);
         for (k, e) in &self.entries {
-            eat(k.choice);
-            eat(k.context);
-            eat(k.state_fp);
-            eat(e.chosen_key);
-            eat(e.objective_bits);
-            eat(e.violations);
-            eat(e.states_explored);
+            for word in [
+                k.choice,
+                k.context,
+                k.state_fp,
+                e.chosen_key,
+                e.objective_bits,
+                e.violations,
+                e.states_explored,
+            ] {
+                h.write_u64(word);
+            }
         }
-        mix64(h)
+        mix64(h.finish())
     }
 
     /// Serializes to the versioned binary format. Deterministic: equal
@@ -431,14 +467,11 @@ impl PolicyPile {
 
     /// Content address of the whole pile: hash of the sorted store ids.
     pub fn content_id(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv1a::new();
         for store in self.stores.values() {
-            for b in store.content_id().to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
+            h.write_u64(store.content_id());
         }
-        mix64(h)
+        mix64(h.finish())
     }
 
     /// Serializes the pile (deterministic, like the stores).

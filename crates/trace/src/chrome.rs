@@ -9,6 +9,7 @@
 //! named `wall_ns` only when unmasked.
 
 use crate::span::{Span, SpanId};
+use cb_policy::Fnv1a;
 
 /// Minimal JSON string escaper (dependency-free, mirrors the harness JSON
 /// writer's escaping rules).
@@ -31,14 +32,11 @@ fn escape(s: &str) -> String {
 /// Stable id for a flow arrow between two spans (FNV-1a over both compact
 /// ids — deterministic and collision-unlikely within one trace).
 fn flow_id(parent: SpanId, child: SpanId) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for v in [parent.compact(), child.compact(), parent.at_ns, child.at_ns] {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write_u64(v);
     }
-    h
+    h.finish()
 }
 
 /// Render spans as a Chrome trace-event JSON document:

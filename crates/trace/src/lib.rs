@@ -1,6 +1,7 @@
 //! # cb-trace — decision-provenance tracing
 //!
-//! A dependency-free tracing layer for the CrystalBall runtime. The unit of
+//! A tracing layer for the CrystalBall runtime, depending only on
+//! `cb-policy`'s content hash (for Chrome flow ids). The unit of
 //! record is a [`Span`]: a causally-linked event with a deterministic identity
 //! derived from *simulated* time, the node that recorded it, and a per-node
 //! monotonic sequence number. Parent edges capture the causal structure the
