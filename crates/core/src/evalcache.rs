@@ -11,12 +11,9 @@
 //! * **objective scores** (`ObjectiveSet::score` on walk end states).
 //!
 //! The cache lives for one decision: [`ModelEvaluator::new`] creates one
-//! and shares it across the options of that choice. It can also be shared
-//! *across refreshes of the same choice epoch* (a `CachedResolver` that
-//! re-resolves the same request when its context shifts) via
-//! [`ModelEvaluator::with_cache`]; call [`EvalCache::clear`] when the epoch
-//! — i.e. the snapshot the predictive models are built from — advances, so
-//! stale verdicts cannot leak across epochs.
+//! and shares it across the options of that choice, and it is dropped with
+//! the evaluator — a verdict never outlives the snapshot the predictive
+//! models were built from.
 //!
 //! # Transparency
 //!
@@ -31,7 +28,6 @@
 //!
 //! [`ChoiceRequest`]: crate::choice::ChoiceRequest
 //! [`ModelEvaluator::new`]: crate::predict::ModelEvaluator::new
-//! [`ModelEvaluator::with_cache`]: crate::predict::ModelEvaluator::with_cache
 
 use cb_mck::hash::FingerprintMap;
 use std::sync::Mutex;
@@ -106,14 +102,6 @@ impl EvalCache {
         score
     }
 
-    /// Drops every memoized entry (epoch advance). Hit/miss counters are
-    /// preserved — they account the decision stream, not one epoch.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("evalcache poisoned");
-        inner.verdicts.clear();
-        inner.scores.clear();
-    }
-
     /// Lookups answered from a memoized entry.
     pub fn hits(&self) -> u64 {
         self.inner.lock().expect("evalcache poisoned").hits
@@ -168,19 +156,6 @@ mod tests {
         assert_eq!(cache.score(6, || -1.0), -1.0);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 2);
-    }
-
-    #[test]
-    fn clear_drops_entries_but_keeps_accounting() {
-        let cache = EvalCache::new();
-        cache.verdict(0, 1, || true);
-        cache.score(1, || 9.0);
-        cache.clear();
-        // Recomputes after clear (epoch advanced; values may differ now).
-        assert!(!cache.verdict(0, 1, || false));
-        assert_eq!(cache.score(1, || 3.0), 3.0);
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 4);
     }
 
     #[test]

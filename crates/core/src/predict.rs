@@ -100,10 +100,7 @@ impl Default for PredictConfig {
 /// `F` builds the transition system for a given option index. The same
 /// evaluator is handed to the resolver for one choice and then discarded —
 /// it borrows the models that back the factory. Its [`EvalCache`] spans all
-/// options of that one choice; to additionally share memoized verdicts
-/// across refreshes of the same choice epoch, build the evaluator with
-/// [`ModelEvaluator::with_cache`] and [`clear`](EvalCache::clear) the cache
-/// whenever the underlying snapshot advances.
+/// options of that one choice and goes with the evaluator.
 pub struct ModelEvaluator<'a, T, F>
 where
     T: TransitionSystem,
@@ -114,10 +111,6 @@ where
     cfg: PredictConfig,
     rng: SimRng,
     cache: Option<Arc<EvalCache>>,
-    /// Cache counters already present at construction (epoch-shared
-    /// caches): exports report only this evaluator's delta.
-    base_hits: u64,
-    base_misses: u64,
     /// Dedicated liveness searches the fused pass avoided.
     fused_searches_saved: u64,
     /// Cumulative states explored across this decision's evaluations
@@ -150,34 +143,6 @@ where
             cfg,
             rng,
             cache,
-            base_hits: 0,
-            base_misses: 0,
-            fused_searches_saved: 0,
-            spent_states: 0,
-            evals_cut_short: 0,
-        }
-    }
-
-    /// Creates an evaluator sharing an existing [`EvalCache`] — the
-    /// cross-refresh form: a service re-evaluating the same choice epoch
-    /// hands every evaluator the same cache (and clears it when the epoch
-    /// advances). Implies caching regardless of `cfg.cache`.
-    pub fn with_cache(
-        make_system: F,
-        objectives: &'a ObjectiveSet<T::State>,
-        cfg: PredictConfig,
-        rng: SimRng,
-        cache: Arc<EvalCache>,
-    ) -> Self {
-        let (base_hits, base_misses) = (cache.hits(), cache.misses());
-        ModelEvaluator {
-            make_system,
-            objectives,
-            cfg,
-            rng,
-            cache: Some(cache),
-            base_hits,
-            base_misses,
             fused_searches_saved: 0,
             spent_states: 0,
             evals_cut_short: 0,
@@ -424,14 +389,8 @@ where
 
     fn export_metrics(&self, reg: &mut Registry) {
         if let Some(cache) = &self.cache {
-            reg.add(
-                keys::CORE_EVALCACHE_HITS,
-                cache.hits().saturating_sub(self.base_hits),
-            );
-            reg.add(
-                keys::CORE_EVALCACHE_MISSES,
-                cache.misses().saturating_sub(self.base_misses),
-            );
+            reg.add(keys::CORE_EVALCACHE_HITS, cache.hits());
+            reg.add(keys::CORE_EVALCACHE_MISSES, cache.misses());
         }
         reg.add(
             keys::CORE_EVALCACHE_FUSED_SEARCHES_SAVED,
@@ -680,38 +639,6 @@ mod tests {
         assert_eq!(c0, uncached.evaluate(0));
         assert_eq!(c1, uncached.evaluate(1));
         assert!(uncached.cache().is_none());
-    }
-
-    #[test]
-    fn shared_cache_spans_refreshes_and_exports_deltas() {
-        let objectives: ObjectiveSet<i64> =
-            ObjectiveSet::new().safety(Property::safety("below 50", |s: &i64| *s < 50));
-        let cfg = PredictConfig {
-            depth: 5,
-            walks: 0,
-            ..Default::default()
-        };
-        let cache = Arc::new(EvalCache::new());
-        let mk = |_| Drift { start: 0, bias: 2 };
-        let mut first = ModelEvaluator::with_cache(
-            mk,
-            &objectives,
-            cfg.clone(),
-            SimRng::seed_from(12),
-            Arc::clone(&cache),
-        );
-        let p1 = first.evaluate(0);
-        // A "refresh": a fresh evaluator over the same epoch and cache.
-        let mut second =
-            ModelEvaluator::with_cache(mk, &objectives, cfg, SimRng::seed_from(12), cache);
-        let p2 = second.evaluate(0);
-        assert_eq!(p1, p2, "same epoch, same prediction");
-        let mut reg = Registry::new();
-        second.export_metrics(&mut reg);
-        // The refresh was served from the first evaluator's entries, and
-        // its export covers only its own delta.
-        assert!(reg.counter(keys::CORE_EVALCACHE_HITS) > 0);
-        assert_eq!(reg.counter(keys::CORE_EVALCACHE_MISSES), 0);
     }
 
     #[test]

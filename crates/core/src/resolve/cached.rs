@@ -82,8 +82,8 @@ impl<R: Resolver> CachedResolver<R> {
         self.hits
     }
 
-    /// Cold misses so far: no usable entry existed (new key, option-set
-    /// hash collision, or post-invalidation), so the inner resolver ran.
+    /// Cold misses so far: no usable entry existed (new key or option-set
+    /// hash collision), so the inner resolver ran.
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -98,11 +98,6 @@ impl<R: Resolver> CachedResolver<R> {
     /// resolves` — every resolve is exactly one of the three.
     pub fn resolves(&self) -> u64 {
         self.hits + self.misses + self.refreshes
-    }
-
-    /// Drops all cached decisions (e.g. after a detected regime change).
-    pub fn invalidate(&mut self) {
-        self.cache.clear();
     }
 
     /// The wrapped resolver, for a caller that sometimes resolves past the
@@ -125,8 +120,8 @@ impl<R: Resolver> Resolver for CachedResolver<R> {
         // Every resolve is exactly one of hit / miss / refresh:
         //   hit     — live entry served without touching the inner resolver;
         //   refresh — entry exists but exhausted its reuse budget;
-        //   miss    — no usable entry (cold key, option-set hash collision,
-        //             or post-invalidation).
+        //   miss    — no usable entry (cold key or option-set hash
+        //             collision).
         let is_refresh = match self.cache.get_mut(&key) {
             Some(entry) if entry.uses < self.refresh_every => {
                 entry.uses += 1;
@@ -258,19 +253,6 @@ mod tests {
             &mut NullEvaluator,
         );
         assert_eq!(r.misses(), 2);
-    }
-
-    #[test]
-    fn invalidate_clears() {
-        let mut r = CachedResolver::new(RandomResolver::new(3), 100);
-        let o = opts(&[1, 2]);
-        let req = ChoiceRequest::new("c", &o);
-        r.resolve(&req, &mut NullEvaluator);
-        r.invalidate();
-        r.resolve(&req, &mut NullEvaluator);
-        // Post-invalidation resolutions are cold misses, not refreshes.
-        assert_eq!(r.misses(), 2);
-        assert_eq!(r.refreshes(), 0);
     }
 
     #[test]

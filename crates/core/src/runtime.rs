@@ -166,9 +166,6 @@ pub struct RuntimeConfig<C> {
     pub controller_interval: SimDuration,
     /// Optional predicted-violation steering.
     pub advisor: Option<SteeringAdvisor<C>>,
-    /// Probe neighbors whose estimates have decayed below this confidence
-    /// on each controller cycle (0.0 disables auto-probing).
-    pub probe_below_confidence: f64,
     /// Reporting-only prediction deadline, in explored states per decision
     /// (0 disables). When a decision's evaluator spends more than this, the
     /// runtime counts a `core.predict.deadline_overruns` — without cutting
@@ -182,13 +179,12 @@ pub struct RuntimeConfig<C> {
 
 impl<C> RuntimeConfig<C> {
     /// A configuration with the given resolver and sensible defaults:
-    /// 1 s controller cycle, no steering advisor, no auto-probing.
+    /// 1 s controller cycle, no steering advisor.
     pub fn new(resolver: Box<dyn Resolver>) -> Self {
         RuntimeConfig {
             resolver,
             controller_interval: SimDuration::from_secs(1),
             advisor: None,
-            probe_below_confidence: 0.0,
             report_deadline_states: 0,
         }
     }
@@ -202,22 +198,6 @@ impl<C> RuntimeConfig<C> {
     /// Installs a steering advisor.
     pub fn with_advisor(mut self, advisor: SteeringAdvisor<C>) -> Self {
         self.advisor = Some(advisor);
-        self
-    }
-
-    /// Enables auto-probing: on each controller cycle, neighbors whose
-    /// network-model confidence has decayed below `threshold` get an active
-    /// probe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is outside `[0, 1]`.
-    pub fn probe_when_stale(mut self, threshold: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&threshold),
-            "confidence threshold out of range"
-        );
-        self.probe_below_confidence = threshold;
         self
     }
 
@@ -236,7 +216,6 @@ struct RuntimeCore<M, C> {
     resolver: Box<dyn Resolver>,
     controller_interval: SimDuration,
     advisor: Option<SteeringAdvisor<C>>,
-    probe_below_confidence: f64,
     report_deadline_states: u64,
     net_model: NetworkModel,
     state_model: StateModel<C>,
@@ -293,7 +272,6 @@ impl<S: Service> RuntimeNode<S> {
                 resolver: config.resolver,
                 controller_interval: config.controller_interval,
                 advisor: config.advisor,
-                probe_below_confidence: config.probe_below_confidence,
                 report_deadline_states: config.report_deadline_states,
                 net_model: NetworkModel::new(NET_HALF_LIFE),
                 state_model: StateModel::new(MAX_CHECKPOINT_STALENESS),
@@ -409,17 +387,7 @@ impl<S: Service> RuntimeNode<S> {
                 self.core.checkpoints_sent += 1;
             }
         }
-        // 2. Re-probe neighbors whose estimates have gone stale.
-        if self.core.probe_below_confidence > 0.0 {
-            for peer in self.service.neighbors() {
-                if peer != ctx.id()
-                    && self.core.net_model.confidence(peer, now) < self.core.probe_below_confidence
-                {
-                    ctx.send(peer, Envelope::Probe { sent_at: now });
-                }
-            }
-        }
-        // 3. Consult the advisor (prediction over the current models).
+        // 2. Consult the advisor (prediction over the current models).
         if let Some(advisor) = self.core.advisor.as_mut() {
             let input = SteeringInput {
                 me: ctx.id(),
@@ -1200,30 +1168,6 @@ mod tests {
             .net_model()
             .estimate(NodeId(1))
             .is_some());
-    }
-
-    #[test]
-    fn auto_probe_refreshes_stale_estimates() {
-        let topo = Topology::star(3, SimDuration::from_millis(5), 10_000_000);
-        let mut sim = Sim::new(topo, 82, |_| {
-            RuntimeNode::new(
-                CounterSvc::new(),
-                RuntimeConfig::new(Box::new(RandomResolver::new(5)))
-                    .controller_every(SimDuration::from_millis(500))
-                    .probe_when_stale(0.9),
-            )
-        });
-        sim.start_all();
-        // No application traffic at all (node 0's timer drives sends, but
-        // CounterSvc only sends from node 0; neighbors() covers 0..3, so
-        // every node auto-probes its stale neighbors each cycle).
-        sim.run_until(SimTime::from_secs(10));
-        let node2 = sim.actor(NodeId(2));
-        let conf = node2.net_model().confidence(NodeId(1), sim.now());
-        assert!(
-            conf > 0.5,
-            "auto-probe left node 1 stale at confidence {conf}"
-        );
     }
 
     #[test]
