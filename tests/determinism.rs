@@ -175,39 +175,76 @@ fn artifact_telemetry_is_deterministic_after_wall_masking() {
     assert_ne!(ja, jc, "different seeds should differ even after masking");
 }
 
-#[test]
-fn full_artifact_json_telemetry_section_is_well_formed() {
-    // The embedded `telemetry` section of a run report parses back and
-    // carries the required critical-path statistics.
-    use cb_harness::prelude::*;
+/// The `telemetry` section of a report's artifact JSON, parsed back, with
+/// the sections and summary keys every artifact carries and the
+/// evaluation-cache / exploration-kernel counters preregistered (zero when
+/// no predictive resolver ran) so sweeps can diff them across arms.
+fn telemetry_section(report: &cb_harness::RunReport) -> cb_harness::Json {
+    use cb_harness::Json;
 
-    let scenario = cb_randtree::RandTreeCampaign::default();
-    let plan = scenario.default_plan(3);
-    let report = scenario.run(3, &plan);
-    let json = report.to_json();
-    let text = json.to_string_pretty();
+    let text = report.to_json().to_string_pretty();
     let back = Json::parse(&text).expect("artifact JSON parses");
     let tel = back.get("telemetry").expect("telemetry section present");
     for section in ["counters", "gauges", "histograms", "summary"] {
         assert!(tel.get(section).is_some(), "missing {section}");
     }
     let summary = tel.get("summary").unwrap();
+    for key in [
+        "decisions",
+        "decision_p50_sim_us",
+        "decision_p99_sim_us",
+        // Cache hit rate is present as a key even when no cached resolver
+        // ran.
+        "cache_hit_rate",
+        "states_per_decision",
+    ] {
+        assert!(summary.get(key).is_some(), "missing summary key {key}");
+    }
+    let counters = tel.get("counters").unwrap();
+    for key in [
+        "core.evalcache.hits",
+        "core.evalcache.misses",
+        "core.evalcache.fused_searches_saved",
+        "mck.states_visited",
+        "mck.transitions",
+        "mck.dedup_hits",
+    ] {
+        assert!(counters.get(key).is_some(), "missing counter {key}");
+    }
+    tel.clone()
+}
+
+#[test]
+fn full_artifact_json_telemetry_section_is_well_formed() {
+    // The embedded `telemetry` section of a run report parses back and
+    // carries the required critical-path statistics: for a runtime fleet,
+    // and for the plain-actor ring whose failure artifact CI writes.
+    use cb_harness::prelude::*;
+    use cb_harness::toy::RingScenario;
+
+    let scenario = cb_randtree::RandTreeCampaign::default();
+    let tel = telemetry_section(&scenario.run(3, &scenario.default_plan(3)));
+    let summary = tel.get("summary").unwrap();
     assert!(summary.get("decisions").and_then(Json::as_u64).unwrap() > 0);
-    assert!(summary
-        .get("decision_p50_sim_us")
-        .and_then(Json::as_u64)
-        .is_some());
-    assert!(summary
-        .get("decision_p99_sim_us")
-        .and_then(Json::as_u64)
-        .is_some());
-    // Cache hit rate is present as a key even when no cached resolver ran.
-    assert!(summary.get("cache_hit_rate").is_some());
-    let hists = tel.get("histograms").unwrap();
-    let lat = hists
+    let lat = tel
+        .get("histograms")
+        .unwrap()
         .get(cb_telemetry::keys::CORE_DECISION_LATENCY_SIM_US)
         .expect("decision latency histogram");
     assert!(lat.get("count").and_then(Json::as_u64).unwrap() > 0);
+
+    // CI's injected violation: node 3 cut off for the whole run.
+    let plan = FaultPlan::from_spec("part:3|0.1.2.4.5.6.7@0-never").expect("plan spec");
+    let ring = RingScenario::default().run(1, &plan);
+    assert!(ring.violated(), "the never-healed cut must violate");
+    let tel = telemetry_section(&ring);
+    // The ring delivers traffic, so the network counters are live.
+    let delivered = tel
+        .get("counters")
+        .unwrap()
+        .get(cb_telemetry::keys::NET_MSGS_DELIVERED)
+        .and_then(Json::as_u64);
+    assert!(delivered.unwrap() > 0, "net.msgs_delivered {delivered:?}");
 }
 
 #[test]
