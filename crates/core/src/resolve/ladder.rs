@@ -372,16 +372,16 @@ impl Default for LadderResolver {
 /// serves rung 2 from, and the one store every node records its rung-0
 /// decisions into. Cloning shares both, so a fleet factory can hold one.
 #[derive(Clone)]
-pub struct PolicyArm {
+pub struct FleetPolicy {
     warm: Option<Arc<PolicyStore>>,
     recorder: Option<Arc<Mutex<PolicyStore>>>,
 }
 
-impl PolicyArm {
+impl FleetPolicy {
     /// Serves hits from `warm` when set; records into a fresh store for
     /// `scenario` when `record` is.
     pub fn new(scenario: &str, warm: Option<Arc<PolicyStore>>, record: bool) -> Self {
-        PolicyArm {
+        FleetPolicy {
             warm,
             recorder: record.then(|| Arc::new(Mutex::new(PolicyStore::new(scenario)))),
         }

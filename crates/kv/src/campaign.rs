@@ -18,7 +18,7 @@ use crate::node::KvNode;
 use crate::replica::{OverloadConfig, Replica};
 use crate::session::Session;
 use cb_core::choice::Resolver;
-use cb_core::resolve::ladder::PolicyArm;
+use cb_core::resolve::ladder::FleetPolicy;
 use cb_core::resolve::random::RandomResolver;
 use cb_core::runtime::{fleet_telemetry, RuntimeConfig, RuntimeNode};
 use cb_harness::overload;
@@ -103,7 +103,7 @@ impl Scenario for KvCampaign {
         // Workload arms always run the ladder: only a health-aware
         // resolver owns the governor the load signal is wired into.
         let ladder = self.policy.is_some() || self.record_policy || self.workload.is_some();
-        let policy = PolicyArm::new(self.name(), self.policy.clone(), self.record_policy);
+        let policy = FleetPolicy::new(self.name(), self.policy.clone(), self.record_policy);
         let arm = policy.clone();
         let workload = self.workload.clone();
         let windows = workload.as_ref().map_or(0, |p| p.windows(self.horizon));

@@ -21,7 +21,7 @@ use crate::choice::ChoiceRandTree;
 use crate::metrics::tree_stats;
 use cb_core::choice::Resolver;
 use cb_core::predict::PredictConfig;
-use cb_core::resolve::ladder::PolicyArm;
+use cb_core::resolve::ladder::FleetPolicy;
 use cb_core::resolve::lookahead::LookaheadResolver;
 use cb_core::resolve::random::RandomResolver;
 use cb_core::runtime::{fleet_telemetry, RuntimeConfig, RuntimeNode};
@@ -150,7 +150,7 @@ impl Scenario for RandTreeCampaign {
         let evalcache = self.evalcache;
         let ladder = self.ladder || self.policy.is_some() || self.record_policy;
         let deadline = self.deadline_states;
-        let policy = PolicyArm::new(self.name(), self.policy.clone(), self.record_policy);
+        let policy = FleetPolicy::new(self.name(), self.policy.clone(), self.record_policy);
         let arm = policy.clone();
         let mut sim: Sim<RuntimeNode<ChoiceRandTree>> = Sim::new(topo, seed, move |id| {
             let delay = SimDuration::from_millis(400) * (id.0 as u64 + 1);
