@@ -124,19 +124,19 @@ fn conflict_advisor() -> SteeringAdvisor<Option<u32>> {
     })
 }
 
-/// The racing waves over `nodes` nodes, built but not started.
+/// The racing waves over `nodes` nodes, run to quiescence.
 ///
 /// `controller_interval = None` disables the advisor entirely (the
 /// unprotected baseline, controller every 100 ms); `Some(cadence)` runs
 /// the conflict advisor on that cadence.
-pub fn lab_fleet(
+fn lab_fleet(
     nodes: usize,
     hop_delay: SimDuration,
     controller_interval: Option<SimDuration>,
     seed: u64,
 ) -> Sim<RuntimeNode<Register>> {
     let topo = Topology::star(nodes, SimDuration::from_millis(10), 10_000_000);
-    Sim::new(topo, seed, move |id| {
+    let mut sim = Sim::new(topo, seed, move |id| {
         let config = RuntimeConfig::new(Box::new(RandomResolver::new(1)));
         let config = match controller_interval {
             None => config.controller_every(SimDuration::from_millis(100)),
@@ -154,20 +154,22 @@ pub fn lab_fleet(
             },
             config,
         )
-    })
+    });
+    sim.start_all();
+    sim.run_until_quiescent(SimTime::from_secs(60));
+    sim
 }
 
-/// Runs the racing waves over `nodes` nodes to quiescence (see
-/// [`lab_fleet`]).
+/// Runs the racing waves over `nodes` nodes to quiescence. `None`
+/// disables the advisor (the unprotected baseline); `Some(cadence)` runs
+/// the conflict advisor on that cadence.
 pub fn run_lab(
     nodes: usize,
     hop_delay: SimDuration,
     controller_interval: Option<SimDuration>,
     seed: u64,
 ) -> LabOutcome {
-    let mut sim = lab_fleet(nodes, hop_delay, controller_interval, seed);
-    sim.start_all();
-    sim.run_until_quiescent(SimTime::from_secs(60));
+    let sim = lab_fleet(nodes, hop_delay, controller_interval, seed);
     let conflicts = sim
         .topology()
         .hosts()
@@ -218,14 +220,12 @@ mod tests {
 
         for seed in [1, 2] {
             let run = || {
-                let mut sim = lab_fleet(
+                let sim = lab_fleet(
                     12,
                     SimDuration::from_millis(400),
                     Some(SimDuration::from_millis(50)),
                     seed,
                 );
-                sim.start_all();
-                sim.run_until_quiescent(SimTime::from_secs(60));
                 (sim.trace().fingerprint(), fleet_telemetry(&sim))
             };
             let (fingerprint, t) = run();

@@ -226,6 +226,14 @@ fn full_artifact_json_telemetry_section_is_well_formed() {
     let tel = telemetry_section(&scenario.run(3, &scenario.default_plan(3)));
     let summary = tel.get("summary").unwrap();
     assert!(summary.get("decisions").and_then(Json::as_u64).unwrap() > 0);
+    assert!(summary
+        .get("decision_p50_sim_us")
+        .and_then(Json::as_u64)
+        .is_some());
+    assert!(summary
+        .get("decision_p99_sim_us")
+        .and_then(Json::as_u64)
+        .is_some());
     let lat = tel
         .get("histograms")
         .unwrap()
