@@ -9,8 +9,11 @@
 //!
 //! Artifacts are the JSON failure files the `campaign` binary writes under
 //! `results/campaigns/`; their `report.provenance` section embeds the fleet's
-//! flight-recorder tail. Span ids use the `t<ns>.n<node>.s<seq>` notation
-//! printed by every query.
+//! flight-recorder tail (a bare report's top-level `provenance` works too).
+//! The section goes through `cb_harness::read_provenance`, the span decoder
+//! replay and corpus ingest use; the rest of the file is checked but not
+//! built. Span ids use the `t<ns>.n<node>.s<seq>` notation printed by every
+//! query.
 //!
 //! * `explain` renders a decision span's option table (per-option objective,
 //!   predicted violations, explored states), the winner, the resolver and
@@ -29,7 +32,8 @@
 //! Exit status: 0 = query answered, 1 = span not found / nothing to blame,
 //! 2 = usage or artifact error.
 
-use cb_harness::{parse_provenance, Json};
+use cb_harness::json::{Kind, ParseError, Reader};
+use cb_harness::{read_provenance, ProvenanceSection};
 use cb_trace::{blame, chrome_trace_json, explain, slowest, Span, SpanId, SpanIndex, SpanKind};
 use std::path::Path;
 
@@ -46,7 +50,8 @@ fn usage() -> ! {
 
 /// Loads the provenance spans from a failure artifact (the original
 /// report's section — the shrunk report has its own, but blame belongs on
-/// the run the oracle actually flagged).
+/// the run the oracle actually flagged), or from a bare report's
+/// `provenance`.
 fn load_spans(path: &str) -> Vec<Span> {
     let text = match std::fs::read_to_string(Path::new(path)) {
         Ok(t) => t,
@@ -55,28 +60,56 @@ fn load_spans(path: &str) -> Vec<Span> {
             std::process::exit(2);
         }
     };
-    let json = match Json::parse(&text) {
-        Ok(j) => j,
+    match find_provenance(&text) {
         Err(e) => {
             eprintln!("trace: {path} is not valid JSON: {e}");
             std::process::exit(2);
         }
-    };
-    let section = json
-        .get("report")
-        .and_then(|r| r.get("provenance"))
-        .or_else(|| json.get("provenance"))
-        .unwrap_or_else(|| {
+        Ok(None) => {
             eprintln!("trace: {path} has no provenance section");
             std::process::exit(2);
-        });
-    match parse_provenance(section) {
-        Ok(spans) => spans,
-        Err(e) => {
+        }
+        Ok(Some(Err(e))) => {
             eprintln!("trace: {path}: {e}");
             std::process::exit(2);
         }
+        Ok(Some(Ok(section))) => section.spans,
     }
+}
+
+/// Decodes `report.provenance`, else a top-level `provenance` (the first
+/// occurrence of each key), skipping everything else.
+fn find_provenance(text: &str) -> Result<Option<Result<ProvenanceSection, String>>, ParseError> {
+    let mut r = Reader::new(text);
+    let (mut nested, mut top) = (None, None);
+    if r.peek()? == Kind::Obj {
+        r.begin_obj()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "report" => r.first(&mut nested, |r| {
+                    let mut section = None;
+                    if r.peek()? != Kind::Obj {
+                        r.skip()?;
+                        return Ok(section);
+                    }
+                    r.begin_obj()?;
+                    while let Some(key) = r.next_key()? {
+                        match &*key {
+                            "provenance" => r.first(&mut section, read_provenance)?,
+                            _ => r.skip()?,
+                        }
+                    }
+                    Ok(section)
+                })?,
+                "provenance" => r.first(&mut top, read_provenance)?,
+                _ => r.skip()?,
+            }
+        }
+    } else {
+        r.skip()?;
+    }
+    r.finish()?;
+    Ok(nested.flatten().or(top))
 }
 
 fn parse_span_id(text: &str) -> SpanId {

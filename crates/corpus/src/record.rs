@@ -1,11 +1,18 @@
 //! One seed's run distilled into a typed, content-addressed record.
+//!
+//! A record has two sources with one result: a [`RunReport`] in process
+//! ([`SeedRecord::from_report`]) and a failure artifact on disk
+//! ([`SeedRecord::from_artifact`], over what [`cb_harness::decode_artifact`]
+//! read from the artifact's original report). Record object files are small
+//! and are parsed as a tree ([`SeedRecord::from_json`]).
 
 use crate::fnv1a;
 use cb_harness::json::Json;
 use cb_harness::scenario::RunReport;
+use cb_harness::Artifact;
 use cb_telemetry::is_wall_key;
-use cb_trace::{blame, SpanKind};
-use std::collections::BTreeMap;
+use cb_trace::{blame, Span, SpanKind};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Schema tag of a serialized [`SeedRecord`].
 pub const RECORD_SCHEMA: &str = "cb-corpus-record/v1";
@@ -67,20 +74,6 @@ impl SeedRecord {
             .map(|v| (v.name.clone(), v.passed))
             .collect();
         oracles.sort();
-        let mut targets: std::collections::BTreeSet<String> = Default::default();
-        for violation in report
-            .provenance
-            .iter()
-            .filter(|s| s.kind == SpanKind::Violation)
-        {
-            if let Some(chain) = blame(&report.provenance, violation.id) {
-                for span in &chain.chain {
-                    if span.kind == SpanKind::Decision {
-                        targets.insert(span.name.clone());
-                    }
-                }
-            }
-        }
         SeedRecord {
             scenario: report.scenario.clone(),
             seed: report.seed,
@@ -92,7 +85,7 @@ impl SeedRecord {
             counters,
             gauges,
             hists,
-            blame: targets.into_iter().collect(),
+            blame: blame_targets(&report.provenance),
         }
     }
 
@@ -214,83 +207,56 @@ impl SeedRecord {
         })
     }
 
-    /// Distills a campaign **failure artifact** (`cb-campaign-failure/v1`)
-    /// into a record, applying the wall-mask to the artifact's unmasked
-    /// telemetry. This is the `corpus ingest` path for artifacts written
-    /// by sweeps that did not run with `--corpus`.
-    pub fn from_artifact_json(artifact: &Json) -> Result<SeedRecord, String> {
-        let schema = artifact
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("artifact missing 'schema'")?;
-        if schema != cb_harness::ARTIFACT_SCHEMA {
-            return Err(format!("unknown artifact schema '{schema}'"));
-        }
-        let report = artifact.get("report").ok_or("artifact missing 'report'")?;
+    /// Distills a campaign **failure artifact**, decoded by
+    /// [`cb_harness::decode_artifact`], into a record: the `corpus ingest`
+    /// path for artifacts written by sweeps that did not run with
+    /// `--corpus`. The record comes from the artifact's original `report`
+    /// (not the shrunk one) and is the one [`SeedRecord::from_report`]
+    /// distills from that report in process: the telemetry section is
+    /// wall-masked here, and blame targets come from the embedded tail.
+    pub fn from_artifact(artifact: &Artifact) -> Result<SeedRecord, String> {
+        let report = &artifact.report;
         let mut oracles = Vec::new();
-        let mut passed = true;
-        for o in report
-            .get("oracles")
-            .and_then(Json::as_array)
-            .unwrap_or(&[])
-        {
-            let name = o
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("oracle missing 'name'")?;
-            let ok = matches!(o.get("passed"), Some(Json::Bool(true)));
-            passed &= ok;
-            oracles.push((name.to_string(), ok));
+        for (name, passed) in &report.oracles {
+            let name = name.clone().ok_or("oracle missing 'name'")?;
+            oracles.push((name, *passed));
         }
         oracles.sort();
         let telemetry = report
-            .get("telemetry")
+            .telemetry
+            .as_ref()
             .ok_or("report missing 'telemetry'")?;
-        // Blame targets from the embedded provenance tail.
-        let spans = match report.get("provenance") {
-            Some(section) => cb_harness::parse_provenance(section)?,
-            None => Vec::new(),
-        };
-        let mut targets: std::collections::BTreeSet<String> = Default::default();
-        for violation in spans.iter().filter(|s| s.kind == SpanKind::Violation) {
-            if let Some(chain) = blame(&spans, violation.id) {
-                for span in &chain.chain {
-                    if span.kind == SpanKind::Decision {
-                        targets.insert(span.name.clone());
-                    }
-                }
-            }
-        }
-        let get_str = |key: &str| -> Result<String, String> {
-            report
-                .get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("report missing '{key}'"))
-        };
+        let missing = |key: &str| format!("report missing '{key}'");
         Ok(SeedRecord {
-            scenario: get_str("scenario")?,
-            seed: report
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or("report missing 'seed'")?,
-            plan: get_str("plan")?,
-            passed,
-            fingerprint: report
-                .get("fingerprint")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            events: report
-                .get("events_processed")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
+            scenario: report.scenario.clone().ok_or_else(|| missing("scenario"))?,
+            seed: report.seed.ok_or_else(|| missing("seed"))?,
+            plan: report.plan.clone().ok_or_else(|| missing("plan"))?,
+            passed: oracles.iter().all(|(_, passed)| *passed),
+            fingerprint: artifact.fingerprint,
+            events: report.events,
             oracles,
             counters: parse_counters(telemetry.get("counters"), true)?,
             gauges: parse_gauges_masked(telemetry.get("gauges"))?,
             hists: parse_hists(telemetry.get("histograms"), true)?,
-            blame: targets.into_iter().collect(),
+            blame: blame_targets(&artifact.provenance),
         })
     }
+}
+
+/// Names of the `Decision` spans on the blame chains of `spans`'
+/// `Violation` spans: sorted, deduplicated.
+fn blame_targets(spans: &[Span]) -> Vec<String> {
+    let mut targets = BTreeSet::new();
+    for violation in spans.iter().filter(|s| s.kind == SpanKind::Violation) {
+        if let Some(chain) = blame(spans, violation.id) {
+            for span in &chain.chain {
+                if span.kind == SpanKind::Decision {
+                    targets.insert(span.name.clone());
+                }
+            }
+        }
+    }
+    targets.into_iter().collect()
 }
 
 fn parse_counters(
@@ -426,10 +392,12 @@ mod tests {
     #[test]
     fn artifact_ingestion_matches_in_process_distillation() {
         let report = failing_report();
-        let artifact = cb_harness::artifact_json(&report, &report.plan, &report);
-        let from_artifact = SeedRecord::from_artifact_json(&artifact).expect("ingest");
+        let text = cb_harness::artifact_json(&report, &report.plan, &report).to_string_pretty();
+        let artifact = cb_harness::decode_artifact(&text).expect("decode");
+        let from_artifact = SeedRecord::from_artifact(&artifact).expect("ingest");
         let from_report = SeedRecord::from_report(&report);
         assert_eq!(from_artifact, from_report);
+        assert_eq!(from_artifact.content_id(), from_report.content_id());
     }
 
     #[test]

@@ -21,8 +21,9 @@
 use crate::fnv1a;
 use crate::record::{SeedRecord, RECORD_SCHEMA};
 use cb_harness::campaign::CampaignOutcome;
-use cb_harness::json::Json;
+use cb_harness::json::{Json, Reader};
 use cb_harness::scenario::RunReport;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -118,8 +119,10 @@ impl Corpus {
 
     /// Ingests every `*.json` file in `dir` (non-recursive, sorted by file
     /// name — though order cannot matter). Accepts campaign failure
-    /// artifacts (`cb-campaign-failure/v1`) and corpus records
-    /// (`cb-corpus-record/v1`). Returns how many records were new.
+    /// artifacts (`cb-campaign-failure/v1`, read by the decoder replay uses,
+    /// which checks the whole file but builds only what the record needs)
+    /// and corpus records (`cb-corpus-record/v1`). Returns how many records
+    /// were new.
     pub fn ingest_dir(&mut self, dir: &Path) -> Result<usize, CorpusError> {
         let mut paths: Vec<_> = std::fs::read_dir(dir)?
             .collect::<Result<Vec<_>, _>>()?
@@ -230,7 +233,9 @@ impl Corpus {
         out
     }
 
-    /// Decodes an index produced by [`Corpus::index_bytes`].
+    /// Decodes an index produced by [`Corpus::index_bytes`]. The bytes are
+    /// untrusted even behind a valid checksum: a count is only ever a loop
+    /// bound, so a forged one fails as a truncated index.
     pub fn from_index_bytes(bytes: &[u8]) -> Result<Corpus, CorpusError> {
         if bytes.len() < INDEX_MAGIC.len() + 4 + 8 {
             return Err(malformed("index too short"));
@@ -254,8 +259,8 @@ impl Corpus {
         if version != INDEX_VERSION {
             return Err(malformed(format!("unsupported index version {version}")));
         }
-        let n_strings = cur.u32()? as usize;
-        let mut strings = Vec::with_capacity(n_strings);
+        let n_strings = cur.u32()?;
+        let mut strings = Vec::new();
         for _ in 0..n_strings {
             let len = cur.u32()? as usize;
             let raw = cur.take(len)?;
@@ -298,9 +303,8 @@ impl Corpus {
             let mut hists = BTreeMap::new();
             for _ in 0..cur.u32()? {
                 let k = lookup(cur.u32()?)?.clone();
-                let n_pairs = cur.u32()? as usize;
-                let mut pairs = Vec::with_capacity(n_pairs);
-                for _ in 0..n_pairs {
+                let mut pairs = Vec::new();
+                for _ in 0..cur.u32()? {
                     let b = cur.u32()?;
                     pairs.push((b, cur.u64()?));
                 }
@@ -361,16 +365,39 @@ impl Corpus {
     }
 }
 
-/// Reads one campaign failure artifact or corpus record file.
+/// Reads one campaign failure artifact or corpus record file. Both formats
+/// open with their `schema` key, so that is read first: an artifact goes
+/// through [`cb_harness::decode_artifact`], which builds only what the
+/// record needs; a record object (a few kB) is parsed into a tree. A file
+/// whose first key is not `schema` is parsed whole to find it.
 fn read_record(path: &Path) -> Result<SeedRecord, CorpusError> {
     let text = std::fs::read_to_string(path)?;
-    let json = Json::parse(&text).map_err(|e| malformed(format!("{}: {e}", path.display())))?;
-    match json.get("schema").and_then(Json::as_str) {
-        Some(RECORD_SCHEMA) => SeedRecord::from_json(&json),
-        Some(s) if s == cb_harness::ARTIFACT_SCHEMA => SeedRecord::from_artifact_json(&json),
-        other => Err(format!("unrecognized schema {other:?}")),
+    let bad = |e: String| malformed(format!("{}: {e}", path.display()));
+    let artifact = || {
+        cb_harness::decode_artifact(&text)
+            .and_then(|artifact| SeedRecord::from_artifact(&artifact))
+            .map_err(bad)
+    };
+    if leading_schema(&text).as_deref() == Some(cb_harness::ARTIFACT_SCHEMA) {
+        return artifact();
     }
-    .map_err(|e| malformed(format!("{}: {e}", path.display())))
+    let json = Json::parse(&text).map_err(|e| bad(e.to_string()))?;
+    match json.get("schema").and_then(Json::as_str) {
+        Some(RECORD_SCHEMA) => SeedRecord::from_json(&json).map_err(bad),
+        Some(s) if s == cb_harness::ARTIFACT_SCHEMA => artifact(),
+        other => Err(bad(format!("unrecognized schema {other:?}"))),
+    }
+}
+
+/// The value of the document's first key when that key is `schema` and the
+/// value a string.
+fn leading_schema(text: &str) -> Option<Cow<'_, str>> {
+    let mut r = Reader::new(text);
+    r.begin_obj().ok()?;
+    if r.next_key().ok()?? != "schema" {
+        return None;
+    }
+    r.opt_str().ok()?
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -388,11 +415,13 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CorpusError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(malformed("truncated index"));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or_else(|| malformed("truncated index"))?;
+        let s = &self.bytes[self.pos..end];
+        self.pos = end;
         Ok(s)
     }
     fn u8(&mut self) -> Result<u8, CorpusError> {

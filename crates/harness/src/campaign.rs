@@ -26,9 +26,10 @@
 //! re-runs seed + plan, and checks the same violation (and, span by span,
 //! the same flight-recorder tail) reappears.
 
+pub use crate::artifact::{read_artifact, Artifact};
 use crate::json::{Json, Sink, TextSink};
 use crate::plan::FaultPlan;
-use crate::provenance::{parse_provenance, tail_line};
+use crate::provenance::tail_line;
 use crate::scenario::{RunReport, Scenario};
 use cb_trace::Span;
 use std::collections::{BTreeMap, HashSet};
@@ -592,94 +593,6 @@ impl std::fmt::Display for ReplayError {
     }
 }
 
-/// The parsed essentials of a failure artifact.
-#[derive(Clone, Debug)]
-pub struct Artifact {
-    /// Scenario name recorded in the artifact.
-    pub scenario: String,
-    /// Failing seed.
-    pub seed: u64,
-    /// Original plan.
-    pub plan: FaultPlan,
-    /// Shrunk plan (replay uses this by default).
-    pub shrunk_plan: FaultPlan,
-    /// Oracles the artifact says failed.
-    pub failing_oracles: Vec<String>,
-    /// Fingerprint of the original failing run.
-    pub fingerprint: u64,
-    /// The embedded flight-recorder tail (empty for artifacts written
-    /// before the provenance section existed).
-    pub provenance: Vec<Span>,
-    /// Total spans the original run's recorders pushed.
-    pub spans_recorded: u64,
-    /// Spans the original run's bounded rings evicted.
-    pub spans_evicted: u64,
-}
-
-/// Parses an artifact file.
-pub fn read_artifact(path: &Path) -> Result<Artifact, ReplayError> {
-    let text = std::fs::read_to_string(path).map_err(ReplayError::Io)?;
-    let json = Json::parse(&text).map_err(|e| ReplayError::Malformed(format!("{e}")))?;
-    let get_str = |key: &str| -> Result<String, ReplayError> {
-        json.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| ReplayError::Malformed(format!("missing '{key}'")))
-    };
-    let schema = get_str("schema")?;
-    if schema != ARTIFACT_SCHEMA {
-        return Err(ReplayError::Malformed(format!(
-            "unknown schema '{schema}' (want '{ARTIFACT_SCHEMA}')"
-        )));
-    }
-    let plan = FaultPlan::from_spec(&get_str("plan")?)
-        .map_err(|e| ReplayError::Malformed(format!("{e}")))?;
-    let shrunk_plan = FaultPlan::from_spec(&get_str("shrunk_plan")?)
-        .map_err(|e| ReplayError::Malformed(format!("{e}")))?;
-    let seed = json
-        .get("seed")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ReplayError::Malformed("missing 'seed'".into()))?;
-    let failing_oracles = json
-        .get("failing_oracles")
-        .and_then(Json::as_array)
-        .map(|a| {
-            a.iter()
-                .filter_map(Json::as_str)
-                .map(str::to_string)
-                .collect()
-        })
-        .unwrap_or_default();
-    let fingerprint = json
-        .get("report")
-        .and_then(|r| r.get("fingerprint"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    let prov_section = json.get("report").and_then(|r| r.get("provenance"));
-    let provenance = match prov_section {
-        Some(section) => parse_provenance(section).map_err(ReplayError::Malformed)?,
-        None => Vec::new(),
-    };
-    let prov_u64 = |key: &str| -> u64 {
-        prov_section
-            .and_then(|s| s.get(key))
-            .and_then(Json::as_str)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    };
-    Ok(Artifact {
-        scenario: get_str("scenario")?,
-        seed,
-        plan,
-        shrunk_plan,
-        failing_oracles,
-        fingerprint,
-        provenance,
-        spans_recorded: prov_u64("recorded"),
-        spans_evicted: prov_u64("evicted"),
-    })
-}
-
 /// Replays an artifact against `scenario`: re-runs the recorded seed under
 /// the recorded (original) plan and checks that every recorded failing
 /// oracle fails again — and, when the artifact embeds a provenance tail,
@@ -816,6 +729,7 @@ mod tests {
             provenance: Vec::new(),
             spans_recorded: 0,
             spans_evicted: 0,
+            report: Default::default(),
         };
         match replay_artifact(&s, &artifact) {
             Err(ReplayError::NotReproduced { expected, got }) => {

@@ -1,9 +1,9 @@
-//! A minimal JSON value type with a writer and a parser.
+//! A minimal JSON value type with a writer and a reader.
 //!
 //! The workspace builds fully offline, so `serde_json` is unavailable. This
 //! module covers what campaign artifacts (and the bench tables) need:
 //! deterministic serialization (object keys keep insertion order), pretty
-//! printing, and a strict recursive-descent parser for replaying artifacts.
+//! printing, and strict parsing for replaying and ingesting artifacts.
 //!
 //! A document's shape is written once, as calls into a [`Sink`]. Two sinks
 //! exist: [`TreeSink`] builds a [`Json`] value, [`TextSink`] writes text
@@ -12,10 +12,21 @@
 //! indentation exist in one place and a shape streamed to a file is
 //! byte-identical to the same shape built as a tree and then rendered.
 //!
+//! Reading mirrors that: one scanner, two front ends. [`Reader`] is a pull
+//! cursor over the text and owns the only whitespace, string/escape,
+//! number, literal and nesting-depth routines. [`Json::parse`] is the
+//! reader building the tree of a whole document; a decoder that keeps a
+//! few fields of a large document (the failure artifact) walks the reader
+//! itself and calls [`Reader::skip`] on the rest. The rule that makes the
+//! second front end safe: `skip` validates everything `parse` validates —
+//! it runs the same routines and only builds nothing — so a decoder that
+//! skips accepts exactly the documents `Json::parse` accepts.
+//!
 //! Numbers are stored as `f64`; anything that must survive a round trip at
 //! full 64-bit precision (seeds, fingerprints) is stored as a string by the
 //! artifact writer.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io;
 
@@ -96,7 +107,7 @@ impl Json {
     /// (the artifact encoding for full-precision 64-bit values).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
+            Json::Num(n) => f64_as_u64(*n),
             Json::Str(s) => s.parse().ok(),
             _ => None,
         }
@@ -497,178 +508,443 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Parses a complete JSON document; trailing whitespace is allowed,
-/// trailing garbage is not.
+/// trailing garbage is not. This is [`Reader::value`] over the whole text.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let bytes = input.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err(pos, "trailing characters"));
-    }
+    let mut reader = Reader::new(input);
+    let value = reader.value()?;
+    reader.finish()?;
     Ok(value)
 }
 
-fn err(at: usize, msg: &str) -> ParseError {
-    ParseError {
-        at,
-        msg: msg.to_string(),
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), ParseError> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(err(*pos, "unexpected token"))
-    }
-}
-
 /// How deep containers may nest. Artifacts nest 7 deep; the bound keeps a
-/// hostile file from overflowing the stack of this recursive parser.
+/// hostile file from overflowing the stack of the recursive
+/// [`Reader::value`] and [`Reader::skip`].
 const MAX_DEPTH: usize = 128;
 
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
-    skip_ws(b, pos);
-    if depth > MAX_DEPTH {
-        return Err(err(*pos, "nesting too deep"));
-    }
-    let Some(&c) = b.get(*pos) else {
-        return Err(err(*pos, "unexpected end of input"));
-    };
-    match c {
-        b'n' => expect(b, pos, "null").map(|()| Json::Null),
-        b't' => expect(b, pos, "true").map(|()| Json::Bool(true)),
-        b'f' => expect(b, pos, "false").map(|()| Json::Bool(false)),
-        b'"' => parse_string(b, pos).map(Json::Str),
-        b'[' => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos, depth + 1)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(&b',') => *pos += 1,
-                    Some(&b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(err(*pos, "expected ',' or ']'")),
-                }
-            }
-        }
-        b'{' => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(err(*pos, "expected ':'"));
-                }
-                *pos += 1;
-                let value = parse_value(b, pos, depth + 1)?;
-                fields.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(&b',') => *pos += 1,
-                    Some(&b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(err(*pos, "expected ',' or '}'")),
-                }
-            }
-        }
-        b'-' | b'0'..=b'9' => parse_number(b, pos),
-        _ => Err(err(*pos, "unexpected character")),
-    }
+/// What [`Json::as_u64`] makes of a number: integral, non-negative and
+/// exact in an `f64`.
+fn f64_as_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(err(*pos, "expected string"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        // Copy the run up to the next quote or escape in one piece. Both
-        // are ASCII, so a run never ends inside a multi-byte character.
-        let run = *pos;
-        while *pos < b.len() && b[*pos] != b'"' && b[*pos] != b'\\' {
-            *pos += 1;
-        }
-        out.push_str(std::str::from_utf8(&b[run..*pos]).map_err(|e| ParseError {
-            at: run + e.valid_up_to(),
-            msg: "invalid utf-8".into(),
-        })?);
-        let Some(&c) = b.get(*pos) else {
-            return Err(err(*pos, "unterminated string"));
-        };
-        *pos += 1;
-        if c == b'"' {
-            return Ok(out);
-        }
-        let Some(&esc) = b.get(*pos) else {
-            return Err(err(*pos, "unterminated escape"));
-        };
-        *pos += 1;
-        match esc {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
-            b'b' => out.push('\u{8}'),
-            b'f' => out.push('\u{c}'),
-            b'u' => {
-                if *pos + 4 > b.len() {
-                    return Err(err(*pos, "short \\u escape"));
-                }
-                let hex = std::str::from_utf8(&b[*pos..*pos + 4])
-                    .map_err(|_| err(*pos, "bad \\u escape"))?;
-                let code = u32::from_str_radix(hex, 16).map_err(|_| err(*pos, "bad \\u hex"))?;
-                *pos += 4;
-                // Surrogate pairs are not produced by our writer; map lone
-                // surrogates to the replacement character.
-                out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-            }
-            _ => return Err(err(*pos, "unknown escape")),
-        }
-    }
+/// The eight bytes at `pos` as a little-endian word, if there are eight.
+fn word(bytes: &[u8], pos: usize) -> Option<u64> {
+    let eight = bytes.get(pos..pos + 8)?;
+    Some(u64::from_le_bytes(eight.try_into().expect("eight bytes")))
 }
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
+/// The index of the first `"` or `\` at or after `pos`, or the length:
+/// eight bytes per step, by the zero-byte test on the word xored with each.
+fn quote_or_backslash(bytes: &[u8], mut pos: usize) -> usize {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let zero_byte = |x: u64| x.wrapping_sub(ONES) & !x & HIGHS;
+    while let Some(w) = word(bytes, pos) {
+        let hits = zero_byte(w ^ (ONES * b'"' as u64)) | zero_byte(w ^ (ONES * b'\\' as u64));
+        if hits != 0 {
+            // The lowest flagged byte is a true match: a borrow only
+            // carries upwards, so only bytes after a match can be flagged
+            // falsely.
+            return pos + hits.trailing_zeros() as usize / 8;
+        }
+        pos += 8;
     }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *pos += 1;
+    pos + bytes[pos..]
+        .iter()
+        .position(|&c| c == b'"' || c == b'\\')
+        .unwrap_or(bytes.len() - pos)
+}
+
+/// The kind of the value at a [`Reader`]'s cursor, from its first byte.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool,
+    /// A number.
+    Num,
+    /// A string.
+    Str,
+    /// An array.
+    Arr,
+    /// An object.
+    Obj,
+}
+
+/// A pull cursor over JSON text: the one scanner behind [`Json::parse`].
+///
+/// A decoder walks the document itself: [`Reader::begin_obj`] then
+/// [`Reader::next_key`] until it returns `None`, [`Reader::begin_arr`] then
+/// [`Reader::next_item`] until `false`, and for each value one of
+/// [`Reader::str`], [`Reader::num`], [`Reader::bool`], [`Reader::value`] (a
+/// tree of just that value) or [`Reader::skip`], after [`Reader::peek`] when
+/// the kind may vary.
+/// Strings without escapes come back borrowed from the text. `skip` builds
+/// nothing but runs the same whitespace, string, number, literal and depth
+/// routines as `value`, so a document whose values a decoder partly skips
+/// is refused exactly when [`Json::parse`] would refuse it.
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Containers open around the cursor.
+    depth: usize,
+    /// The innermost container was just opened and has no entry yet.
+    first: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor before the first value of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+            first: false,
+        }
     }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| err(start, "bad number"))?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| err(start, "bad number"))
+
+    fn err(&self, msg: &str) -> ParseError {
+        ParseError {
+            at: self.pos,
+            msg: msg.to_string(),
+        }
+    }
+
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        let bytes = self.text.as_bytes();
+        let mut pos = self.pos;
+        while let Some(&c) = bytes.get(pos) {
+            match c {
+                // Pretty-printed indentation comes in runs of spaces.
+                b' ' if word(bytes, pos) == Some(u64::from_le_bytes([b' '; 8])) => pos += 8,
+                b' ' | b'\t' | b'\n' | b'\r' => pos += 1,
+                _ => break,
+            }
+        }
+        self.pos = pos;
+    }
+
+    /// Skips whitespace and returns the next value's first byte, refusing
+    /// a value nested deeper than [`MAX_DEPTH`].
+    fn start(&mut self) -> Result<u8, ParseError> {
+        self.skip_ws();
+        if self.depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.byte()
+            .ok_or_else(|| self.err("unexpected end of input"))
+    }
+
+    /// The kind of the next value.
+    pub fn peek(&mut self) -> Result<Kind, ParseError> {
+        Ok(match self.start()? {
+            b'n' => Kind::Null,
+            b't' | b'f' => Kind::Bool,
+            b'"' => Kind::Str,
+            b'[' => Kind::Arr,
+            b'{' => Kind::Obj,
+            b'-' | b'0'..=b'9' => Kind::Num,
+            _ => return Err(self.err("unexpected character")),
+        })
+    }
+
+    /// Enters the object at the cursor.
+    pub fn begin_obj(&mut self) -> Result<(), ParseError> {
+        if self.start()? != b'{' {
+            return Err(self.err("expected '{'"));
+        }
+        self.enter();
+        Ok(())
+    }
+
+    /// Enters the array at the cursor.
+    pub fn begin_arr(&mut self) -> Result<(), ParseError> {
+        if self.start()? != b'[' {
+            return Err(self.err("expected '['"));
+        }
+        self.enter();
+        Ok(())
+    }
+
+    /// Steps into the container whose bracket is at the cursor.
+    fn enter(&mut self) {
+        self.pos += 1;
+        self.depth += 1;
+        self.first = true;
+    }
+
+    /// The innermost object's next key, with the cursor left on its value;
+    /// `None`, with the object left, after the last one.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        if !self.next_entry(b'}', "expected ',' or '}'")? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        if self.byte() != Some(b':') {
+            return Err(self.err("expected ':'"));
+        }
+        self.pos += 1;
+        Ok(Some(key))
+    }
+
+    /// Whether the innermost array has another item, with the cursor left
+    /// on it; `false`, with the array left, after the last one.
+    pub fn next_item(&mut self) -> Result<bool, ParseError> {
+        self.next_entry(b']', "expected ',' or ']'")
+    }
+
+    /// Steps over the separator in front of the innermost container's next
+    /// entry, or over its closing bracket when there is none.
+    fn next_entry(&mut self, close: u8, msg: &str) -> Result<bool, ParseError> {
+        self.skip_ws();
+        let first = std::mem::replace(&mut self.first, false);
+        match self.byte() {
+            Some(c) if c == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(self.err(msg)),
+        }
+    }
+
+    /// The string at the cursor.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.start()?;
+        self.string()
+    }
+
+    /// The string literal starting at the cursor: a slice of the text when
+    /// it holds no escape, else decoded into a new `String`. The text is
+    /// already UTF-8 and quotes and backslashes are ASCII, so every run
+    /// between them is sliced, never re-validated.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        if self.byte() != Some(b'"') {
+            return Err(self.err("expected string"));
+        }
+        self.pos += 1;
+        let text = self.text;
+        let bytes = text.as_bytes();
+        let start = self.pos;
+        let mut decoded: Option<String> = None;
+        loop {
+            let run = self.pos;
+            self.pos = quote_or_backslash(bytes, run);
+            let Some(c) = self.byte() else {
+                return Err(self.err("unterminated string"));
+            };
+            let run = &text[run..self.pos];
+            self.pos += 1;
+            if c == b'"' {
+                return Ok(match decoded {
+                    None => Cow::Borrowed(&text[start..self.pos - 1]),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        Cow::Owned(out)
+                    }
+                });
+            }
+            let out = decoded.get_or_insert_with(String::new);
+            out.push_str(run);
+            let Some(esc) = self.byte() else {
+                return Err(self.err("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    if self.pos + 4 > bytes.len() {
+                        return Err(self.err("short \\u escape"));
+                    }
+                    // `None` when the four bytes end inside a character.
+                    let hex = text
+                        .get(self.pos..self.pos + 4)
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u hex"))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not produced by our writer; map
+                    // lone surrogates to the replacement character.
+                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                }
+                _ => return Err(self.err("unknown escape")),
+            }
+        }
+    }
+
+    /// The number at the cursor.
+    pub fn num(&mut self) -> Result<f64, ParseError> {
+        if !matches!(self.start()?, b'-' | b'0'..=b'9') {
+            return Err(self.err("expected number"));
+        }
+        self.number()
+    }
+
+    /// The number starting at the cursor.
+    fn number(&mut self) -> Result<f64, ParseError> {
+        let start = self.pos;
+        while matches!(
+            self.byte(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        self.text[start..self.pos].parse().map_err(|_| ParseError {
+            at: start,
+            msg: "bad number".into(),
+        })
+    }
+
+    /// The boolean at the cursor.
+    pub fn bool(&mut self) -> Result<bool, ParseError> {
+        if !matches!(self.start()?, b't' | b'f') {
+            return Err(self.err("expected a boolean"));
+        }
+        self.boolean()
+    }
+
+    /// The `true` or `false` starting at the cursor.
+    fn boolean(&mut self) -> Result<bool, ParseError> {
+        if self.byte() == Some(b't') {
+            self.literal("true").map(|()| true)
+        } else {
+            self.literal("false").map(|()| false)
+        }
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), ParseError> {
+        if !self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            return Err(self.err("unexpected token"));
+        }
+        self.pos += lit.len();
+        Ok(())
+    }
+
+    /// The value at the cursor, built as a tree.
+    pub fn value(&mut self) -> Result<Json, ParseError> {
+        Ok(match self.peek()? {
+            Kind::Obj => {
+                self.enter();
+                let mut fields = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    let value = self.value()?;
+                    fields.push((key.into_owned(), value));
+                }
+                Json::Obj(fields)
+            }
+            Kind::Arr => {
+                self.enter();
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value()?);
+                }
+                Json::Arr(items)
+            }
+            Kind::Str => Json::Str(self.string()?.into_owned()),
+            Kind::Num => Json::Num(self.number()?),
+            Kind::Bool => Json::Bool(self.boolean()?),
+            Kind::Null => {
+                self.literal("null")?;
+                Json::Null
+            }
+        })
+    }
+
+    /// Steps over the value at the cursor, checking it exactly as
+    /// [`Reader::value`] does and building nothing.
+    pub fn skip(&mut self) -> Result<(), ParseError> {
+        match self.peek()? {
+            Kind::Obj => {
+                self.enter();
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+            }
+            Kind::Arr => {
+                self.enter();
+                while self.next_item()? {
+                    self.skip()?;
+                }
+            }
+            Kind::Str => {
+                self.string()?;
+            }
+            Kind::Num => {
+                self.number()?;
+            }
+            Kind::Bool => {
+                self.boolean()?;
+            }
+            Kind::Null => self.literal("null")?,
+        }
+        Ok(())
+    }
+
+    /// The string at the cursor, or `None` (the value skipped) for any
+    /// other kind: [`Json::as_str`] without the tree.
+    pub fn opt_str(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        if self.peek()? == Kind::Str {
+            return self.string().map(Some);
+        }
+        self.skip().map(|()| None)
+    }
+
+    /// The value at the cursor as [`Json::as_u64`] reads it (an integral
+    /// number or a decimal string), or `None` (the value skipped).
+    pub fn opt_u64(&mut self) -> Result<Option<u64>, ParseError> {
+        Ok(match self.peek()? {
+            Kind::Num => f64_as_u64(self.number()?),
+            Kind::Str => self.string()?.parse().ok(),
+            _ => {
+                self.skip()?;
+                None
+            }
+        })
+    }
+
+    /// Reads the value at the cursor into `slot` with `read` when `slot` is
+    /// still empty, and skips it otherwise: of a key given twice, the first
+    /// occurrence wins, as with [`Json::get`].
+    pub fn first<T>(
+        &mut self,
+        slot: &mut Option<T>,
+        read: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<(), ParseError> {
+        match slot {
+            Some(_) => self.skip(),
+            None => {
+                *slot = Some(read(self)?);
+                Ok(())
+            }
+        }
+    }
+
+    /// Checks that nothing but whitespace follows the document.
+    pub fn finish(mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters"));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -808,5 +1084,95 @@ mod tests {
         let mut o = Json::obj().with("k", 1u64);
         o.set("k", 2u64);
         assert_eq!(o.get("k").and_then(Json::as_u64), Some(2));
+    }
+
+    /// Whether `skip` takes `text` as one whole document.
+    fn skips(text: &str) -> bool {
+        let mut r = Reader::new(text);
+        r.skip().is_ok() && r.finish().is_ok()
+    }
+
+    #[test]
+    fn skip_accepts_exactly_what_parse_accepts() {
+        let doc = concat!(
+            r#"{"schema":"x/v1", "n":[-1.5e3,0,2E-2,true,false,null],"#,
+            r#" "s":"a\"b\\c\/\n\u00e9\u0041 é✓ tail","deep":[[{"k":{}}],[]],"#,
+            "\n  \"ws\" :\t\r\n [ 1 , \"two\" ] }"
+        );
+        assert!(parse(doc).is_ok() && skips(doc));
+        let mut texts: Vec<String> = Vec::new();
+        for cut in 0..doc.len() {
+            texts.push(String::from_utf8_lossy(&doc.as_bytes()[..cut]).into_owned());
+            texts.push(String::from_utf8_lossy(&doc.as_bytes()[cut..]).into_owned());
+            for bit in 0..8 {
+                let mut flipped = doc.as_bytes().to_vec();
+                flipped[cut] ^= 1 << bit;
+                if let Ok(text) = String::from_utf8(flipped) {
+                    texts.push(text);
+                }
+            }
+        }
+        texts.extend(
+            [
+                "",
+                " ",
+                "1 2",
+                "01",
+                "-",
+                "1e",
+                "[1,]",
+                "{,}",
+                "{\"a\"}",
+                "\"\\x\"",
+                "\"\\u12\"",
+            ]
+            .map(String::from),
+        );
+        let mut refused = 0;
+        for text in &texts {
+            let parsed = parse(text);
+            assert_eq!(parsed.is_ok(), skips(text), "{text:?}");
+            refused += parsed.is_err() as usize;
+        }
+        assert!(
+            refused > texts.len() / 2,
+            "the damage mostly breaks the text"
+        );
+    }
+
+    #[test]
+    fn strings_without_escapes_are_borrowed() {
+        let mut r = Reader::new(r#"["plain é✓", "esc\naped", {"k\u0041": 1}]"#);
+        r.begin_arr().unwrap();
+        assert!(r.next_item().unwrap());
+        assert!(matches!(r.str().unwrap(), Cow::Borrowed("plain é✓")));
+        assert!(r.next_item().unwrap());
+        assert!(matches!(r.str().unwrap(), Cow::Owned(s) if s == "esc\naped"));
+        assert!(r.next_item().unwrap());
+        r.begin_obj().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("kA"));
+        assert_eq!(r.opt_u64().unwrap(), Some(1));
+        assert_eq!(r.next_key().unwrap(), None);
+        assert!(!r.next_item().unwrap());
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn the_reader_sees_the_first_of_a_repeated_key_as_get_does() {
+        let text = r#"{"k": "first", "n": 7, "k": "second", "n": "8"}"#;
+        let (mut k, mut n) = (None, None);
+        let mut r = Reader::new(text);
+        r.begin_obj().unwrap();
+        while let Some(key) = r.next_key().unwrap() {
+            match &*key {
+                "k" => r.first(&mut k, Reader::opt_str).unwrap(),
+                "n" => r.first(&mut n, Reader::opt_u64).unwrap(),
+                _ => r.skip().unwrap(),
+            }
+        }
+        r.finish().unwrap();
+        let tree = parse(text).unwrap();
+        assert_eq!(k.flatten().as_deref(), tree.get("k").and_then(Json::as_str));
+        assert_eq!(n.flatten(), tree.get("n").and_then(Json::as_u64));
     }
 }

@@ -24,7 +24,9 @@
 //!   brute-force ground truth it is differentially tested against).
 //! * [`scenario`] — the [`Scenario`] trait and per-run [`RunReport`]s.
 //! * [`campaign`] — the parallel sweep, shrinking, artifacts, replay.
-//! * [`json`] — a dependency-free JSON reader/writer for artifacts.
+//! * [`artifact`] — the one decoder of failure artifacts, for replay and
+//!   corpus ingestion alike.
+//! * [`json`] — a dependency-free JSON writer, tree parser and pull reader.
 //! * [`toy`] — a tiny ring-heartbeat scenario used by the harness's own
 //!   tests (and handy as an implementation template).
 //!
@@ -46,6 +48,7 @@
 
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod campaign;
 pub mod json;
 pub mod linearizability;
@@ -57,10 +60,11 @@ pub mod scenario;
 pub mod telemetry;
 pub mod toy;
 
+pub use artifact::{decode_artifact, read_artifact, Artifact};
 pub use campaign::{
-    artifact_json, emit_artifact, in_order, read_artifact, replay_artifact, run_campaign,
-    shrink_plan, write_artifact, Artifact, CampaignConfig, CampaignOutcome, Failure, ReplayError,
-    TailDifference, ARTIFACT_SCHEMA,
+    artifact_json, emit_artifact, in_order, replay_artifact, run_campaign, shrink_plan,
+    write_artifact, CampaignConfig, CampaignOutcome, Failure, ReplayError, TailDifference,
+    ARTIFACT_SCHEMA,
 };
 pub use json::{Json, Sink, TextSink, TreeSink};
 pub use linearizability::{
@@ -69,7 +73,7 @@ pub use linearizability::{
 };
 pub use oracle::{check_all, Oracle, OracleVerdict};
 pub use plan::{Fault, FaultPlan, PlanParseError};
-pub use provenance::{parse_provenance, provenance_json, span_from_json, span_json, trace_tail};
+pub use provenance::{provenance_json, read_provenance, span_json, trace_tail, ProvenanceSection};
 pub use scenario::{RunReport, Scenario};
 pub use telemetry::telemetry_json;
 

@@ -168,11 +168,14 @@ impl Fault {
             msg: msg.to_string(),
         };
         let (kind, rest) = spec.split_once(':').ok_or_else(|| err("missing ':'"))?;
-        let parse_ms = |s: &str| -> Result<SimTime, PlanParseError> {
+        // Milliseconds that fit the nanosecond clock.
+        let millis = |s: &str, what: &str| -> Result<u64, PlanParseError> {
             s.parse::<u64>()
-                .map(SimTime::from_millis)
-                .map_err(|_| err("bad millisecond value"))
+                .ok()
+                .filter(|ms| ms.checked_mul(1_000_000).is_some())
+                .ok_or_else(|| err(what))
         };
+        let parse_ms = |s: &str| millis(s, "bad millisecond value").map(SimTime::from_millis);
         let parse_group = |s: &str| -> Result<Vec<NodeId>, PlanParseError> {
             if s.is_empty() {
                 return Err(err("empty node group"));
@@ -230,9 +233,7 @@ impl Fault {
                 let (extra, window) = rest.split_once('@').ok_or_else(|| err("missing '@'"))?;
                 let (from, until) = window.split_once('-').ok_or_else(|| err("missing '-'"))?;
                 Ok(Fault::DelaySpike {
-                    extra: SimDuration::from_millis(
-                        extra.parse().map_err(|_| err("bad extra latency"))?,
-                    ),
+                    extra: SimDuration::from_millis(millis(extra, "bad extra latency")?),
                     from: parse_ms(from)?,
                     until: parse_ms(until)?,
                 })
@@ -248,10 +249,8 @@ impl Fault {
                     nodes: parse_group(nodes)?,
                     from: parse_ms(from)?,
                     until: parse_ms(until)?,
-                    up_mean: SimDuration::from_millis(up.parse().map_err(|_| err("bad up mean"))?),
-                    down_mean: SimDuration::from_millis(
-                        down.parse().map_err(|_| err("bad down mean"))?,
-                    ),
+                    up_mean: SimDuration::from_millis(millis(up, "bad up mean")?),
+                    down_mean: SimDuration::from_millis(millis(down, "bad down mean")?),
                 })
             }
             other => Err(err(&format!("unknown fault kind '{other}'"))),

@@ -15,7 +15,7 @@
 //! key-contains-"wall" masking (the CI determinism check) blanks it without
 //! knowing the schema.
 
-use crate::json::{Json, Sink};
+use crate::json::{Json, Kind, ParseError, Reader, Sink};
 use cb_simnet::prelude::{Actor, Sim, SimTime};
 use cb_trace::{FlightRecorder, Span, SpanId, SpanKind, SpanRef};
 
@@ -204,54 +204,6 @@ pub fn span_json(s: &Span) -> Json {
     Json::build(|sink| emit_span(s, false, sink))
 }
 
-fn field_u64(j: &Json, key: &str) -> u64 {
-    match j.get(key) {
-        Some(Json::Str(s)) => s.parse().unwrap_or(0),
-        Some(v) => v.as_u64().unwrap_or(0),
-        None => 0,
-    }
-}
-
-/// Parses one span rendered by [`span_json`]. Tolerates blanked/absent
-/// `wall_ns` (masked exports) but rejects structural damage.
-pub fn span_from_json(j: &Json) -> Result<Span, String> {
-    let id: SpanId = j
-        .get("id")
-        .and_then(Json::as_str)
-        .ok_or("span missing 'id'")?
-        .parse()?;
-    let kind_label = j
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("span missing 'kind'")?;
-    let kind =
-        SpanKind::parse(kind_label).ok_or_else(|| format!("unknown span kind '{kind_label}'"))?;
-    let name = j
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or("span missing 'name'")?
-        .to_string();
-    let mut parents = Vec::new();
-    for p in j
-        .get("parents")
-        .and_then(Json::as_array)
-        .ok_or("span missing 'parents'")?
-    {
-        parents.push(p.as_str().ok_or("non-string parent id")?.parse()?);
-    }
-    let mut span = Span::new(id, kind, name, parents);
-    span.sim_cost_us = field_u64(j, "sim_cost_us");
-    span.wall_ns = field_u64(j, "wall_ns");
-    if let Some(Json::Obj(pairs)) = j.get("attrs") {
-        for (k, v) in pairs {
-            if let Some(text) = v.as_str() {
-                span.attrs.push((k.clone(), text.to_string()));
-            }
-        }
-    }
-    Ok(span)
-}
-
 /// Emits the full `provenance` artifact section. With `masked = true`
 /// every span's `wall_ns` is written as 0, making the output byte-identical
 /// across replays of the same `(scenario, seed, plan)`.
@@ -290,24 +242,158 @@ pub fn provenance_json(spans: &[Span], recorded: u64, evicted: u64, masked: bool
     Json::build(|sink| emit_provenance(spans, recorded, evicted, masked, sink))
 }
 
-/// Parses a `provenance` section back into spans. Used by the `trace` CLI
-/// and the replay tail-equality check.
-pub fn parse_provenance(j: &Json) -> Result<Vec<Span>, String> {
-    let schema = j
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("provenance missing 'schema'")?;
-    if schema != PROVENANCE_SCHEMA {
-        return Err(format!(
-            "unknown provenance schema '{schema}' (want '{PROVENANCE_SCHEMA}')"
-        ));
+/// A `provenance` section read back (see [`emit_provenance`]).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ProvenanceSection {
+    /// The embedded tail, in the order written.
+    pub spans: Vec<Span>,
+    /// Total spans the recorders pushed (0 when absent or not a decimal
+    /// string).
+    pub recorded: u64,
+    /// Spans the bounded rings evicted (as `recorded`).
+    pub evicted: u64,
+}
+
+/// What a section decoder returns: `Err` when the text is not JSON; `Ok(Err)`
+/// when it is JSON but not the section's shape, with the value still read
+/// to its end so the caller may go on.
+pub type Decoded<T> = Result<Result<T, String>, ParseError>;
+
+/// Reads the `provenance` section at the reader's cursor — the decoder the
+/// replay tail check, corpus ingest and the `trace` CLI share. The schema
+/// tag and `spans` are required; each span must carry a parseable `id`, a
+/// known `kind`, a `name` and string `parents`; `sim_cost_us` and `wall_ns`
+/// read as 0 when absent or blanked (masked exports); attrs with non-string
+/// values are dropped; unknown keys are skipped. Of a key given twice the
+/// first occurrence counts. Ids, kinds, parents and costs are parsed from
+/// borrowed slices of the text.
+pub fn read_provenance(r: &mut Reader<'_>) -> Decoded<ProvenanceSection> {
+    if r.peek()? != Kind::Obj {
+        r.skip()?;
+        return Ok(Err("provenance missing 'schema'".into()));
     }
-    j.get("spans")
-        .and_then(Json::as_array)
-        .ok_or_else(|| "provenance missing 'spans'".to_string())?
-        .iter()
-        .map(span_from_json)
-        .collect()
+    let (mut schema, mut spans, mut recorded, mut evicted) = (None, None, None, None);
+    r.begin_obj()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "schema" => r.first(&mut schema, Reader::opt_str)?,
+            "spans" => r.first(&mut spans, read_spans)?,
+            "recorded" => r.first(&mut recorded, read_total)?,
+            "evicted" => r.first(&mut evicted, read_total)?,
+            _ => r.skip()?,
+        }
+    }
+    Ok((|| -> Result<ProvenanceSection, String> {
+        let schema = schema.flatten().ok_or("provenance missing 'schema'")?;
+        if schema != PROVENANCE_SCHEMA {
+            return Err(format!(
+                "unknown provenance schema '{schema}' (want '{PROVENANCE_SCHEMA}')"
+            ));
+        }
+        Ok(ProvenanceSection {
+            spans: spans.ok_or("provenance missing 'spans'")??,
+            recorded: recorded.flatten().unwrap_or(0),
+            evicted: evicted.flatten().unwrap_or(0),
+        })
+    })())
+}
+
+/// A span total: a decimal string, else `None`.
+fn read_total(r: &mut Reader<'_>) -> Result<Option<u64>, ParseError> {
+    Ok(r.opt_str()?.and_then(|s| s.parse().ok()))
+}
+
+/// The `spans` array, up to the first bad span; the rest is skipped.
+fn read_spans(r: &mut Reader<'_>) -> Decoded<Vec<Span>> {
+    if r.peek()? != Kind::Arr {
+        r.skip()?;
+        return Ok(Err("provenance missing 'spans'".into()));
+    }
+    let mut spans = Ok(Vec::new());
+    r.begin_arr()?;
+    while r.next_item()? {
+        match &mut spans {
+            Ok(list) => match read_span(r)? {
+                Ok(span) => list.push(span),
+                Err(e) => spans = Err(e),
+            },
+            Err(_) => r.skip()?,
+        }
+    }
+    Ok(spans)
+}
+
+/// One span as [`emit_span`] writes it.
+fn read_span(r: &mut Reader<'_>) -> Decoded<Span> {
+    if r.peek()? != Kind::Obj {
+        r.skip()?;
+        return Ok(Err("span missing 'id'".into()));
+    }
+    let (mut id, mut kind, mut name, mut parents) = (None, None, None, None);
+    let (mut sim_cost_us, mut wall_ns, mut attrs) = (None, None, None);
+    r.begin_obj()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "id" => r.first(&mut id, Reader::opt_str)?,
+            "kind" => r.first(&mut kind, Reader::opt_str)?,
+            "name" => r.first(&mut name, Reader::opt_str)?,
+            "parents" => r.first(&mut parents, read_parents)?,
+            "sim_cost_us" => r.first(&mut sim_cost_us, Reader::opt_u64)?,
+            "wall_ns" => r.first(&mut wall_ns, Reader::opt_u64)?,
+            "attrs" => r.first(&mut attrs, read_attrs)?,
+            _ => r.skip()?,
+        }
+    }
+    Ok((|| -> Result<Span, String> {
+        let id: SpanId = id.flatten().ok_or("span missing 'id'")?.parse()?;
+        let label = kind.flatten().ok_or("span missing 'kind'")?;
+        let kind = SpanKind::parse(&label).ok_or_else(|| format!("unknown span kind '{label}'"))?;
+        let name = name.flatten().ok_or("span missing 'name'")?;
+        let parents = parents.ok_or("span missing 'parents'")??;
+        let mut span = Span::new(id, kind, name, parents);
+        span.sim_cost_us = sim_cost_us.flatten().unwrap_or(0);
+        span.wall_ns = wall_ns.flatten().unwrap_or(0);
+        span.attrs = attrs.unwrap_or_default();
+        Ok(span)
+    })())
+}
+
+/// A span's parent ids, up to the first bad one.
+fn read_parents(r: &mut Reader<'_>) -> Decoded<Vec<SpanId>> {
+    if r.peek()? != Kind::Arr {
+        r.skip()?;
+        return Ok(Err("span missing 'parents'".into()));
+    }
+    let mut parents = Ok(Vec::new());
+    r.begin_arr()?;
+    while r.next_item()? {
+        let parent = r.opt_str()?;
+        if let Ok(list) = &mut parents {
+            match parent.map(|p| p.parse::<SpanId>()) {
+                Some(Ok(id)) => list.push(id),
+                Some(Err(e)) => parents = Err(e),
+                None => parents = Err("non-string parent id".into()),
+            }
+        }
+    }
+    Ok(parents)
+}
+
+/// A span's attrs: its string-valued pairs, in order (none when the value
+/// is not an object).
+fn read_attrs(r: &mut Reader<'_>) -> Result<Vec<(String, String)>, ParseError> {
+    let mut attrs = Vec::new();
+    if r.peek()? != Kind::Obj {
+        r.skip()?;
+        return Ok(attrs);
+    }
+    r.begin_obj()?;
+    while let Some(key) = r.next_key()? {
+        if let Some(value) = r.opt_str()? {
+            attrs.push((key.into_owned(), value.into_owned()));
+        }
+    }
+    Ok(attrs)
 }
 
 #[cfg(test)]
@@ -410,11 +496,19 @@ mod tests {
         s
     }
 
+    /// Decodes one whole document with `read`: `Err` for text that is not
+    /// JSON, else the decoder's verdict.
+    fn decode<T>(text: &str, read: fn(&mut Reader<'_>) -> Decoded<T>) -> Result<T, String> {
+        let mut r = Reader::new(text);
+        let decoded = read(&mut r).map_err(|e| e.to_string())?;
+        r.finish().map_err(|e| e.to_string())?;
+        decoded
+    }
+
     #[test]
     fn span_round_trips_through_json() {
         let s = sample_span();
-        let j = span_json(&s);
-        let back = span_from_json(&j).expect("parse");
+        let back = decode(&span_json(&s).to_string_pretty(), read_span).expect("decode");
         assert_eq!(back, s);
     }
 
@@ -436,8 +530,15 @@ mod tests {
             j.get("violations").and_then(Json::as_array).unwrap().len(),
             1
         );
-        let back = parse_provenance(&j).expect("parse");
-        assert_eq!(back, spans);
+        let back = decode(&j.to_string_compact(), read_provenance).expect("decode");
+        assert_eq!(
+            back,
+            ProvenanceSection {
+                spans,
+                recorded: 10,
+                evicted: 0
+            }
+        );
     }
 
     #[test]
@@ -453,14 +554,48 @@ mod tests {
     }
 
     #[test]
-    fn span_from_json_rejects_damage() {
+    fn span_decoder_rejects_damage() {
         let j = span_json(&sample_span());
-        let mut missing = j.clone();
-        if let Json::Obj(pairs) = &mut missing {
-            pairs.retain(|(k, _)| k != "kind");
+        let without = |key: &str| {
+            let mut damaged = j.clone();
+            if let Json::Obj(pairs) = &mut damaged {
+                pairs.retain(|(k, _)| k != key);
+            }
+            decode(&damaged.to_string_compact(), read_span)
+        };
+        for key in ["id", "kind", "name", "parents"] {
+            let err = without(key).expect_err(key);
+            assert_eq!(err, format!("span missing '{key}'"));
         }
-        assert!(span_from_json(&missing).is_err());
-        let bad = Json::obj().with("id", "garbage");
-        assert!(span_from_json(&bad).is_err());
+        // Masked exports blank the wall clock; the rest reads back.
+        assert_eq!(without("wall_ns").map(|s| s.wall_ns), Ok(0));
+        let bad = |text: &str| decode(text, read_span).expect_err(text);
+        assert!(bad(r#"{"id":"garbage"}"#).contains("invalid span id"));
+        assert!(
+            bad(r#"{"id":"t1.n2.s3","kind":"nope","name":"x","parents":[]}"#)
+                .contains("unknown span kind 'nope'")
+        );
+        assert_eq!(
+            bad(r#"{"id":"t1.n2.s3","kind":"send","name":"x","parents":[7]}"#),
+            "non-string parent id"
+        );
+        assert_eq!(bad("[]"), "span missing 'id'");
+        // Not JSON at all, even where the decoder only skips.
+        assert!(bad(r#"{"id":"t1.n2.s3","extra":[1,]}"#).contains("json parse error"));
+    }
+
+    #[test]
+    fn the_first_of_a_repeated_key_counts_and_odd_attrs_drop() {
+        let text = r#"{"id":"t1.n2.s3","id":"garbage","kind":"send","name":"a","name":7,
+            "parents":["t0.n2.s1"],"sim_cost_us":5,"sim_cost_us":"9","wall_ns":"x",
+            "attrs":{"k":"v","n":3,"k":"w"},"attrs":{"lost":"yes"},"more":{"deep":[null]}}"#;
+        let span = decode(text, read_span).expect("decode");
+        assert_eq!(span.id.to_string(), "t1.n2.s3");
+        assert_eq!(span.name, "a");
+        assert_eq!((span.sim_cost_us, span.wall_ns), (5, 0));
+        assert_eq!(
+            span.attrs,
+            vec![("k".into(), "v".into()), ("k".into(), "w".into())]
+        );
     }
 }

@@ -550,11 +550,14 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], PolicyFormatError> {
-        if self.at + n > self.bytes.len() {
-            return Err(PolicyFormatError::Truncated);
-        }
-        let s = &self.bytes[self.at..self.at + n];
-        self.at += n;
+        // `n` is an untrusted length: `at + n` may not fit a `usize`.
+        let end = self
+            .at
+            .checked_add(n)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or(PolicyFormatError::Truncated)?;
+        let s = &self.bytes[self.at..end];
+        self.at = end;
         Ok(s)
     }
 

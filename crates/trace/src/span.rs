@@ -47,9 +47,18 @@ impl FromStr for SpanId {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let err = || format!("invalid span id `{s}` (expected tNNN.nNNN.sNNN)");
-        let rest = s.strip_prefix('t').ok_or_else(err)?;
-        let (at, rest) = rest.split_once(".n").ok_or_else(err)?;
-        let (node, seq) = rest.split_once(".s").ok_or_else(err)?;
+        // A number holds no '.', so splitting at the first '.' finds the
+        // same fields as splitting at the first ".n" / ".s", without a
+        // substring search (artifact decoding parses two ids a span).
+        let (at, rest) = s
+            .strip_prefix('t')
+            .and_then(|rest| rest.split_once('.'))
+            .ok_or_else(err)?;
+        let (node, seq) = rest
+            .strip_prefix('n')
+            .and_then(|rest| rest.split_once('.'))
+            .ok_or_else(err)?;
+        let seq = seq.strip_prefix('s').ok_or_else(err)?;
         Ok(SpanId {
             at_ns: at.parse().map_err(|_| err())?,
             node: node.parse().map_err(|_| err())?,
@@ -211,6 +220,24 @@ mod tests {
         assert!("t1.n2".parse::<SpanId>().is_err());
         assert!("x1.n2.s3".parse::<SpanId>().is_err());
         assert!("t1.nx.s3".parse::<SpanId>().is_err());
+        for odd in [
+            "t1.x.n2.s3",
+            "t1.n2.x.s3",
+            "t1.n2.s3.s4",
+            "t1..n2.s3",
+            "t.n2.s3",
+        ] {
+            assert!(odd.parse::<SpanId>().is_err(), "{odd}");
+        }
+        // What `u64::from_str` accepts, the id accepts.
+        assert_eq!(
+            "t+1.n+2.s+3".parse::<SpanId>(),
+            Ok(SpanId {
+                at_ns: 1,
+                node: 2,
+                seq: 3
+            })
+        );
     }
 
     #[test]
