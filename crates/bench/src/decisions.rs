@@ -786,6 +786,37 @@ mod tests {
         );
     }
 
+    /// Exact counts of `run_all(4)`, per scenario: baseline states,
+    /// optimized states, the policy arm's cold and warm states, and the
+    /// trained store's content id. An evaluation refactor must leave every
+    /// one alone.
+    #[test]
+    fn run_all_counts_are_pinned() {
+        let got: Vec<(&str, [u64; 5])> = run_all(4)
+            .iter()
+            .map(|b| {
+                (
+                    b.scenario,
+                    [
+                        b.baseline.total_states,
+                        b.optimized.total_states,
+                        b.policy.cold_total_states,
+                        b.policy.warm_total_states,
+                        b.policy.store_content_id,
+                    ],
+                )
+            })
+            .collect();
+        let pins: [(&str, [u64; 5]); 5] = [
+            ("randtree", [391, 298, 298, 152, 0xb749_c942_acd4_7b06]),
+            ("gossip", [2_064, 791, 791, 386, 0xe51b_a469_0018_ce66]),
+            ("paxos", [505, 205, 205, 100, 0xd027_7b63_8a5a_2118]),
+            ("dissem", [843, 348, 348, 174, 0xdcc9_2857_50c7_f109]),
+            ("ring", [456, 372, 372, 186, 0x17ee_7f1c_a644_06a0]),
+        ];
+        assert_eq!(got, pins, "observed {got:?}");
+    }
+
     #[test]
     fn policy_arm_is_transparent_and_amortizes_lookahead() {
         for b in run_all(2) {

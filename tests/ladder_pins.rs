@@ -1,10 +1,12 @@
 //! Behaviour pins for the resolver ladder: one seed of every ladder-driven
 //! arm, built through `cb_bench::registry`, recorded at PR 22 before the
 //! ladder's rung 2 stopped copying store hits into a private table and
-//! required equal ever since.
+//! required equal ever since. Two seeds of the plain lookahead arm joined
+//! them before the per-decision evaluation cache was deleted.
 //!
 //! Each pin is `(fingerprint, events_processed)` plus the fifteen counters
-//! the ladder, the rung-1 cache and the lookahead resolver export. A change
+//! the ladder, the rung-1 cache and the lookahead resolver export (the
+//! lookahead arm also pins its exploration totals). A change
 //! that only restructures the ladder must leave every number alone; a
 //! deliberate behaviour change re-records them (a mismatch prints the
 //! observed row in source form).
@@ -70,6 +72,49 @@ fn pile_of(reports: impl IntoIterator<Item = RunReport>) -> Arc<PolicyPile> {
     let mut pile = PolicyPile::new();
     pile.insert_store(merged);
     Arc::new(pile)
+}
+
+/// The exploration totals the lookahead arm adds to its [`Pin`].
+const EXPLORATION: [&str; 2] = ["core.states_explored", "mck.states_visited"];
+
+/// Every randtree decision through the predictive evaluator, no ladder:
+/// the arm whose counts would move first if evaluation changed.
+#[test]
+fn randtree_lookahead_is_pinned() {
+    let arm = ArmSpec {
+        lookahead: true,
+        ..ArmSpec::default()
+    };
+    let pins: [(u64, Pin, [u64; 2]); 2] = [
+        (
+            1,
+            (
+                0x725e_47ec_714d_afd8,
+                83_479,
+                [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 56],
+            ),
+            [704, 0],
+        ),
+        (
+            2,
+            (
+                0xc8e2_c8a6_cd9b_1feb,
+                83_482,
+                [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 58],
+            ),
+            [777, 0],
+        ),
+    ];
+    for (seed, pin, explored) in pins {
+        let what = format!("randtree lookahead seed {seed}");
+        let r = run("randtree", &arm, seed);
+        assert_pin(&what, &r, pin);
+        assert_eq!(
+            EXPLORATION.map(|k| r.telemetry.counter(k)),
+            explored,
+            "{what}: {EXPLORATION:?}"
+        );
+    }
 }
 
 #[test]
