@@ -3,7 +3,7 @@
 //! ```text
 //! campaign [--scenario NAME] [--seeds N] [--base-seed S] [--plan SPEC]
 //!          [--workers N] [--no-shrink] [--no-determinism] [--out DIR]
-//!          [--telemetry] [--lookahead] [--no-evalcache]
+//!          [--telemetry] [--lookahead]
 //!          [--storm] [--ladder] [--deadline STATES] [--chrome]
 //!          [--nodes N] [--unsafe-reads] [--workload PROFILE]
 //!          [--record-policy PILE.cbp] [--policy PILE.cbp]
@@ -30,11 +30,7 @@
 //! (decision-latency p50/p99 on the sim-cost clock, cache hit rate,
 //! states explored per decision) after each summary line.
 //! `--lookahead` switches the randtree scenario to its predictive-lookahead
-//! arm (every decision runs the fused evaluator), and `--no-evalcache`
-//! disables the per-decision EvalCache there — running a sweep with and
-//! without it and diffing the masked artifacts is the operational
-//! cache-transparency check (the `cache_transparency` integration test in
-//! `cb-randtree` automates it).
+//! arm (every decision runs the fused evaluator).
 //! `--storm` layers the fault-storm schedule (gray-failure stalls, a
 //! latency spike, extra loss) onto the default plan; `--unsafe-reads`
 //! switches the kv scenario to its deliberately unsound local-read arm
@@ -88,7 +84,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: campaign [--scenario NAME] [--seeds N] [--base-seed S] [--plan SPEC]\n\
          \x20               [--workers N] [--no-shrink] [--no-determinism] [--out DIR]\n\
-         \x20               [--telemetry] [--lookahead] [--no-evalcache]\n\
+         \x20               [--telemetry] [--lookahead]\n\
          \x20               [--storm] [--ladder] [--deadline STATES] [--chrome]\n\
          \x20               [--nodes N] [--unsafe-reads] [--workload PROFILE]\n\
          \x20               [--record-policy PILE.cbp] [--policy PILE.cbp]\n\
@@ -198,7 +194,6 @@ fn main() {
             "--workers" => cfg.workers = need_parsed(&args, &mut i, "--workers", "a number"),
             "--no-shrink" => cfg.shrink = false,
             "--lookahead" => arm.lookahead = true,
-            "--no-evalcache" => arm.evalcache = false,
             "--storm" => arm.storm = true,
             "--unsafe-reads" => arm.unsafe_reads = true,
             "--ladder" => arm.ladder = true,

@@ -8,11 +8,9 @@
 //!
 //! * **baseline** — the pre-fusion three-pass evaluation
 //!   ([`ModelEvaluator::evaluate_multipass`]): violation search, walks, and
-//!   a dedicated liveness BFS, with no memoization;
+//!   a dedicated liveness BFS;
 //! * **optimized** — the fused single pass ([`OptionEvaluator::evaluate`]):
-//!   one violation+liveness search plus walks, with the per-decision
-//!   [`EvalCache`] memoizing property verdicts and objective scores across
-//!   sibling options;
+//!   one violation+liveness search plus walks;
 //!
 //! and then through the cross-run policy store, cold and warm
 //! ([`PolicyArm`]). Costs are **exact**: states explored per decision, a
@@ -27,7 +25,6 @@
 //! small protocol-shaped systems defined here for the rest (a Paxos-style
 //! quorum race, block dissemination, a token ring).
 //!
-//! [`EvalCache`]: cb_core::evalcache::EvalCache
 //! [`OptionEvaluator::evaluate`]: cb_core::choice::OptionEvaluator::evaluate
 
 use crate::models::{flood_coverage, Flood};
@@ -49,10 +46,6 @@ use std::sync::{Arc, Mutex};
 pub struct ModeStats {
     /// States explored, summed over every option of every decision.
     pub total_states: u64,
-    /// Evaluation-cache lookups served from memoized entries.
-    pub cache_hits: u64,
-    /// Evaluation-cache lookups computed fresh.
-    pub cache_misses: u64,
     /// Dedicated liveness searches the fused pass avoided.
     pub fused_searches_saved: u64,
 }
@@ -119,9 +112,9 @@ pub struct ScenarioBench {
     pub decisions: u64,
     /// Options per decision.
     pub options: usize,
-    /// Three-pass, uncached reference cost.
+    /// Three-pass reference cost.
     pub baseline: ModeStats,
-    /// Fused, cached cost.
+    /// Fused single-pass cost.
     pub optimized: ModeStats,
     /// Fraction of decisions where both modes picked the same option.
     pub agreement: f64,
@@ -161,7 +154,6 @@ fn drive<T, F>(
 ) -> ScenarioBench
 where
     T: TransitionSystem,
-    T::State: 'static,
     F: Fn(u64, usize) -> T,
 {
     let mut baseline = ModeStats::default();
@@ -169,15 +161,11 @@ where
     let mut agreements = 0u64;
     for d in 0..decisions {
         let rng_seed = seed ^ d.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        // Baseline: three passes, no cache.
-        let base_cfg = PredictConfig {
-            cache: false,
-            ..cfg.clone()
-        };
+        // Baseline: three passes.
         let mut eval = ModelEvaluator::new(
             |i| mk(d, i),
             objectives,
-            base_cfg,
+            cfg.clone(),
             SimRng::seed_from(rng_seed),
         );
         let mut base_pick = 0usize;
@@ -191,15 +179,11 @@ where
                 base_best = Some(p);
             }
         }
-        // Optimized: fused single pass + per-decision EvalCache.
-        let opt_cfg = PredictConfig {
-            cache: true,
-            ..cfg.clone()
-        };
+        // Optimized: the fused single pass.
         let mut eval = ModelEvaluator::new(
             |i| mk(d, i),
             objectives,
-            opt_cfg,
+            cfg.clone(),
             SimRng::seed_from(rng_seed),
         );
         let mut opt_pick = 0usize;
@@ -211,10 +195,6 @@ where
                 opt_pick = i;
                 opt_best = Some(p);
             }
-        }
-        if let Some(cache) = eval.cache() {
-            optimized.cache_hits += cache.hits();
-            optimized.cache_misses += cache.misses();
         }
         optimized.fused_searches_saved += eval.fused_searches_saved();
         if base_pick == opt_pick {
@@ -234,7 +214,7 @@ where
 }
 
 /// The policy-store arm over the same decision stream as [`drive`]: train a
-/// store through a *recording* ladder resolving cold (full fused+cached
+/// store through a *recording* ladder resolving cold (full fused
 /// lookahead per decision), then replay the stream through a *warm* ladder
 /// loaded with that store. The replay loops the stream enough times that the
 /// governor-gated refresh cadence (every 16th hit) actually fires, so the
@@ -251,13 +231,8 @@ fn policy_arm<T, F>(
 ) -> PolicyArm
 where
     T: TransitionSystem,
-    T::State: 'static,
     F: Fn(u64, usize) -> T,
 {
-    let opt_cfg = PredictConfig {
-        cache: true,
-        ..cfg.clone()
-    };
     let options: Vec<OptionDesc> = (0..n_options as u64).map(OptionDesc::key).collect();
     // Per-decision state fingerprint: distinct decisions in the stream are
     // distinct store entries (same scenario, different modeled snapshot).
@@ -276,7 +251,7 @@ where
         let mut eval = ModelEvaluator::new(
             |i| mk(d, i),
             objectives,
-            opt_cfg.clone(),
+            cfg.clone(),
             SimRng::seed_from(rng_seed),
         );
         trainer.observe_health(&HealthSignals::default());
@@ -301,7 +276,7 @@ where
             let mut eval = ModelEvaluator::new(
                 |i| mk(d, i),
                 objectives,
-                opt_cfg.clone(),
+                cfg.clone(),
                 SimRng::seed_from(rng_seed),
             );
             warm.observe_health(&HealthSignals::default());
@@ -753,11 +728,6 @@ mod tests {
                 "{}: fusion must reduce explored states",
                 b.scenario
             );
-            assert!(
-                b.optimized.cache_misses > 0,
-                "{}: cache never exercised",
-                b.scenario
-            );
         }
     }
 
@@ -768,7 +738,6 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.baseline.total_states, y.baseline.total_states);
             assert_eq!(x.optimized.total_states, y.optimized.total_states);
-            assert_eq!(x.optimized.cache_hits, y.optimized.cache_hits);
         }
     }
 

@@ -21,7 +21,6 @@ pub enum ArmField {
     Storm,
     Ladder,
     Lookahead,
-    Evalcache,
     Deadline,
     UnsafeReads,
     Nodes,
@@ -34,11 +33,10 @@ use ArmField::*;
 
 impl ArmField {
     /// Every field, in usage order.
-    pub const ALL: [ArmField; 10] = [
+    pub const ALL: [ArmField; 9] = [
         Storm,
         Ladder,
         Lookahead,
-        Evalcache,
         Deadline,
         UnsafeReads,
         Nodes,
@@ -53,7 +51,6 @@ impl ArmField {
             Storm => "--storm",
             Ladder => "--ladder",
             Lookahead => "--lookahead",
-            Evalcache => "--no-evalcache",
             Deadline => "--deadline",
             UnsafeReads => "--unsafe-reads",
             Nodes => "--nodes",
@@ -66,7 +63,7 @@ impl ArmField {
 
 /// A scenario arm as data: which non-stock behaviours a run switches on.
 /// `Default` is the stock arm.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ArmSpec {
     /// Layer the fault-storm schedule over the default plan.
     pub storm: bool,
@@ -74,8 +71,6 @@ pub struct ArmSpec {
     pub ladder: bool,
     /// Resolve choices by predictive lookahead.
     pub lookahead: bool,
-    /// Keep the per-decision evaluation cache on (stock: `true`).
-    pub evalcache: bool,
     /// Per-decision prediction deadline in explored states (0 = off).
     pub deadline_states: u64,
     /// Serve reads without the guard round (the planted bug).
@@ -92,23 +87,6 @@ pub struct ArmSpec {
     pub record_policy: bool,
 }
 
-impl Default for ArmSpec {
-    fn default() -> Self {
-        ArmSpec {
-            storm: false,
-            ladder: false,
-            lookahead: false,
-            evalcache: true,
-            deadline_states: 0,
-            unsafe_reads: false,
-            nodes: None,
-            workload: None,
-            policy: None,
-            record_policy: false,
-        }
-    }
-}
-
 impl ArmSpec {
     /// The fields this spec moves off their stock values.
     pub fn set_fields(&self) -> Vec<ArmField> {
@@ -116,7 +94,6 @@ impl ArmSpec {
             (Storm, self.storm),
             (Ladder, self.ladder),
             (Lookahead, self.lookahead),
-            (Evalcache, !self.evalcache),
             (Deadline, self.deadline_states > 0),
             (UnsafeReads, self.unsafe_reads),
             (Nodes, self.nodes.is_some()),
@@ -136,7 +113,6 @@ impl ArmSpec {
             storm: has(Storm) && self.storm,
             ladder: has(Ladder) && self.ladder,
             lookahead: has(Lookahead) && self.lookahead,
-            evalcache: !has(Evalcache) || self.evalcache,
             deadline_states: if has(Deadline) {
                 self.deadline_states
             } else {
@@ -199,7 +175,6 @@ const REGISTRY: [Entry; 7] = [
             Storm,
             Ladder,
             Lookahead,
-            Evalcache,
             Deadline,
             Workload,
             Policy,
@@ -210,7 +185,6 @@ const REGISTRY: [Entry; 7] = [
             Box::new(cb_randtree::RandTreeCampaign {
                 nodes: d.nodes * arm.scale_hint() as usize,
                 lookahead: arm.lookahead,
-                evalcache: arm.evalcache,
                 ladder: arm.ladder,
                 deadline_states: arm.deadline_states,
                 storm: arm.storm,
@@ -413,7 +387,6 @@ mod tests {
             storm: true,
             ladder: true,
             lookahead: true,
-            evalcache: false,
             deadline_states: 20,
             unsafe_reads: true,
             nodes: Some(24),

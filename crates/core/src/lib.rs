@@ -56,7 +56,6 @@
 //! ```
 
 pub mod choice;
-pub mod evalcache;
 pub mod governor;
 pub mod model;
 pub mod nfa;
@@ -72,7 +71,6 @@ pub mod prelude {
         ChoiceId, ChoiceRequest, ContextKey, DecisionRecord, EvalVerdict, FnEvaluator,
         NullEvaluator, OptionDesc, OptionEvaluator, Prediction, Resolver,
     };
-    pub use crate::evalcache::EvalCache;
     pub use crate::governor::{DegradationGovernor, GovernorConfig, Health, HealthSignals};
     pub use crate::model::net::NetworkModel;
     pub use crate::model::state::{NodeView, Snapshot, StateModel};

@@ -10,13 +10,13 @@
 
 use cb_mck::props::Property;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A named, weighted quantitative objective over model states.
 pub struct PerfObjective<S> {
     name: String,
     weight: f64,
-    metric: Arc<dyn Fn(&S) -> f64 + Send + Sync>,
+    metric: Rc<dyn Fn(&S) -> f64>,
 }
 
 impl<S> Clone for PerfObjective<S> {
@@ -24,7 +24,7 @@ impl<S> Clone for PerfObjective<S> {
         PerfObjective {
             name: self.name.clone(),
             weight: self.weight,
-            metric: Arc::clone(&self.metric),
+            metric: Rc::clone(&self.metric),
         }
     }
 }
@@ -43,12 +43,12 @@ impl<S> PerfObjective<S> {
     pub fn maximize(
         name: impl Into<String>,
         weight: f64,
-        metric: impl Fn(&S) -> f64 + Send + Sync + 'static,
+        metric: impl Fn(&S) -> f64 + 'static,
     ) -> Self {
         PerfObjective {
             name: name.into(),
             weight,
-            metric: Arc::new(metric),
+            metric: Rc::new(metric),
         }
     }
 
@@ -57,12 +57,12 @@ impl<S> PerfObjective<S> {
     pub fn minimize(
         name: impl Into<String>,
         weight: f64,
-        metric: impl Fn(&S) -> f64 + Send + Sync + 'static,
+        metric: impl Fn(&S) -> f64 + 'static,
     ) -> Self {
         PerfObjective {
             name: name.into(),
             weight,
-            metric: Arc::new(move |s| -metric(s)),
+            metric: Rc::new(move |s| -metric(s)),
         }
     }
 
@@ -141,7 +141,7 @@ impl<S> ObjectiveSet<S> {
         mut self,
         name: impl Into<String>,
         weight: f64,
-        metric: impl Fn(&S) -> f64 + Send + Sync + 'static,
+        metric: impl Fn(&S) -> f64 + 'static,
     ) -> Self {
         self.performance
             .push(PerfObjective::maximize(name, weight, metric));
@@ -153,7 +153,7 @@ impl<S> ObjectiveSet<S> {
         mut self,
         name: impl Into<String>,
         weight: f64,
-        metric: impl Fn(&S) -> f64 + Send + Sync + 'static,
+        metric: impl Fn(&S) -> f64 + 'static,
     ) -> Self {
         self.performance
             .push(PerfObjective::minimize(name, weight, metric));
@@ -249,6 +249,26 @@ mod tests {
         assert_eq!(obj.score(&9), 0.0);
         assert_eq!(obj.immediate_violations(&9), 0);
         assert!(obj.properties().is_empty());
+    }
+
+    #[test]
+    fn metrics_and_properties_may_hold_single_threaded_state() {
+        // Evaluation runs on the deciding thread, so a metric or predicate
+        // may capture an `Rc` (neither `Send` nor `Sync`).
+        let calls = Rc::new(std::cell::Cell::new(0u32));
+        let (m, p) = (Rc::clone(&calls), Rc::clone(&calls));
+        let obj: ObjectiveSet<i32> = ObjectiveSet::new()
+            .minimize("x", 1.0, move |s: &i32| {
+                m.set(m.get() + 1);
+                *s as f64
+            })
+            .safety(Property::safety("positive", move |s: &i32| {
+                p.set(p.get() + 1);
+                *s > 0
+            }));
+        assert_eq!(obj.score(&3), -3.0);
+        assert_eq!(obj.immediate_violations(&3), 0);
+        assert_eq!(calls.get(), 2);
     }
 
     #[test]

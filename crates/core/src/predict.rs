@@ -18,11 +18,10 @@
 //! satisfaction. The exploration kernels now carry liveness bitmasks
 //! through every search, so the dedicated liveness pass is gone; the
 //! pre-fusion behavior survives as [`ModelEvaluator::evaluate_multipass`]
-//! for differential tests and as the perf-bench baseline. Property verdicts
-//! and objective scores are additionally memoized **across the options of
-//! one choice** by an [`EvalCache`] (sibling options explore almost the
-//! same futures), without ever changing what gets picked — see the
-//! [`crate::evalcache`] module docs for the transparency argument.
+//! for differential tests and as the perf-bench baseline. Properties and
+//! objectives are evaluated as given, with no memo between them: a
+//! per-decision cache of verdicts and scores was measured slower than
+//! recomputing them, and was removed.
 //!
 //! Note one semantic refinement of the fusion: with
 //! [`PredictConfig::consequence`] enabled, liveness satisfaction is now
@@ -35,16 +34,12 @@
 //! [`LookaheadResolver`]: crate::resolve::lookahead::LookaheadResolver
 
 use crate::choice::{EvalVerdict, OptionEvaluator, Prediction};
-use crate::evalcache::{EvalCache, MAX_CACHED_PROPS};
 use crate::objective::ObjectiveSet;
 use cb_mck::explore::ExploreConfig;
-use cb_mck::hash::fingerprint;
-use cb_mck::props::{Property, PropertyKind};
 use cb_mck::system::TransitionSystem;
 use cb_mck::walk::{random_walks, WalkConfig};
 use cb_simnet::rng::SimRng;
 use cb_telemetry::{keys, Registry};
-use std::sync::Arc;
 
 /// Budget and mode of a predictive evaluation.
 #[derive(Clone, Debug)]
@@ -64,10 +59,6 @@ pub struct PredictConfig {
     /// §3.2: the number of liveness properties expected to hold is a
     /// generically useful objective). 0 skips liveness scoring.
     pub liveness_weight: f64,
-    /// Memoize property verdicts and objective scores across the options
-    /// of one choice (see [`EvalCache`]). Transparent: resolution picks the
-    /// same option with the cache on or off.
-    pub cache: bool,
     /// Per-decision prediction deadline, as a sim-cost budget in explored
     /// states (the decision-latency clock prices one state at 1 µs of
     /// sim-cost). `0` disables the deadline. When set, the cumulative
@@ -89,9 +80,25 @@ impl Default for PredictConfig {
             walks: 24,
             consequence: true,
             liveness_weight: 1.0,
-            cache: true,
             deadline_states: 0,
         }
+    }
+}
+
+/// The per-decision evaluation memo [`ModelEvaluator`] no longer keeps.
+/// It has no values, so [`ModelEvaluator::cache`] is always `None`; the
+/// type stays only so callers written against the memo still compile.
+pub enum EvalCache {}
+
+impl EvalCache {
+    /// Lookups answered from a memoized entry (there are none).
+    pub fn hits(&self) -> u64 {
+        match *self {}
+    }
+
+    /// Lookups that computed fresh (there are none).
+    pub fn misses(&self) -> u64 {
+        match *self {}
     }
 }
 
@@ -99,8 +106,7 @@ impl Default for PredictConfig {
 ///
 /// `F` builds the transition system for a given option index. The same
 /// evaluator is handed to the resolver for one choice and then discarded —
-/// it borrows the models that back the factory. Its [`EvalCache`] spans all
-/// options of that one choice and goes with the evaluator.
+/// it borrows the models that back the factory.
 pub struct ModelEvaluator<'a, T, F>
 where
     T: TransitionSystem,
@@ -110,7 +116,6 @@ where
     objectives: &'a ObjectiveSet<T::State>,
     cfg: PredictConfig,
     rng: SimRng,
-    cache: Option<Arc<EvalCache>>,
     /// Dedicated liveness searches the fused pass avoided.
     fused_searches_saved: u64,
     /// Cumulative states explored across this decision's evaluations
@@ -125,8 +130,7 @@ where
     T: TransitionSystem,
     F: FnMut(usize) -> T,
 {
-    /// Creates an evaluator with a fresh per-decision [`EvalCache`] (when
-    /// `cfg.cache` is set).
+    /// Creates an evaluator for one decision.
     ///
     /// `rng` seeds the walk sampler; fork it from the node's stream so
     /// evaluation stays deterministic per run.
@@ -136,22 +140,20 @@ where
         cfg: PredictConfig,
         rng: SimRng,
     ) -> Self {
-        let cache = cfg.cache.then(|| Arc::new(EvalCache::new()));
         ModelEvaluator {
             make_system,
             objectives,
             cfg,
             rng,
-            cache,
             fused_searches_saved: 0,
             spent_states: 0,
             evals_cut_short: 0,
         }
     }
 
-    /// The evaluation cache, when caching is enabled.
-    pub fn cache(&self) -> Option<&Arc<EvalCache>> {
-        self.cache.as_ref()
+    /// Always `None`: evaluation keeps no memo (see [`EvalCache`]).
+    pub fn cache(&self) -> Option<&EvalCache> {
+        None
     }
 
     /// Dedicated liveness searches the fused pass avoided so far.
@@ -184,59 +186,13 @@ where
     fn want_liveness(&self) -> bool {
         self.cfg.liveness_weight != 0.0 && !self.objectives.liveness_properties().is_empty()
     }
-}
-
-impl<'a, T, F> ModelEvaluator<'a, T, F>
-where
-    T: TransitionSystem,
-    T::State: 'static,
-    F: FnMut(usize) -> T,
-{
-    /// The properties the search should check — wrapped in memoizing
-    /// predicates when the cache is on (and the property count fits the
-    /// cache's bitmask).
-    fn effective_props(&self) -> Vec<Property<T::State>> {
-        let props = self.objectives.properties();
-        let Some(cache) = &self.cache else {
-            return props;
-        };
-        if props.len() > MAX_CACHED_PROPS {
-            return props;
-        }
-        props
-            .iter()
-            .enumerate()
-            .map(|(slot, p)| {
-                let cache = Arc::clone(cache);
-                let orig = p.clone();
-                let pred = move |s: &T::State| {
-                    let fp = fingerprint(s);
-                    cache.verdict(slot, fp, || orig.holds(s))
-                };
-                match p.kind() {
-                    PropertyKind::Safety => Property::safety(p.name().to_string(), pred),
-                    PropertyKind::EventuallyWithinHorizon => {
-                        Property::eventually(p.name().to_string(), pred)
-                    }
-                }
-            })
-            .collect()
-    }
-
-    fn scored(&self, state: &T::State) -> f64 {
-        match &self.cache {
-            Some(cache) => cache.score(fingerprint(state), || self.objectives.score(state)),
-            None => self.objectives.score(state),
-        }
-    }
 
     /// The pre-fusion reference evaluation: a violation-only search, the
-    /// walks, and a **second full BFS** for liveness satisfaction. No
-    /// memoization. Kept (a) as the baseline the decision perf bench
-    /// measures against, and (b) for differential tests pinning that fusion
-    /// did not change predictions — in BFS mode the two return identical
-    /// `Prediction`s up to `states_explored`, which is exactly the cost the
-    /// fusion removes.
+    /// walks, and a **second full BFS** for liveness satisfaction. Kept
+    /// (a) as the baseline the decision perf bench measures against, and
+    /// (b) for differential tests pinning that fusion did not change
+    /// predictions — in BFS mode the two return identical `Prediction`s up
+    /// to `states_explored`, which is exactly the cost the fusion removes.
     pub fn evaluate_multipass(&mut self, index: usize) -> Prediction {
         let sys = (self.make_system)(index);
         let props = self.objectives.properties();
@@ -283,7 +239,6 @@ where
 impl<'a, T, F> OptionEvaluator for ModelEvaluator<'a, T, F>
 where
     T: TransitionSystem,
-    T::State: 'static,
     F: FnMut(usize) -> T,
 {
     fn evaluate(&mut self, index: usize) -> Prediction {
@@ -304,7 +259,7 @@ where
             return Prediction::unknown();
         }
         let sys = (self.make_system)(index);
-        let props = self.effective_props();
+        let props = self.objectives.properties();
         let mut explore_cfg = self.explore_cfg();
         if deadline != 0 {
             explore_cfg.max_states = explore_cfg.max_states.min(budget as usize);
@@ -338,21 +293,16 @@ where
         if effective_walks < self.cfg.walks {
             cut_short = true;
         }
-        // Objective estimation over sampled futures. Walk RNG consumption
-        // depends only on action weights, so memoized scores cannot shift
-        // the sampled paths.
+        // Objective estimation over sampled futures.
         let (mut objective, states_b) = if effective_walks == 0 {
-            (self.scored(&sys.initial()), 0)
+            (self.objectives.score(&sys.initial()), 0)
         } else {
             let wcfg = WalkConfig {
                 walks: effective_walks,
                 depth: self.cfg.depth,
             };
-            let cache = self.cache.clone();
-            let objectives = self.objectives;
-            let report = random_walks(&sys, &[], &wcfg, &mut self.rng, |s| match &cache {
-                Some(c) => c.score(fingerprint(s), || objectives.score(s)),
-                None => objectives.score(s),
+            let report = random_walks(&sys, &[], &wcfg, &mut self.rng, |s| {
+                self.objectives.score(s)
             });
             (report.mean_score(), report.steps)
         };
@@ -388,10 +338,6 @@ where
     }
 
     fn export_metrics(&self, reg: &mut Registry) {
-        if let Some(cache) = &self.cache {
-            reg.add(keys::CORE_EVALCACHE_HITS, cache.hits());
-            reg.add(keys::CORE_EVALCACHE_MISSES, cache.misses());
-        }
         reg.add(
             keys::CORE_EVALCACHE_FUSED_SEARCHES_SAVED,
             self.fused_searches_saved,
@@ -598,47 +544,10 @@ mod tests {
         let mut reg = Registry::new();
         fused.export_metrics(&mut reg);
         assert_eq!(reg.counter(keys::CORE_EVALCACHE_FUSED_SEARCHES_SAVED), 1);
-        assert!(reg.counter(keys::CORE_EVALCACHE_MISSES) > 0);
-    }
-
-    #[test]
-    fn cache_memoizes_across_options_without_changing_predictions() {
-        // Options share their entire future (same system): the second
-        // evaluation must be all hits, with identical predictions.
-        let objectives: ObjectiveSet<i64> = ObjectiveSet::new()
-            .maximize("value", 1.0, |s: &i64| *s as f64)
-            .safety(Property::safety("below 100", |s: &i64| *s < 100));
-        let cfg = PredictConfig {
-            depth: 5,
-            walks: 4,
-            ..Default::default()
-        };
-        let mut cached = ModelEvaluator::new(
-            |_| Drift { start: 0, bias: 1 },
-            &objectives,
-            cfg.clone(),
-            SimRng::seed_from(11),
-        );
-        let c0 = cached.evaluate(0);
-        let hits_after_first = cached.cache().expect("cache on").hits();
-        let c1 = cached.evaluate(1);
-        let hits_after_second = cached.cache().expect("cache on").hits();
-        assert!(
-            hits_after_second > hits_after_first,
-            "second option must reuse memoized verdicts"
-        );
-        let mut uncached = ModelEvaluator::new(
-            |_| Drift { start: 0, bias: 1 },
-            &objectives,
-            PredictConfig {
-                cache: false,
-                ..cfg
-            },
-            SimRng::seed_from(11),
-        );
-        assert_eq!(c0, uncached.evaluate(0));
-        assert_eq!(c1, uncached.evaluate(1));
-        assert!(uncached.cache().is_none());
+        // The memo's keys stay in the schema and are never written.
+        assert_eq!(reg.counter(keys::CORE_EVALCACHE_HITS), 0);
+        assert_eq!(reg.counter(keys::CORE_EVALCACHE_MISSES), 0);
+        assert!(fused.cache().is_none());
     }
 
     #[test]

@@ -19,6 +19,11 @@
 //!   is deployed": a hit in a cross-run [`cb_policy::PolicyStore`], answered
 //!   from the store itself. The ladder holds three tables — the store, the
 //!   rung-1 cache and the bandit's arms — and no copy of any of them.
+//!
+//! Two memo layers sit on the decision path: the rung-1 cache and the
+//! policy store. Below them, [`crate::predict::ModelEvaluator`] evaluates
+//! every property and objective it is asked about; a per-decision memo of
+//! those values cost more than recomputing them and was removed.
 
 pub mod cached;
 pub mod heuristic;

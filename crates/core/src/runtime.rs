@@ -794,22 +794,15 @@ impl<'a, 'b, M: Clone + Debug + 'static, C: Clone + Debug + 'static> ServiceCtx<
                 .telemetry
                 .inc(keys::CORE_PREDICT_DEADLINE_OVERRUNS);
         }
-        // Evaluator-internal accounting (evalcache hits/misses, fused-pass
-        // savings). Delta semantics: once per decision. Routed through a
-        // scratch registry so the per-decision deltas can also land on the
-        // provenance span, then merged (counters add) into the node
-        // registry — identical totals to exporting directly.
-        let mut eval_reg = Registry::new();
-        tap.export_metrics(&mut eval_reg);
-        let cache_hits = eval_reg.counter(keys::CORE_EVALCACHE_HITS);
-        let cache_misses = eval_reg.counter(keys::CORE_EVALCACHE_MISSES);
-        self.core.telemetry.merge(&eval_reg);
+        // Evaluator-internal accounting (fused-pass savings, partial
+        // evaluations). Delta semantics: once per decision.
+        tap.export_metrics(&mut self.core.telemetry);
         let verdict = tap.verdict();
         // Open the DecisionSpan: parents = whatever event dispatched this
         // handler (deliver / timer / conn-break / start), carrying the full
-        // option set, every tapped per-option prediction, the verdict,
-        // cache disposition, and the resolver's own attrs (ladder rung,
-        // governor level + dominant pressure cause).
+        // option set, every tapped per-option prediction, the verdict, and
+        // the resolver's own attrs (ladder rung, governor level + dominant
+        // pressure cause).
         let mut attrs: Vec<(String, String)> = Vec::with_capacity(10 + tap.taps.len() * 3);
         attrs.push(("choice".into(), id.to_string()));
         attrs.push(("context".into(), context.0.to_string()));
@@ -833,8 +826,6 @@ impl<'a, 'b, M: Clone + Debug + 'static, C: Clone + Debug + 'static> ServiceCtx<
             }
             .into(),
         ));
-        attrs.push(("evalcache.hits".into(), cache_hits.to_string()));
-        attrs.push(("evalcache.misses".into(), cache_misses.to_string()));
         attrs.append(&mut self.core.pending_attrs);
         self.core.resolver.decision_attrs(&mut attrs);
         let at_ns = self.net.now_ns();

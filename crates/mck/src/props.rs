@@ -7,15 +7,15 @@
 //! happens within the exploration horizon" (checked on the paths).
 
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A named predicate over states.
 ///
-/// Cloneable and cheap to share: the predicate lives behind an [`Arc`].
+/// Cloneable and cheap to share: the predicate lives behind an [`Rc`].
 pub struct Property<S> {
     name: String,
     kind: PropertyKind,
-    pred: Arc<dyn Fn(&S) -> bool + Send + Sync>,
+    pred: Rc<dyn Fn(&S) -> bool>,
 }
 
 impl<S> Clone for Property<S> {
@@ -23,7 +23,7 @@ impl<S> Clone for Property<S> {
         Property {
             name: self.name.clone(),
             kind: self.kind,
-            pred: Arc::clone(&self.pred),
+            pred: Rc::clone(&self.pred),
         }
     }
 }
@@ -50,27 +50,21 @@ pub enum PropertyKind {
 
 impl<S> Property<S> {
     /// A safety property: `pred` must hold in every reachable state.
-    pub fn safety(
-        name: impl Into<String>,
-        pred: impl Fn(&S) -> bool + Send + Sync + 'static,
-    ) -> Self {
+    pub fn safety(name: impl Into<String>, pred: impl Fn(&S) -> bool + 'static) -> Self {
         Property {
             name: name.into(),
             kind: PropertyKind::Safety,
-            pred: Arc::new(pred),
+            pred: Rc::new(pred),
         }
     }
 
     /// A bounded-liveness property: `pred` should hold somewhere along each
     /// explored path.
-    pub fn eventually(
-        name: impl Into<String>,
-        pred: impl Fn(&S) -> bool + Send + Sync + 'static,
-    ) -> Self {
+    pub fn eventually(name: impl Into<String>, pred: impl Fn(&S) -> bool + 'static) -> Self {
         Property {
             name: name.into(),
             kind: PropertyKind::EventuallyWithinHorizon,
-            pred: Arc::new(pred),
+            pred: Rc::new(pred),
         }
     }
 

@@ -3,9 +3,8 @@
 //!
 //! Paper §3.4 asks for "using choices based on previous similar scenarios as
 //! a fast alternative" to running consequence prediction on the critical
-//! path. The EvalCache (PR 3) amortizes lookahead *within* a decision and
-//! the resolver ladder (PR 4) *within* a run; this crate amortizes it
-//! *across runs*: a campaign sweep records what lookahead concluded at every
+//! path. The resolver ladder's rung-1 cache amortizes lookahead *within* a
+//! run; this crate amortizes it *across runs*: a campaign sweep records what lookahead concluded at every
 //! `(scenario, choice, context, state fingerprint)` and later runs replay
 //! those conclusions as a hash lookup, falling back to live prediction only
 //! on a miss.

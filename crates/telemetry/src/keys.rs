@@ -36,10 +36,12 @@ pub const CORE_CACHE_MISSES: &str = "core.cache.misses";
 pub const CORE_CACHE_REFRESHES: &str = "core.cache.refreshes";
 /// Full lookahead evaluations performed by a `LookaheadResolver`.
 pub const CORE_LOOKAHEAD_EVALUATIONS: &str = "core.lookahead.evaluations";
-/// Per-decision evaluation-cache lookups (property verdicts and objective
-/// scores) answered from a memoized entry.
+/// Lookups answered by the per-decision evaluation cache that cb-core no
+/// longer has: always 0, kept because the name is on disk in artifacts and
+/// corpus records.
 pub const CORE_EVALCACHE_HITS: &str = "core.evalcache.hits";
-/// Per-decision evaluation-cache lookups that had to compute fresh.
+/// Lookups the deleted evaluation cache computed fresh: always 0, kept for
+/// the same reason as [`CORE_EVALCACHE_HITS`].
 pub const CORE_EVALCACHE_MISSES: &str = "core.evalcache.misses";
 /// Dedicated liveness searches the fused single-pass evaluation avoided
 /// (one whole exploration saved per option evaluation with liveness

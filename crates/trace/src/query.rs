@@ -125,8 +125,6 @@ pub fn explain(spans: &[Span], id: SpanId) -> Option<String> {
         "ladder.rungs_skipped",
         "policy",
         "verdict",
-        "evalcache.hits",
-        "evalcache.misses",
     ] {
         if let Some(v) = span.attr(key) {
             out.push_str(&format!("  {key:<22} {v}\n"));

@@ -150,7 +150,6 @@ fn every_field_set() -> ArmSpec {
         storm: true,
         ladder: true,
         lookahead: true,
-        evalcache: false,
         deadline_states: 20,
         unsafe_reads: true,
         nodes: Some(24),
@@ -163,14 +162,12 @@ fn every_field_set() -> ArmSpec {
 }
 
 /// The arm that sets `field` alone on `scenario`, after the arm it is
-/// measured against. That base is stock except for the two fields that
-/// only tune another arm: the evaluation cache exists in the lookahead
-/// arm, and a prediction deadline is enforced in the ladder arm.
+/// measured against. That base is stock except for the field that only
+/// tunes another arm: a prediction deadline is enforced in the ladder arm.
 fn single_field_arm(scenario: &str, field: ArmField) -> (ArmSpec, ArmSpec) {
     use ArmField::*;
     let all = every_field_set();
     match field {
-        Evalcache => (all.only(&[Lookahead]), all.only(&[Lookahead, Evalcache])),
         Deadline => (all.only(&[Ladder]), all.only(&[Ladder, Deadline])),
         Policy => {
             // Warm-start from a pile this scenario recorded itself.
