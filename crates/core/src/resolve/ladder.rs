@@ -35,7 +35,7 @@
 //! Staleness degrades safely two ways. A stored entry whose chosen option
 //! key is no longer offered is a miss, never a wrong answer. And while the
 //! governor reports `Healthy` — the only level at which fresh lookahead is
-//! trustworthy — every `policy_refresh_every`-th store hit is re-resolved
+//! trustworthy — every 16th store hit (`REFRESH_EVERY`) is re-resolved
 //! by full lookahead and compared against the store ("governor-gated
 //! background refresh"): a mismatch counts `core.policy.stale`, serves the
 //! *fresh* answer, and re-records it.
@@ -59,6 +59,11 @@ use std::sync::{Arc, Mutex};
 
 /// Number of rungs on the ladder.
 pub const RUNGS: usize = 6;
+
+/// Uses between refreshes, shared by both refresh cadences: the rung-1
+/// cache's reuse budget, and the policy-store refresh (every 16th store hit
+/// is re-resolved by fresh lookahead while `Healthy`).
+const REFRESH_EVERY: u64 = 16;
 
 /// The health-driven fallback chain: governor level + deadline bump pick a
 /// position here, not a raw rung index (the fast rungs 2–3 are gated on
@@ -140,47 +145,31 @@ pub struct LadderResolver {
     policy: Option<Arc<PolicyStore>>,
     /// Training side: where rung-0 decisions are recorded.
     recorder: Option<Arc<Mutex<PolicyStore>>>,
-    /// Every n-th store hit is re-checked by fresh lookahead while Healthy.
-    /// Never 0: `with_config` rejects it.
-    policy_refresh_every: u64,
     policy_hits: u64,
     policy_misses: u64,
     policy_stale: u64,
     policy_inserts: u64,
     /// Refresh lookaheads actually performed. Diverges from
-    /// `policy_hits / policy_refresh_every` exactly when the governor
+    /// `policy_hits / REFRESH_EVERY` exactly when the governor
     /// suppressed refreshes under degradation.
     policy_refreshes: u64,
     last_policy: PolicyDisposition,
 }
 
 impl LadderResolver {
-    /// A ladder with default governor thresholds and a cache refresh
-    /// interval of 16 uses.
+    /// A ladder with the default governor thresholds, whose rung-1 cache
+    /// and policy-store refresh both come due every 16 uses.
     pub fn new() -> Self {
-        LadderResolver::with_config(GovernorConfig::default(), 16)
-    }
-
-    /// A ladder with explicit governor thresholds and a refresh interval
-    /// that is both the rung-1 cache's reuse budget and the policy-store
-    /// refresh cadence (every `refresh_every`-th hit while `Healthy`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `refresh_every` is zero (via [`CachedResolver::new`]):
-    /// there is no "refresh off" setting.
-    pub fn with_config(cfg: GovernorConfig, refresh_every: u64) -> Self {
         LadderResolver {
-            cached: CachedResolver::new(LookaheadResolver::new(), refresh_every),
+            cached: CachedResolver::new(LookaheadResolver::new(), REFRESH_EVERY),
             learned: LearnedResolver::new(BanditPolicy::EpsilonGreedy { epsilon: 0.0 }, 0),
-            governor: DegradationGovernor::new(cfg),
+            governor: DegradationGovernor::new(GovernorConfig::default()),
             deadline_pending: false,
             rung_hits: [0; RUNGS],
             last_rung: 0,
             last_prediction: None,
             policy: None,
             recorder: None,
-            policy_refresh_every: refresh_every,
             policy_hits: 0,
             policy_misses: 0,
             policy_stale: 0,
@@ -329,7 +318,7 @@ impl LadderResolver {
         // the chain mapping ever changes.
         let refresh_due = base == 0
             && self.governor.health() == Health::Healthy
-            && self.policy_hits.is_multiple_of(self.policy_refresh_every);
+            && self.policy_hits.is_multiple_of(REFRESH_EVERY);
         if refresh_due {
             self.policy_refreshes += 1;
             let fresh = self.lookahead(request, eval);
