@@ -12,11 +12,17 @@
 //!    crossing nodes.
 //! 3. Masked provenance is byte-identical across two runs of the same
 //!    `(scenario, seed, plan)`.
+//! 4. What the failure artifacts CI hands to the `trace` CLI must carry:
+//!    the storm arm's tail exports as valid Chrome trace-event JSON, and a
+//!    flash-crowd violation's admission decisions name their workload.
 
+use cb_bench::registry::{configure, ArmSpec};
 use cb_harness::prelude::*;
 use cb_harness::toy::RingScenario;
-use cb_trace::{blame, explain, is_acyclic, SpanIndex, SpanKind};
+use cb_harness::Json;
+use cb_trace::{blame, chrome_trace_json, explain, is_acyclic, SpanIndex, SpanKind};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// The ring scenario's guaranteed violation: node 3 partitioned away,
 /// never healed — its successor's heartbeats starve.
@@ -150,4 +156,74 @@ fn masked_provenance_is_byte_identical_across_runs() {
         b.provenance_masked_json().to_string_compact(),
         "masked provenance must be byte-identical across replays"
     );
+}
+
+/// The failing report of `scenario` in `arm`, seed `seed`, under `plan`.
+fn failing_run(scenario: &str, arm: &ArmSpec, seed: u64, plan: &str) -> RunReport {
+    let scenario = configure(scenario, arm).expect("arm configures");
+    let report = scenario.run(seed, &FaultPlan::from_spec(plan).expect("plan spec"));
+    assert!(report.violated(), "the plan must violate");
+    report
+}
+
+/// CI's storm artifact (randtree `--storm --ladder --deadline 20`, seed 1,
+/// an unhealed partition under stalls and a delay spike) exports as Chrome
+/// trace-event JSON: every event names its `name`, `ph`, `ts`, `pid` and
+/// `tid`, and the phases include complete slices and both ends of a flow
+/// arrow.
+#[test]
+fn storm_tail_exports_valid_chrome_trace_events() {
+    let arm = ArmSpec {
+        storm: true,
+        ladder: true,
+        deadline_states: 20,
+        ..ArmSpec::default()
+    };
+    let report = failing_run(
+        "randtree",
+        &arm,
+        1,
+        "part:1.2|0.3.4.5.6.7.8.9.10.11.12.13.14@4000-never;\
+         stall:6@2000-9000;delayspike:200@3000-12000",
+    );
+    let trace = Json::parse(&chrome_trace_json(&report.provenance, false)).expect("valid JSON");
+    let events = trace
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents is a list");
+    assert!(!events.is_empty(), "traceEvents must be nonempty");
+    let mut phases = BTreeSet::new();
+    for e in events {
+        for key in ["name", "ph", "ts", "pid", "tid"] {
+            assert!(e.get(key).is_some(), "event missing {key}: {e:?}");
+        }
+        phases.insert(e.get("ph").and_then(Json::as_str).expect("ph is a string"));
+    }
+    for ph in ["X", "s", "f"] {
+        assert!(phases.contains(ph), "no '{ph}' event: {phases:?}");
+    }
+}
+
+/// CI's flash artifact (kv `--workload flash`, seed 2, a quorum-killing
+/// partition at 40 s): every admission decision in the tail carries the
+/// driving profile as its `workload` attr.
+#[test]
+fn flash_admission_decisions_carry_the_workload() {
+    let arm = ArmSpec {
+        workload: cb_workload::WorkloadProfile::by_name("flash"),
+        ..ArmSpec::default()
+    };
+    let report = failing_run("kv", &arm, 2, "part:1.2.3.4|0.5.6.7.8.9@40000-never");
+    let admissions: Vec<_> = report
+        .provenance
+        .iter()
+        .filter(|s| s.kind == SpanKind::Decision && s.name == "decide:kv.admission")
+        .collect();
+    assert!(
+        !admissions.is_empty(),
+        "no admission decision span in the tail"
+    );
+    for s in admissions {
+        assert_eq!(s.attr("workload"), Some("flash"), "{:?}", s.attrs);
+    }
 }
