@@ -122,7 +122,7 @@ pub fn trace_tail(fleet: &[FlightRecorder], k: usize) -> Vec<String> {
 }
 
 /// One [`trace_tail`] line: `[time] <span id> <kind> <name> <- <parent ids>`.
-pub(crate) fn tail_line(id: SpanId, kind: SpanKind, name: &str, parents: &[SpanId]) -> String {
+pub fn tail_line(id: SpanId, kind: SpanKind, name: &str, parents: &[SpanId]) -> String {
     let at = SimTime::from_nanos(id.at_ns);
     let mut line = format!("[{at}] {id} {} {name}", kind.label());
     for (i, parent) in parents.iter().enumerate() {
