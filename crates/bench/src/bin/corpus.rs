@@ -38,7 +38,9 @@
 //! the noise thresholds, histogram-distribution divergence, pass-rate
 //! drops, newly failing oracles, and coverage drift. `--out` writes the
 //! `cb-corpus-diff/v1` report JSON. Exit 0 when nothing is flagged,
-//! 1 when anything is — the CI regression gate.
+//! 1 when anything is — the CI regression gate. Its thresholds must be
+//! finite and >= 0, and an unknown flag is refused rather than read as a
+//! directory.
 //!
 //! Exit status 2 on usage or I/O errors.
 
@@ -226,11 +228,17 @@ fn cmd_diff(args: &[String]) -> i32 {
             })
             .clone()
     };
+    // A threshold the gates compare against: NaN would make every
+    // comparison false and silently switch its gate off, and a negative
+    // one flags a clean diff.
     let parse_f64 = |s: String, flag: &str| -> f64 {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("{flag} wants a number");
-            usage();
-        })
+        match s.parse::<f64>() {
+            Ok(v) if v.is_finite() && v >= 0.0 => v,
+            _ => {
+                eprintln!("{flag} wants a finite number >= 0, got '{s}'");
+                usage();
+            }
+        }
     };
     while i < args.len() {
         match args[i].as_str() {
@@ -255,6 +263,10 @@ fn cmd_diff(args: &[String]) -> i32 {
             "--pass-rate-drop" => {
                 cfg.pass_rate_drop =
                     parse_f64(need(args, &mut i, "--pass-rate-drop"), "--pass-rate-drop")
+            }
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown flag: {flag}");
+                usage();
             }
             _ => pos.push(&args[i]),
         }

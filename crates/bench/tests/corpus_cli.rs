@@ -1,0 +1,105 @@
+//! `corpus diff` refuses a threshold that would disarm or misfire its gates.
+//!
+//! Every gate compares a measured movement against a threshold with `>`,
+//! so a NaN threshold made the comparison always false and switched its
+//! gate off (a regressed candidate exited 0), and a negative one flagged
+//! every scenario of a self-diff. An unknown flag used to be taken as a
+//! corpus directory. Drives the built binary against the committed
+//! baseline corpus.
+
+use std::process::{Command, Output};
+
+const USAGE: &str = "usage: corpus ingest CORPUS_DIR SRC_DIR";
+
+fn baseline() -> String {
+    format!(
+        "{}/../../results/corpus-baseline",
+        env!("CARGO_MANIFEST_DIR")
+    )
+}
+
+fn corpus(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_corpus"))
+        .args(args)
+        .output()
+        .expect("corpus binary runs")
+}
+
+/// `corpus diff BASELINE BASELINE` with `extra` appended.
+fn self_diff(extra: &[&str]) -> Output {
+    let dir = baseline();
+    let mut args = vec!["diff", dir.as_str(), dir.as_str()];
+    args.extend_from_slice(extra);
+    corpus(&args)
+}
+
+/// Exit 2 with the usage line, before any corpus loaded or diffed.
+#[track_caller]
+fn assert_usage_error(out: &Output, what: &str) -> String {
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+    assert!(stderr.contains(USAGE), "{what}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    assert!(out.stdout.is_empty(), "{what}: a diff ran");
+    stderr
+}
+
+#[test]
+fn a_self_diff_is_clean_with_valid_thresholds() {
+    for extra in [
+        &[][..],
+        &[
+            "--rel",
+            "0",
+            "--abs-floor",
+            "0",
+            "--hist-divergence",
+            "0.5",
+            "--pass-rate-drop",
+            "0",
+        ],
+    ] {
+        let out = self_diff(extra);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{extra:?}: {stdout}");
+        assert!(stdout.contains("no regressions flagged"), "{stdout}");
+    }
+}
+
+#[test]
+fn a_threshold_that_is_not_finite_and_non_negative_is_a_usage_error() {
+    for flag in [
+        "--hist-divergence",
+        "--pass-rate-drop",
+        "--rel",
+        "--abs-floor",
+    ] {
+        for value in ["nan", "NaN", "inf", "-inf", "-1", "-0.5", "x"] {
+            let stderr = assert_usage_error(&self_diff(&[flag, value]), &format!("{flag} {value}"));
+            assert!(
+                stderr.contains(&format!("{flag} wants a finite number >= 0, got '{value}'")),
+                "{stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn thresholds_are_checked_before_any_corpus_loads() {
+    let missing = std::env::temp_dir().join(format!("cb-no-corpus-{}", std::process::id()));
+    let missing = missing.to_str().expect("utf-8 temp path");
+    let out = corpus(&["diff", missing, missing, "--hist-divergence", "nan"]);
+    let stderr = assert_usage_error(&out, "missing corpora");
+    assert!(!stderr.contains(missing), "a corpus was loaded: {stderr}");
+}
+
+#[test]
+fn an_unknown_flag_is_a_usage_error_not_a_directory() {
+    for flag in ["--hist-divergance", "--verbose", "-x"] {
+        let stderr = assert_usage_error(&self_diff(&[flag]), flag);
+        assert!(
+            stderr.contains(&format!("unknown flag: {flag}")),
+            "{stderr}"
+        );
+    }
+}
