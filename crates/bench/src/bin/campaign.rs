@@ -15,7 +15,9 @@
 //! With no `--scenario`, sweeps every registered scenario. On an oracle
 //! violation a JSON failure artifact lands under `--out` (default
 //! `results/campaigns/`) carrying the seed, the fault-plan spec, the
-//! shrunk minimal repro, oracle verdicts, and the final trace window;
+//! shrunk minimal repro, and the failing run's report (oracle verdicts,
+//! telemetry, the flight-recorder tail); `--seeds 1 --base-seed SEED
+//! --plan SHRUNK_PLAN` with the same arm flags re-runs the shrunk repro;
 //! `--replay` re-runs an artifact and verifies the violation reproduces;
 //! artifacts record the fault plan but not the scenario arm, so pass the
 //! same arm flags the sweep used (e.g. `--replay ART --unsafe-reads`).

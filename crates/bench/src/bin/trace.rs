@@ -48,9 +48,8 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Loads the provenance spans from a failure artifact (the original
-/// report's section — the shrunk report has its own, but blame belongs on
-/// the run the oracle actually flagged), or from a bare report's
+/// Loads the provenance spans from a failure artifact (its report's
+/// section: the run the oracle flagged), or from a bare report's
 /// `provenance`.
 fn load_spans(path: &str) -> Vec<Span> {
     let text = match std::fs::read_to_string(Path::new(path)) {

@@ -392,7 +392,7 @@ mod tests {
     #[test]
     fn artifact_ingestion_matches_in_process_distillation() {
         let report = failing_report();
-        let text = cb_harness::artifact_json(&report, &report.plan, &report).to_string_pretty();
+        let text = cb_harness::artifact_json(&report, &report.plan).to_string_pretty();
         let artifact = cb_harness::decode_artifact(&text).expect("decode");
         let from_artifact = SeedRecord::from_artifact(&artifact).expect("ingest");
         let from_report = SeedRecord::from_report(&report);

@@ -182,7 +182,7 @@ mod tests {
         let s = GossipCampaign::default();
         let r = s.run(2, &FaultPlan::none());
         assert!(!r.violated(), "{:?}", r.verdicts);
-        assert!(r.msgs_delivered > 0);
+        assert!(r.telemetry.counter(cb_telemetry::keys::NET_MSGS_DELIVERED) > 0);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! `cb_corpus` ingestion both go through it. It walks the text once with
 //! the [`Reader`] pull cursor: it builds the provenance tail's spans and the
 //! handful of fields its callers use, and skips — validating, not building
-//! — the rest, above all `shrunk_report`, which no reader uses and which is
-//! close to half of a kv artifact. A file it accepts is one [`Json::parse`]
-//! accepts.
+//! — the rest, including the `shrunk_report`, `last_trace` and `metrics`
+//! sections that artifacts written before each fact was stored once still
+//! carry. A file it accepts is one [`Json::parse`] accepts.
 
 use crate::campaign::{ReplayError, ARTIFACT_SCHEMA};
 use crate::json::{Json, Kind, ParseError, Reader};
@@ -26,7 +26,8 @@ pub struct Artifact {
     pub seed: u64,
     /// Original plan.
     pub plan: FaultPlan,
-    /// Shrunk plan (replay uses this by default).
+    /// Shrunk plan: the 1-minimal repro, for a person to re-run. Replay
+    /// runs the original `plan`, the one the recorded tail came from.
     pub shrunk_plan: FaultPlan,
     /// Oracles the artifact says failed.
     pub failing_oracles: Vec<String>,
@@ -72,10 +73,10 @@ pub fn read_artifact(path: &Path) -> Result<Artifact, ReplayError> {
 }
 
 /// Decodes a `cb-campaign-failure/v1` document, or says why not. Refused:
-/// text that is not JSON (anywhere, including the skipped
-/// `shrunk_report`), another schema, a missing or non-string `scenario`, a
-/// missing `seed`, a `plan` or `shrunk_plan` that is not a valid spec, and
-/// a malformed `report.provenance`. Tolerated: unknown keys (skipped), and
+/// text that is not JSON (anywhere, including skipped sections), another
+/// schema, a missing or non-string `scenario`, a missing `seed`, a `plan`
+/// or `shrunk_plan` that is not a valid spec, and a malformed
+/// `report.provenance`. Tolerated: unknown keys (skipped), and
 /// a missing `fingerprint` or `provenance` (read as 0 and an empty tail).
 /// Of a key given twice, the first occurrence counts, as with
 /// [`Json::get`].
@@ -127,7 +128,7 @@ fn read_fields<'a>(r: &mut Reader<'a>) -> Result<Fields<'a>, ParseError> {
             "shrunk_plan" => r.first(&mut f.shrunk_plan, Reader::opt_str)?,
             "failing_oracles" => r.first(&mut f.failing_oracles, read_strings)?,
             "report" => r.first(&mut f.report, read_report)?,
-            // `shrunk_report` among them.
+            // An older artifact's `shrunk_report` among them.
             _ => r.skip()?,
         }
     }
@@ -152,7 +153,7 @@ fn read_report<'a>(r: &mut Reader<'a>) -> Result<Report<'a>, ParseError> {
             "oracles" => r.first(&mut report.oracles, read_oracles)?,
             "telemetry" => r.first(&mut report.telemetry, Reader::value)?,
             "provenance" => r.first(&mut report.provenance, read_provenance)?,
-            // `last_trace` and `metrics` among them.
+            // An older report's `last_trace` and `metrics` among them.
             _ => r.skip()?,
         }
     }

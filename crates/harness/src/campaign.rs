@@ -14,9 +14,9 @@
 //!    to a fixpoint, so no single remaining fault can be dropped (a bug that
 //!    needs no fault at all is found by the first run);
 //! 2. writes a **JSON failure artifact** (seed, original + shrunk plan spec,
-//!    oracle verdicts, last trace window, metrics) under
-//!    `results/campaigns/`, streamed through the same emitters that build
-//!    the [`Json`] tree;
+//!    and the original run's report: oracle verdicts, telemetry, the
+//!    flight-recorder tail) under `results/campaigns/`, streamed through the
+//!    same emitters that build the [`Json`] tree;
 //!
 //! and hands the finished row to [`in_order`], which folds rows into the
 //! [`CampaignOutcome`] strictly in seed order as soon as the next expected
@@ -85,7 +85,8 @@ pub struct Failure {
     /// The plan after shrinking (== original when shrinking is off or
     /// nothing could be dropped).
     pub shrunk_plan: FaultPlan,
-    /// The report from the final shrunk run.
+    /// The report from the final shrunk run (kept in memory; the artifact
+    /// does not carry it).
     pub shrunk_report: RunReport,
     /// Artifact path, when one was written.
     pub artifact: Option<PathBuf>,
@@ -371,13 +372,11 @@ pub fn shrink_plan(
 /// Artifact schema version tag.
 pub const ARTIFACT_SCHEMA: &str = "cb-campaign-failure/v1";
 
-/// Emits a failure artifact's document shape.
-pub fn emit_artifact(
-    report: &RunReport,
-    shrunk_plan: &FaultPlan,
-    shrunk_report: &RunReport,
-    sink: &mut dyn Sink,
-) {
+/// Emits a failure artifact's document shape: the original run's report
+/// and the shrunk plan. The shrunk run's report is not written: nothing
+/// reads it, and `campaign --seeds 1 --base-seed SEED --plan SHRUNK_PLAN`
+/// with the sweep's arm flags regenerates it.
+pub fn emit_artifact(report: &RunReport, shrunk_plan: &FaultPlan, sink: &mut dyn Sink) {
     sink.begin_obj();
     sink.key("schema");
     sink.str(ARTIFACT_SCHEMA);
@@ -397,34 +396,29 @@ pub fn emit_artifact(
     sink.end_arr();
     sink.key("report");
     report.emit(sink);
-    sink.key("shrunk_report");
-    shrunk_report.emit(sink);
     sink.end_obj();
 }
 
 /// Serializes a failure artifact as a tree (see [`emit_artifact`]).
-pub fn artifact_json(
-    report: &RunReport,
-    shrunk_plan: &FaultPlan,
-    shrunk_report: &RunReport,
-) -> Json {
-    Json::build(|sink| emit_artifact(report, shrunk_plan, shrunk_report, sink))
+pub fn artifact_json(report: &RunReport, shrunk_plan: &FaultPlan) -> Json {
+    Json::build(|sink| emit_artifact(report, shrunk_plan, sink))
 }
 
 /// Writes a failure artifact under `dir`, returning its path. The document
 /// is streamed to the file: the bytes are those of
 /// `artifact_json(..).to_string_pretty()` plus a newline, without the tree.
+/// `_shrunk_report` is accepted and not written (see [`emit_artifact`]).
 pub fn write_artifact(
     dir: &Path,
     report: &RunReport,
     shrunk_plan: &FaultPlan,
-    shrunk_report: &RunReport,
+    _shrunk_report: &RunReport,
 ) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{}-seed{}.json", report.scenario, report.seed));
     let file = std::io::BufWriter::with_capacity(1 << 16, std::fs::File::create(&path)?);
     let mut sink = TextSink::new(file, true);
-    emit_artifact(report, shrunk_plan, shrunk_report, &mut sink);
+    emit_artifact(report, shrunk_plan, &mut sink);
     let mut file = sink.finish()?;
     file.write_all(b"\n")?;
     file.flush()?;
@@ -476,8 +470,8 @@ pub enum TailDifference {
         /// Evictions on replay.
         replay: u64,
     },
-    /// The tails differ at span `index`; each side rendered as a
-    /// [`trace_tail`](crate::provenance::trace_tail) line (`None` where that
+    /// The tails differ at span `index`; each side rendered as one line,
+    /// `[time] <span id> <kind> <name> <- <parent ids>` (`None` where that
     /// tail has ended), followed by cost and attrs when the lines alone
     /// would read the same.
     Span {
@@ -519,16 +513,17 @@ impl std::fmt::Display for TailDifference {
 /// Compares the recorded tail with the replayed one, every span field but
 /// `wall_ns` (the only nondeterministic one).
 fn tail_difference(artifact: &Artifact, replay: &RunReport) -> Option<TailDifference> {
-    if artifact.spans_recorded != replay.spans_recorded {
+    let (recorded, evicted) = replay.span_totals();
+    if artifact.spans_recorded != recorded {
         return Some(TailDifference::Recorded {
             artifact: artifact.spans_recorded,
-            replay: replay.spans_recorded,
+            replay: recorded,
         });
     }
-    if artifact.spans_evicted != replay.spans_evicted {
+    if artifact.spans_evicted != evicted {
         return Some(TailDifference::Evicted {
             artifact: artifact.spans_evicted,
-            replay: replay.spans_evicted,
+            replay: evicted,
         });
     }
     let same = |a: &Span, b: &Span| {
@@ -1082,13 +1077,13 @@ mod tests {
         let (shrunk, shrunk_report) = shrink_plan(&s, 4, &report.plan, &report);
         let dir = tmpdir("golden");
         let path = write_artifact(&dir, &report, &shrunk, &shrunk_report).unwrap();
-        let tree = artifact_json(&report, &shrunk, &shrunk_report);
+        let tree = artifact_json(&report, &shrunk);
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
             tree.to_string_pretty() + "\n"
         );
         let mut compact = TextSink::new(Vec::new(), false);
-        emit_artifact(&report, &shrunk, &shrunk_report, &mut compact);
+        emit_artifact(&report, &shrunk, &mut compact);
         assert_eq!(
             String::from_utf8(compact.finish().unwrap()).unwrap(),
             tree.to_string_compact()

@@ -7,8 +7,8 @@
 //! declaratively, check invariant oracles, and when something breaks, leave
 //! behind everything needed to debug it:
 //!
-//! * a **JSON failure artifact** (seed, fault plan, oracle verdicts, the
-//!   last trace window, metrics) under `results/campaigns/`;
+//! * a **JSON failure artifact** (seed, fault plan, oracle verdicts,
+//!   telemetry, the flight-recorder tail) under `results/campaigns/`;
 //! * an **exact replay** path — the artifact's `seed` + `plan` spec string
 //!   rebuild the identical run, fingerprint and all;
 //! * a **shrunk plan** — the shrinker drops chunks of faults, then single
@@ -73,7 +73,7 @@ pub use linearizability::{
 };
 pub use oracle::{check_all, Oracle, OracleVerdict};
 pub use plan::{Fault, FaultPlan, PlanParseError};
-pub use provenance::{provenance_json, read_provenance, span_json, trace_tail, ProvenanceSection};
+pub use provenance::{provenance_json, read_provenance, span_json, ProvenanceSection};
 pub use scenario::{RunReport, Scenario};
 pub use telemetry::telemetry_json;
 

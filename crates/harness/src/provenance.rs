@@ -109,20 +109,9 @@ pub fn collect_tail(fleet: &[FlightRecorder], per_node: usize) -> Vec<Span> {
     picked.iter().map(|(_, s)| s.render(fleet)).collect()
 }
 
-/// The last `k` spans recorded fleet-wide, in span-id order, one line each:
-/// `[time] <span id> <kind> <name> <- <parent ids>`. What a failing report
-/// embeds as `last_trace`, the "what happened right before" window.
-pub fn trace_tail(fleet: &[FlightRecorder], k: usize) -> Vec<String> {
-    let mut last: Vec<SpanRef<'_>> = fleet.iter().flat_map(|rec| rec.tail(k)).collect();
-    last.sort_unstable_by_key(|s| s.id());
-    last[last.len().saturating_sub(k)..]
-        .iter()
-        .map(|s| tail_line(s.id(), s.kind(), &s.name(fleet), s.parents()))
-        .collect()
-}
-
-/// One [`trace_tail`] line: `[time] <span id> <kind> <name> <- <parent ids>`.
-pub fn tail_line(id: SpanId, kind: SpanKind, name: &str, parents: &[SpanId]) -> String {
+/// One span as a line, `[time] <span id> <kind> <name> <- <parent ids>`:
+/// how a replay says where its tail and the artifact's part.
+pub(crate) fn tail_line(id: SpanId, kind: SpanKind, name: &str, parents: &[SpanId]) -> String {
     let at = SimTime::from_nanos(id.at_ns);
     let mut line = format!("[{at}] {id} {} {name}", kind.label());
     for (i, parent) in parents.iter().enumerate() {
@@ -461,17 +450,26 @@ mod tests {
     }
 
     #[test]
-    fn trace_tail_are_the_last_k_spans_fleet_wide_in_id_order() {
+    fn tail_lines_name_time_id_kind_name_and_parents() {
         let (fleet, _) = fleet_with_an_evicted_send();
+        let tail = collect_tail(&fleet, TAIL_PER_NODE);
+        let lines: Vec<String> = tail[1..]
+            .iter()
+            .map(|s| tail_line(s.id, s.kind, &s.name, &s.parents))
+            .collect();
         assert_eq!(
-            trace_tail(&fleet, 3),
+            lines,
             vec![
                 "[t+5us] t5000.n1.s1 deliver <send evicted> <- t1000.n0.s1",
                 "[t+6us] t6000.n0.s3 send Ping { n: 2 } <- t2000.n0.s2",
                 "[t+9us] t9000.n1.s2 deliver Ping { n: 2 } <- t6000.n0.s3",
             ]
         );
-        assert_eq!(trace_tail(&fleet, 99).len(), 4);
+        let root = &tail[0];
+        assert_eq!(
+            tail_line(root.id, root.kind, &root.name, &root.parents),
+            "[t+2us] t2000.n0.s2 timer timer:7"
+        );
     }
 
     fn sample_span() -> Span {

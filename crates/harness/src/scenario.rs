@@ -18,7 +18,7 @@ use crate::plan::FaultPlan;
 use crate::provenance::{self, emit_provenance, provenance_json};
 use crate::telemetry::emit_telemetry;
 use cb_simnet::prelude::{Actor, Sim, SimTime};
-use cb_telemetry::Registry;
+use cb_telemetry::{keys, Registry};
 use cb_trace::Span;
 
 /// Everything the campaign runner keeps from one seed's run.
@@ -40,34 +40,19 @@ pub struct RunReport {
     pub pending_events: usize,
     /// Sim clock when the run settled.
     pub end: SimTime,
-    /// Aggregated transport metrics.
-    pub msgs_sent: u64,
-    /// Messages delivered.
-    pub msgs_delivered: u64,
-    /// Messages dropped.
-    pub msgs_dropped: u64,
-    /// Bytes handed to the transport.
-    pub bytes_sent: u64,
     /// All oracle verdicts, scenario-specific first, generic last.
     pub verdicts: Vec<OracleVerdict>,
-    /// The last few spans the fleet recorded, one rendered line each,
-    /// captured only when a verdict failed.
-    pub last_trace: Vec<String>,
     /// The flight-recorder tail: the last spans of every node's recorder,
     /// closed over retained causal parents, plus one synthesised
     /// `Violation` span per failing oracle. Deterministic except for each
     /// span's `wall_ns`.
     pub provenance: Vec<Span>,
-    /// Total spans the fleet's recorders ever pushed.
-    pub spans_recorded: u64,
-    /// Spans evicted from the bounded rings (the tail may be incomplete
-    /// when nonzero).
-    pub spans_evicted: u64,
     /// Full telemetry registry for the run, handed to
     /// [`RunReport::from_sim`]: the standard schema pre-registered, the
-    /// `net.*` traffic summary and span totals ([`Sim::telemetry`]), plus
-    /// every node's registry for runtime fleets
-    /// (`cb_core::runtime::fleet_telemetry`).
+    /// `net.*` traffic summary and the `trace.spans_{recorded,evicted}`
+    /// totals ([`Sim::telemetry`]), plus every node's registry for runtime
+    /// fleets (`cb_core::runtime::fleet_telemetry`). The report's only copy
+    /// of those counts.
     pub telemetry: Registry,
     /// The policy store this run recorded (scenarios running with
     /// `--record-policy` set it); the campaign runner merges per-seed
@@ -76,14 +61,11 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// How many trace lines a failing report embeds.
-    pub const TRACE_WINDOW: usize = 40;
-
     /// Builds a report by inspecting a finished sim: `verdicts` are every
     /// oracle result in report order, `telemetry` the run's registry
     /// ([`Sim::telemetry`], or a runtime fleet's
-    /// `cb_core::runtime::fleet_telemetry`). Snapshots metrics and the
-    /// flight-recorder tail.
+    /// `cb_core::runtime::fleet_telemetry`). Snapshots the flight-recorder
+    /// tail.
     pub fn from_sim<A: Actor>(
         scenario: &str,
         seed: u64,
@@ -92,13 +74,7 @@ impl RunReport {
         verdicts: Vec<OracleVerdict>,
         telemetry: Registry,
     ) -> Self {
-        let summary = sim.summary();
         let failed = verdicts.iter().any(|v| !v.passed);
-        let last_trace = if failed {
-            provenance::trace_tail(sim.flight_recorders(), Self::TRACE_WINDOW)
-        } else {
-            Vec::new()
-        };
         // Decision provenance: the flight-recorder tail rides every report;
         // failing runs additionally get one Violation span per failing
         // oracle, anchored to the last span (and last decision) per node.
@@ -112,7 +88,6 @@ impl RunReport {
                 .collect();
             provenance.extend(provenance::violation_spans(sim, &failing));
         }
-        let (spans_recorded, spans_evicted) = sim.span_totals();
         RunReport {
             scenario: scenario.to_string(),
             seed,
@@ -121,18 +96,20 @@ impl RunReport {
             events_processed: sim.events_processed(),
             pending_events: sim.pending_events(),
             end: sim.now(),
-            msgs_sent: summary.msgs_sent,
-            msgs_delivered: summary.msgs_delivered,
-            msgs_dropped: summary.msgs_dropped,
-            bytes_sent: summary.bytes_sent,
             verdicts,
-            last_trace,
             provenance,
-            spans_recorded,
-            spans_evicted,
             telemetry,
             policy: None,
         }
+    }
+
+    /// Spans the fleet's recorders pushed and spans their bounded rings
+    /// evicted (the tail may be incomplete when nonzero), from telemetry.
+    pub(crate) fn span_totals(&self) -> (u64, u64) {
+        (
+            self.telemetry.counter(keys::TRACE_SPANS_RECORDED),
+            self.telemetry.counter(keys::TRACE_SPANS_EVICTED),
+        )
     }
 
     /// Whether any oracle failed.
@@ -149,8 +126,8 @@ impl RunReport {
             .collect()
     }
 
-    /// Emits the report's document shape (the `report` and `shrunk_report`
-    /// sections of failure artifacts).
+    /// Emits the report's document shape (the `report` section of failure
+    /// artifacts).
     pub fn emit(&self, sink: &mut dyn Sink) {
         sink.begin_obj();
         sink.key("scenario");
@@ -169,18 +146,6 @@ impl RunReport {
         sink.num(self.pending_events as f64);
         sink.key("end_ms");
         sink.num(self.end.as_millis() as f64);
-        sink.key("metrics");
-        sink.begin_obj();
-        for (key, v) in [
-            ("msgs_sent", self.msgs_sent),
-            ("msgs_delivered", self.msgs_delivered),
-            ("msgs_dropped", self.msgs_dropped),
-            ("bytes_sent", self.bytes_sent),
-        ] {
-            sink.key(key);
-            sink.num(v as f64);
-        }
-        sink.end_obj();
         sink.key("telemetry");
         emit_telemetry(&self.telemetry, sink);
         sink.key("oracles");
@@ -196,20 +161,9 @@ impl RunReport {
             sink.end_obj();
         }
         sink.end_arr();
-        sink.key("last_trace");
-        sink.begin_arr();
-        for line in &self.last_trace {
-            sink.str(line);
-        }
-        sink.end_arr();
         sink.key("provenance");
-        emit_provenance(
-            &self.provenance,
-            self.spans_recorded,
-            self.spans_evicted,
-            false,
-            sink,
-        );
+        let (recorded, evicted) = self.span_totals();
+        emit_provenance(&self.provenance, recorded, evicted, false, sink);
         if let Some(policy) = &self.policy {
             sink.key("policy");
             policy_json(policy).emit(sink);
@@ -225,12 +179,8 @@ impl RunReport {
     /// The `provenance` section with every span's wall clock blanked —
     /// byte-identical across replays of the same `(scenario, seed, plan)`.
     pub fn provenance_masked_json(&self) -> Json {
-        provenance_json(
-            &self.provenance,
-            self.spans_recorded,
-            self.spans_evicted,
-            true,
-        )
+        let (recorded, evicted) = self.span_totals();
+        provenance_json(&self.provenance, recorded, evicted, true)
     }
 }
 

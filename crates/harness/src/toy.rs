@@ -159,8 +159,23 @@ mod tests {
         let s = RingScenario::default();
         let report = s.run(7, &FaultPlan::none());
         assert!(!report.violated(), "verdicts: {:?}", report.verdicts);
-        assert!(report.msgs_delivered > 0);
-        assert!(report.last_trace.is_empty());
+        assert!(
+            report
+                .telemetry
+                .counter(cb_telemetry::keys::NET_MSGS_DELIVERED)
+                > 0
+        );
+        assert!(violations(&report).is_empty());
+    }
+
+    /// Names of the report's synthesised violation spans.
+    fn violations(report: &RunReport) -> Vec<&str> {
+        report
+            .provenance
+            .iter()
+            .filter(|s| s.kind == SpanKind::Violation)
+            .map(|s| s.name.as_str())
+            .collect()
     }
 
     #[test]
@@ -188,7 +203,7 @@ mod tests {
         assert!(report
             .failing_oracles()
             .contains(&"ring.heartbeat_connectivity"));
-        assert!(!report.last_trace.is_empty());
+        assert_eq!(violations(&report), report.failing_oracles());
     }
 
     #[test]

@@ -8,14 +8,21 @@
 //!    spliced, or nested deeper than any stack — both decoders return `Ok` or
 //!    `Err`, never panic, overflow the stack or hang; and each agrees with
 //!    [`reference`], the tree-building decoders they replaced, on `Ok`/`Err`
-//!    and on the value. The streaming decoder skips `shrunk_report`
-//!    unbuilt, so this is what shows that skipping weakened no check.
+//!    and on the value. The streaming decoder skips every section it does
+//!    not build, so this is what shows that skipping weakened no check.
 //! 3. A whole `--unsafe-reads` sweep with shrinking on: its artifacts ingest
 //!    to exactly the records the sweep's red reports distill to in process.
+//! 4. Both shapes: a new artifact holds one report and no section that
+//!    repeats another, and an artifact in the older shape — which also
+//!    carried the shrunk run's report, a rendered `last_trace` and a
+//!    `metrics` copy of the `net.*` counters — still decodes and ingests to
+//!    exactly what the new one does.
 
 use cb_corpus::{Corpus, SeedRecord};
 use cb_harness::prelude::*;
-use cb_harness::{artifact_json, emit_artifact, write_artifact, Artifact, TextSink};
+use cb_harness::{
+    artifact_json, decode_artifact, emit_artifact, write_artifact, Artifact, TextSink,
+};
 use cb_kv::KvCampaign;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -58,14 +65,14 @@ fn kv_artifact() -> &'static [u8] {
 #[test]
 fn streamed_kv_artifact_equals_the_rendered_tree() {
     let (report, shrunk, shrunk_report) = red_kv();
-    let tree = artifact_json(&report, &shrunk, &shrunk_report);
+    let tree = artifact_json(&report, &shrunk);
     let dir = temp_dir("golden");
     let path = write_artifact(&dir, &report, &shrunk, &shrunk_report).unwrap();
     let streamed = std::fs::read_to_string(&path).unwrap();
-    assert!(streamed.len() > 500_000, "a kv artifact is about 1 MB");
+    assert!(streamed.len() > 300_000, "a kv artifact is about 0.6 MB");
     assert!(streamed == tree.to_string_pretty() + "\n", "pretty differs");
     let mut compact = TextSink::new(Vec::new(), false);
-    emit_artifact(&report, &shrunk, &shrunk_report, &mut compact);
+    emit_artifact(&report, &shrunk, &mut compact);
     assert!(
         compact.finish().unwrap() == tree.to_string_compact().into_bytes(),
         "compact differs"
@@ -96,6 +103,133 @@ fn replay_fields(a: &Artifact) -> String {
             a.spans_evicted
         )
     )
+}
+
+#[test]
+fn a_new_artifact_holds_one_report_and_no_repeated_section() {
+    let text = std::str::from_utf8(kv_artifact()).expect("utf-8");
+    let tree = Json::parse(text).expect("parses");
+    let Json::Obj(fields) = &tree else {
+        panic!("an artifact is an object");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "schema",
+            "scenario",
+            "seed",
+            "plan",
+            "shrunk_plan",
+            "failing_oracles",
+            "report"
+        ]
+    );
+    /// Every object key in `j`, at any depth.
+    fn all_keys<'a>(j: &'a Json, out: &mut Vec<&'a str>) {
+        match j {
+            Json::Obj(fields) => {
+                for (k, v) in fields {
+                    out.push(k);
+                    all_keys(v, out);
+                }
+            }
+            Json::Arr(items) => items.iter().for_each(|v| all_keys(v, out)),
+            _ => {}
+        }
+    }
+    let mut found = Vec::new();
+    all_keys(&tree, &mut found);
+    for gone in ["shrunk_report", "last_trace", "metrics"] {
+        assert!(!found.contains(&gone), "the artifact still has '{gone}'");
+    }
+}
+
+/// Inserts `key: value` into the object `obj` just before the key
+/// `before`, or at the end.
+fn insert_before(obj: &mut Json, before: Option<&str>, key: &str, value: Json) {
+    let Json::Obj(fields) = obj else {
+        panic!("not an object");
+    };
+    let at = before.map_or(fields.len(), |b| {
+        fields
+            .iter()
+            .position(|(k, _)| k == b)
+            .unwrap_or_else(|| panic!("no '{b}'"))
+    });
+    fields.insert(at, (key.to_string(), value));
+}
+
+/// `report` as artifacts wrote it when a report also carried a `metrics`
+/// copy of the `net.*` counters and its newest 40 tail spans as rendered
+/// `last_trace` lines.
+fn old_shape_report(report: &RunReport) -> Json {
+    use cb_telemetry::keys;
+    let mut tree = report.to_json();
+    let counter = |key| report.telemetry.counter(key);
+    let metrics = Json::obj()
+        .with("msgs_sent", counter(keys::NET_MSGS_SENT))
+        .with("msgs_delivered", counter(keys::NET_MSGS_DELIVERED))
+        .with("msgs_dropped", counter(keys::NET_MSGS_DROPPED))
+        .with("bytes_sent", counter(keys::NET_BYTES_SENT));
+    insert_before(&mut tree, Some("telemetry"), "metrics", metrics);
+    let spans: Vec<_> = report
+        .provenance
+        .iter()
+        .filter(|s| s.kind != cb_trace::SpanKind::Violation)
+        .collect();
+    let lines = spans[spans.len().saturating_sub(40)..]
+        .iter()
+        .map(|s| Json::from(format!("{} {} {}", s.id, s.kind.label(), s.name)))
+        .collect();
+    insert_before(
+        &mut tree,
+        Some("provenance"),
+        "last_trace",
+        Json::Arr(lines),
+    );
+    tree
+}
+
+#[test]
+fn an_old_shape_artifact_decodes_and_ingests_like_a_new_one() {
+    let (report, shrunk, shrunk_report) = red_kv();
+    let new = artifact_json(&report, &shrunk);
+    let mut old = new.clone();
+    if let Json::Obj(fields) = &mut old {
+        let (_, section) = fields
+            .iter_mut()
+            .find(|(k, _)| k == "report")
+            .expect("a report section");
+        *section = old_shape_report(&report);
+    }
+    insert_before(
+        &mut old,
+        None,
+        "shrunk_report",
+        old_shape_report(&shrunk_report),
+    );
+    let [new, old] = [new, old].map(|tree| tree.to_string_pretty() + "\n");
+    assert!(
+        old.len() > new.len() * 3 / 2,
+        "the old shape carries two reports"
+    );
+
+    let decoded = decode_artifact(&new).expect("the new shape decodes");
+    let decoded_old = decode_artifact(&old).expect("the old shape decodes");
+    assert_eq!(format!("{decoded_old:?}"), format!("{decoded:?}"));
+    assert_eq!(reference::read_artifact(&old), Ok(replay_fields(&decoded)));
+    assert_eq!(reference::record(&old), reference::record(&new));
+
+    let index = |text: &str, tag: &str| {
+        let dir = temp_dir(tag);
+        std::fs::write(dir.join("kv-seed3.json"), text).unwrap();
+        let mut corpus = Corpus::new();
+        assert_eq!(corpus.ingest_dir(&dir).expect("ingests"), 1, "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+        corpus.index_bytes()
+    };
+    assert!(index(&old, "old-shape") == index(&new, "new-shape"));
 }
 
 proptest! {
@@ -176,7 +310,7 @@ fn a_shrunk_sweep_reingests_to_the_records_of_its_red_reports() {
     );
     let mut records = corpus.iter();
     for failure in &outcome.failures {
-        // Shrinking changed the plan, so the skipped half is another run.
+        // Shrinking changed the plan; the record is still the original run's.
         assert_ne!(failure.shrunk_plan, failure.report.plan);
         let want = SeedRecord::from_report(&failure.report);
         let got = records.next().expect("a record per red seed");

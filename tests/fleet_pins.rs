@@ -1,4 +1,4 @@
-//! Behaviour pins: `(fingerprint, events_processed, msgs_delivered)` of one
+//! Behaviour pins: `(fingerprint, events_processed, net.msgs_delivered)` of one
 //! seed per scenario, recorded before the simulator's path store, link table
 //! and per-node models changed representation (PR 22) and required equal
 //! ever since.
@@ -17,12 +17,14 @@ use cb_dissem::SwarmCampaign;
 use cb_gossip::GossipCampaign;
 use cb_harness::prelude::*;
 use cb_simnet::prelude::{SimDuration, SimTime};
+use cb_telemetry::keys;
 use cb_workload::WorkloadProfile;
 
 type Pin = (u64, u64, u64);
 
 fn observed(r: &RunReport) -> Pin {
-    (r.fingerprint, r.events_processed, r.msgs_delivered)
+    let delivered = r.telemetry.counter(keys::NET_MSGS_DELIVERED);
+    (r.fingerprint, r.events_processed, delivered)
 }
 
 #[track_caller]

@@ -18,9 +18,9 @@
 
 use cb_bench::registry::{configure, ArmSpec};
 use cb_harness::prelude::*;
-use cb_harness::provenance::tail_line;
 use cb_harness::toy::RingScenario;
 use cb_harness::Json;
+use cb_telemetry::keys;
 use cb_trace::{blame, chrome_trace_json, explain, is_acyclic, SpanIndex, SpanKind};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -30,48 +30,6 @@ use std::collections::BTreeSet;
 fn ring_violating_plan() -> FaultPlan {
     let others: Vec<u32> = (0..8u32).filter(|&i| i != 3).collect();
     FaultPlan::none().partition(&[3], &others, 0, None)
-}
-
-/// The report fields that repeat another section hold nothing else: each
-/// count equals its telemetry counter, and a red report's `last_trace` is
-/// the newest `TRACE_WINDOW` non-violation spans of its provenance tail,
-/// rendered as tail lines.
-fn assert_only_repeats(r: &RunReport) {
-    use cb_telemetry::keys;
-    let t = &r.telemetry;
-    assert_eq!(
-        [
-            r.msgs_sent,
-            r.msgs_delivered,
-            r.msgs_dropped,
-            r.bytes_sent,
-            r.spans_recorded,
-            r.spans_evicted
-        ],
-        [
-            keys::NET_MSGS_SENT,
-            keys::NET_MSGS_DELIVERED,
-            keys::NET_MSGS_DROPPED,
-            keys::NET_BYTES_SENT,
-            keys::TRACE_SPANS_RECORDED,
-            keys::TRACE_SPANS_EVICTED
-        ]
-        .map(|k| t.counter(k)),
-        "a count differs from its telemetry counter"
-    );
-    if r.violated() {
-        let spans: Vec<_> = r
-            .provenance
-            .iter()
-            .filter(|s| s.kind != SpanKind::Violation)
-            .collect();
-        let newest = &spans[spans.len().saturating_sub(RunReport::TRACE_WINDOW)..];
-        let lines: Vec<String> = newest
-            .iter()
-            .map(|s| tail_line(s.id, s.kind, &s.name, &s.parents))
-            .collect();
-        assert_eq!(lines, r.last_trace, "last_trace is not the tail's end");
-    }
 }
 
 proptest! {
@@ -95,7 +53,6 @@ proptest! {
             let outcome = run_campaign(&scenario, &cfg);
             prop_assert_eq!(outcome.failures.len(), 1, "plan must violate");
             let report = &outcome.failures[0].report;
-            assert_only_repeats(report);
             let spans = &report.provenance;
             prop_assert!(!spans.is_empty());
 
@@ -120,7 +77,10 @@ proptest! {
             // When the tail holds every span ever recorded, *all* parent
             // edges must resolve — nothing was evicted or truncated.
             let non_synthetic = spans.iter().filter(|s| s.kind != SpanKind::Violation).count();
-            if report.spans_evicted == 0 && non_synthetic as u64 == report.spans_recorded {
+            let counter = |key| report.telemetry.counter(key);
+            if counter(keys::TRACE_SPANS_EVICTED) == 0
+                && non_synthetic as u64 == counter(keys::TRACE_SPANS_RECORDED)
+            {
                 for s in spans {
                     for p in &s.parents {
                         prop_assert!(index.get(*p).is_some(), "dangling parent {p}");
@@ -160,7 +120,6 @@ fn e11_storm_blame_reaches_an_originating_decision() {
         "expected tree.reachable violation, got {:?}",
         report.failing_oracles()
     );
-    assert_only_repeats(&report);
 
     let spans = &report.provenance;
     let violation = spans
@@ -196,7 +155,6 @@ fn masked_provenance_is_byte_identical_across_runs() {
         a.fingerprint, b.fingerprint,
         "scenario must be deterministic"
     );
-    assert_only_repeats(&a);
     assert_eq!(
         a.provenance_masked_json().to_string_compact(),
         b.provenance_masked_json().to_string_compact(),
@@ -209,7 +167,6 @@ fn failing_run(scenario: &str, arm: &ArmSpec, seed: u64, plan: &str) -> RunRepor
     let scenario = configure(scenario, arm).expect("arm configures");
     let report = scenario.run(seed, &FaultPlan::from_spec(plan).expect("plan spec"));
     assert!(report.violated(), "the plan must violate");
-    assert_only_repeats(&report);
     report
 }
 

@@ -21,7 +21,7 @@
 
 use cb_bench::registry::{accepts, all_scenarios, configure, scenario_names, ArmField, ArmSpec};
 use cb_harness::prelude::*;
-use cb_harness::provenance::tail_line;
+use cb_telemetry::keys;
 use cb_trace::{is_acyclic, SpanIndex, SpanKind};
 use cb_workload::WorkloadProfile;
 use std::collections::HashMap;
@@ -65,51 +65,6 @@ fn masked_telemetry_digest(reg: &Registry) -> String {
 const SEEDS: u64 = 4;
 const BASE_SEED: u64 = 1;
 
-/// The report fields that repeat another section hold nothing else: each
-/// count equals its telemetry counter, and a red report's `last_trace` is
-/// the newest `TRACE_WINDOW` non-violation spans of its provenance tail,
-/// rendered as tail lines.
-fn assert_only_repeats(tag: &str, r: &RunReport) {
-    use cb_telemetry::keys;
-    let t = &r.telemetry;
-    assert_eq!(
-        [
-            r.msgs_sent,
-            r.msgs_delivered,
-            r.msgs_dropped,
-            r.bytes_sent,
-            r.spans_recorded,
-            r.spans_evicted
-        ],
-        [
-            keys::NET_MSGS_SENT,
-            keys::NET_MSGS_DELIVERED,
-            keys::NET_MSGS_DROPPED,
-            keys::NET_BYTES_SENT,
-            keys::TRACE_SPANS_RECORDED,
-            keys::TRACE_SPANS_EVICTED
-        ]
-        .map(|k| t.counter(k)),
-        "{tag}: a count differs from its telemetry counter"
-    );
-    if r.violated() {
-        let spans: Vec<_> = r
-            .provenance
-            .iter()
-            .filter(|s| s.kind != SpanKind::Violation)
-            .collect();
-        let newest = &spans[spans.len().saturating_sub(RunReport::TRACE_WINDOW)..];
-        let lines: Vec<String> = newest
-            .iter()
-            .map(|s| tail_line(s.id, s.kind, &s.name, &s.parents))
-            .collect();
-        assert_eq!(
-            lines, r.last_trace,
-            "{tag}: last_trace is not the tail's end"
-        );
-    }
-}
-
 /// Contracts 1 and 3: per `(scenario, seed)`, two direct runs under the
 /// scenario's default plan must agree byte-for-byte, and each report's
 /// provenance graph must be structurally sound.
@@ -144,7 +99,6 @@ fn replay_is_deterministic_and_provenance_well_formed() {
                     .collect()
             };
             assert_eq!(verdicts(&a), verdicts(&b), "{tag}: verdict drift");
-            assert_only_repeats(&tag, &a);
 
             // Contract 3 on the first report.
             let spans = &a.provenance;
@@ -163,7 +117,10 @@ fn replay_is_deterministic_and_provenance_well_formed() {
                 .iter()
                 .filter(|s| s.kind != SpanKind::Violation)
                 .count() as u64;
-            if a.spans_evicted == 0 && non_synthetic == a.spans_recorded {
+            let counter = |key| a.telemetry.counter(key);
+            if counter(keys::TRACE_SPANS_EVICTED) == 0
+                && non_synthetic == counter(keys::TRACE_SPANS_RECORDED)
+            {
                 for s in spans {
                     for p in &s.parents {
                         assert!(index.get(*p).is_some(), "{tag}: dangling parent {p}");
@@ -311,9 +268,6 @@ fn check_arm(tag: &str, scenario: &dyn Scenario, may_fail: Option<&str>) -> Stri
         masked_telemetry_digest(&b.telemetry),
         "{tag}: telemetry drift on replay"
     );
-    for r in &sweeps[0].1.reports {
-        assert_only_repeats(&format!("{tag} seed {}", r.seed), r);
-    }
     observable(scenario, a)
 }
 
