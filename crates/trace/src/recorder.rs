@@ -322,12 +322,6 @@ impl FlightRecorder {
         self.pinned.iter().chain(self.ring.iter()).map(SpanRef)
     }
 
-    /// The last `k` retained spans, oldest first.
-    pub fn tail(&self, k: usize) -> impl DoubleEndedIterator<Item = SpanRef<'_>> + Clone {
-        let len = self.len();
-        (len.saturating_sub(k)..len).map(|i| self.get(i).expect("index below len"))
-    }
-
     /// The `index`-th retained span, in [`FlightRecorder::spans`] order.
     pub fn get(&self, index: usize) -> Option<SpanRef<'_>> {
         match index.checked_sub(self.pinned.len()) {
@@ -407,10 +401,6 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
-    fn seqs<'a>(spans: impl Iterator<Item = SpanRef<'a>>) -> Vec<u32> {
-        spans.map(|s| s.id().seq).collect()
-    }
-
     #[test]
     fn eviction_is_counted_and_bounded() {
         let mut rec = FlightRecorder::with_capacity(3, 4);
@@ -457,16 +447,6 @@ mod tests {
         }
         assert_eq!(rec.len(), DECISION_PIN_CAPACITY + 1);
         assert_eq!(rec.evicted(), 2);
-    }
-
-    #[test]
-    fn tail_returns_last_k_oldest_first() {
-        let mut rec = FlightRecorder::new(2);
-        for i in 0..5u64 {
-            rec.record(i, SpanKind::Timer, "t", vec![]);
-        }
-        assert_eq!(seqs(rec.tail(2)), vec![4, 5]);
-        assert_eq!(seqs(rec.tail(99)), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
