@@ -4,11 +4,11 @@
 //! campaign [--scenario NAME] [--seeds N] [--base-seed S] [--plan SPEC]
 //!          [--workers N] [--no-shrink] [--no-determinism] [--out DIR]
 //!          [--telemetry] [--lookahead]
-//!          [--storm] [--ladder] [--deadline STATES] [--chrome]
+//!          [--storm] [--ladder] [--deadline STATES]
 //!          [--nodes N] [--unsafe-reads] [--workload PROFILE]
 //!          [--record-policy PILE.cbp] [--policy PILE.cbp]
 //!          [--corpus DIR]
-//! campaign --replay ARTIFACT.json
+//! campaign --replay ARTIFACT.json [ARM FLAGS]
 //! campaign --list
 //! ```
 //!
@@ -21,6 +21,10 @@
 //! `--replay` re-runs an artifact and verifies the violation reproduces;
 //! artifacts record the fault plan but not the scenario arm, so pass the
 //! same arm flags the sweep used (e.g. `--replay ART --unsafe-reads`).
+//! Replay takes the arm flags and nothing else: the scenario, seed and
+//! plan come from the artifact, so a sweep flag (`--scenario`, `--seeds`,
+//! `--base-seed`, `--plan`, `--workers`, `--no-shrink`, `--no-determinism`,
+//! `--out`, `--corpus`, `--telemetry`) beside `--replay` is a usage error.
 //! Sweep and replay parse the flags into one `ArmSpec` and build the
 //! scenario through the one `registry::configure`, so the same flags give
 //! the same run. Which arm flags a scenario accepts is declared in the
@@ -63,15 +67,13 @@
 //! deliberately unprotected arm — a sweep with it is *expected* to exit 1
 //! with a metastability detection.
 //! `--corpus DIR` ingests **every** seed's run (passing and failing) into
-//! the queryable campaign corpus at DIR — content-addressed record objects
-//! plus a deterministic `index.cbc` — creating or extending it in place.
+//! the queryable campaign corpus at DIR — its deterministic `index.cbc` —
+//! creating or extending it in place.
 //! Records are wall-masked at ingestion, so the resulting index bytes are
 //! identical for any `--workers` count; query and diff it with the
 //! `corpus` binary.
-//! `--chrome` additionally writes `<artifact>.chrome.json` next to every
-//! failure artifact — Chrome trace-event JSON of the run's provenance tail,
-//! loadable at `ui.perfetto.dev` (use the `trace` binary for ad-hoc
-//! explain/blame queries over the same artifacts).
+//! `trace chrome ARTIFACT --out FILE` exports an artifact's provenance
+//! tail as Chrome trace-event JSON, loadable at `ui.perfetto.dev`.
 //! Exit status: 0 = all oracles passed, 1 = violations (or a replay that
 //! did reproduce the recorded violation — that's what a repro is for),
 //! 2 = usage error.
@@ -87,11 +89,11 @@ fn usage() -> ! {
         "usage: campaign [--scenario NAME] [--seeds N] [--base-seed S] [--plan SPEC]\n\
          \x20               [--workers N] [--no-shrink] [--no-determinism] [--out DIR]\n\
          \x20               [--telemetry] [--lookahead]\n\
-         \x20               [--storm] [--ladder] [--deadline STATES] [--chrome]\n\
+         \x20               [--storm] [--ladder] [--deadline STATES]\n\
          \x20               [--nodes N] [--unsafe-reads] [--workload PROFILE]\n\
          \x20               [--record-policy PILE.cbp] [--policy PILE.cbp]\n\
          \x20               [--corpus DIR]\n\
-         \x20      campaign --replay ARTIFACT.json\n\
+         \x20      campaign --replay ARTIFACT.json [ARM FLAGS]\n\
          \x20      campaign --list\n\
          scenarios: {}\n\
          workload profiles: {}",
@@ -100,6 +102,21 @@ fn usage() -> ! {
     );
     std::process::exit(2);
 }
+
+/// Flags that shape a sweep, which `--replay` refuses: it re-runs the
+/// artifact's own scenario, seed and plan, and takes only the arm flags.
+const SWEEP_ONLY: &[&str] = &[
+    "--scenario",
+    "--seeds",
+    "--base-seed",
+    "--plan",
+    "--workers",
+    "--no-shrink",
+    "--no-determinism",
+    "--out",
+    "--corpus",
+    "--telemetry",
+];
 
 /// The argument following `flag`.
 fn need(args: &[String], i: &mut usize, flag: &str) -> String {
@@ -169,13 +186,16 @@ fn main() {
     let mut scenario_arg: Option<String> = None;
     let mut replay_path: Option<PathBuf> = None;
     let mut show_telemetry = false;
-    let mut chrome = false;
     let mut arm = ArmSpec::default();
     let mut record_policy: Option<PathBuf> = None;
     let mut corpus_dir: Option<PathBuf> = None;
     let mut cfg = CampaignConfig::default();
+    let mut sweep_flag: Option<&str> = None;
     let mut i = 0;
     while i < args.len() {
+        if SWEEP_ONLY.contains(&args[i].as_str()) {
+            sweep_flag = sweep_flag.or(Some(&args[i]));
+        }
         match args[i].as_str() {
             "--list" => {
                 for name in scenario_names() {
@@ -203,7 +223,6 @@ fn main() {
                 arm.deadline_states =
                     need_parsed(&args, &mut i, "--deadline", "a number of explored states")
             }
-            "--chrome" => chrome = true,
             "--record-policy" => {
                 record_policy = Some(PathBuf::from(need(&args, &mut i, "--record-policy")));
                 arm.record_policy = true;
@@ -248,6 +267,12 @@ fn main() {
     }
 
     if let Some(path) = replay_path {
+        if let Some(flag) = sweep_flag {
+            eprintln!(
+                "--replay does not take {flag}: the artifact records the scenario, seed and plan"
+            );
+            usage();
+        }
         replay(&path, &arm);
     }
 
@@ -320,15 +345,6 @@ fn main() {
             println!("    shrunk: {}", f.shrunk_plan);
             if let Some(p) = &f.artifact {
                 println!("    artifact: {}", p.display());
-                if chrome {
-                    // Sidecar Perfetto view of the same provenance tail.
-                    let chrome_path = p.with_extension("chrome.json");
-                    let json = cb_trace::chrome_trace_json(&f.report.provenance, false);
-                    match std::fs::write(&chrome_path, json + "\n") {
-                        Ok(()) => println!("    chrome:   {}", chrome_path.display()),
-                        Err(e) => eprintln!("    chrome: write failed: {e}"),
-                    }
-                }
             } else if let Some((_, e)) = outcome
                 .artifact_errors
                 .iter()

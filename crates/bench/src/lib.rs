@@ -10,7 +10,6 @@
 //! times. See `EXPERIMENTS.md` at the repository root for the
 //! paper-vs-measured record and `DESIGN.md` for the experiment index.
 
-pub mod benchjson;
 pub mod codemetrics;
 pub mod decisions;
 pub mod experiments;

@@ -5,8 +5,11 @@
 //! rebuilds the arm from the same flags. Sweep and replay used to rebuild
 //! it in separate hand-written blocks that had drifted (no gossip arm on
 //! replay at all; `--workload` shadowing randtree's `--lookahead`); both
-//! now go through `registry::configure`. Drives the built binary, because
-//! the defect was in its flag handling, not in the library.
+//! now go through `registry::configure`. Replay takes the arm flags and
+//! nothing else: a sweep flag beside `--replay` used to be ignored (a
+//! shrunk `--plan` silently replayed the recorded one) and is now refused.
+//! Drives the built binary, because the defects were in its flag
+//! handling, not in the library.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -103,4 +106,64 @@ fn a_flag_the_named_scenario_does_not_accept_is_a_usage_error() {
         stderr.contains("'paxos' does not accept --storm"),
         "{stderr}"
     );
+}
+
+#[test]
+fn retired_flags_are_unknown_arguments() {
+    // `--chrome` wrote a sidecar into the artifact directory that
+    // `corpus ingest` then refused; `trace chrome ART --out FILE` writes
+    // the same bytes wherever asked.
+    for flag in ["--chrome", "--no-evalcache"] {
+        let out = campaign(&["--scenario", "ring", "--seeds", "1", flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown argument: {flag}")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn replay_refuses_every_sweep_flag() {
+    let dir = scratch_dir("sweep-flags");
+    let out = dir.to_str().expect("utf-8 temp path");
+    let swept = campaign(&[
+        "--scenario",
+        "ring",
+        "--seeds",
+        "1",
+        "--no-determinism",
+        "--plan",
+        "part:3|0.1.2.4.5.6.7@0-never",
+        "--out",
+        out,
+    ]);
+    assert_eq!(swept.status.code(), Some(1), "the cut ring must violate");
+    let artifact = dir.join("ring-seed1.json");
+    let artifact = artifact.to_str().expect("utf-8 temp path");
+    for flag in [
+        &["--plan", ""][..],
+        &["--scenario", "ring"],
+        &["--seeds", "99"],
+        &["--base-seed", "1"],
+        &["--workers", "3"],
+        &["--no-shrink"],
+        &["--no-determinism"],
+        &["--out", out],
+        &["--corpus", out],
+        &["--telemetry"],
+    ] {
+        let mut args = vec!["--replay", artifact];
+        args.extend_from_slice(flag);
+        let replayed = campaign(&args);
+        let stderr = String::from_utf8_lossy(&replayed.stderr);
+        assert_eq!(replayed.status.code(), Some(2), "{flag:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("--replay does not take {}", flag[0])),
+            "{flag:?}: {stderr}"
+        );
+        assert!(replayed.stdout.is_empty(), "{flag:?}: a replay ran");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,7 +4,8 @@
 //! so a NaN threshold made the comparison always false and switched its
 //! gate off (a regressed candidate exited 0), and a negative one flagged
 //! every scenario of a self-diff. An unknown flag used to be taken as a
-//! corpus directory. Drives the built binary against the committed
+//! corpus directory. A counter regression planted into every record must
+//! flip the exit code. Drives the built binary against the committed
 //! baseline corpus.
 
 use std::process::{Command, Output};
@@ -102,4 +103,35 @@ fn an_unknown_flag_is_a_usage_error_not_a_directory() {
             "{stderr}"
         );
     }
+}
+
+#[test]
+fn a_planted_counter_regression_is_flagged() {
+    let baseline_dir = baseline();
+    let baseline = cb_corpus::Corpus::load(std::path::Path::new(&baseline_dir)).expect("baseline");
+    let mut planted = cb_corpus::Corpus::new();
+    for record in baseline.iter() {
+        let mut record = record.clone();
+        *record
+            .counters
+            .entry("net.msgs_delivered".to_string())
+            .or_insert(0) += 100_000;
+        planted.insert(record);
+    }
+    assert_eq!(planted.len(), baseline.len());
+    let dir = std::env::temp_dir().join(format!("cb-planted-corpus-{}", std::process::id()));
+    planted.save(&dir).expect("save planted corpus");
+    let out = corpus(&[
+        "diff",
+        &baseline_dir,
+        dir.to_str().expect("utf-8 temp path"),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "planted regression not flagged: {stdout}"
+    );
+    assert!(stdout.contains("net.msgs_delivered"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,11 +9,11 @@
 //! * [`record`] — a [`SeedRecord`]: one seed's outcome distilled into
 //!   typed columns, content-addressed by the FNV-64 of its canonical
 //!   (wall-masked) JSON rendering.
-//! * [`store`] — the [`Corpus`]: an on-disk store with content-addressed
-//!   record objects under `objects/` and a deterministic binary columnar
-//!   index (`index.cbc`, checksummed like the policy pile format). The
-//!   index bytes are invariant under ingestion order and campaign worker
-//!   count.
+//! * [`store`] — the [`Corpus`]: one deterministic binary columnar index
+//!   per corpus directory (`index.cbc`, checksummed like the policy pile
+//!   format), filled from campaign outcomes in process or from failure
+//!   artifacts on disk. The index bytes are invariant under ingestion
+//!   order and campaign worker count.
 //! * [`query`] — [`Predicate`] combinators plus a small text syntax that
 //!   answer the roadmap's canonical questions, e.g.
 //!   `hist_count(core.governor.in_survival_sim_ns) >= 2` ("all seeds
@@ -42,12 +42,12 @@ pub use record::{SeedRecord, RECORD_SCHEMA};
 pub use store::{Corpus, CorpusError, INDEX_FILE, INDEX_MAGIC};
 
 /// FNV-1a 64-bit hash — the workspace's one content hash, owned by
-/// `cb-policy` (record object names and the index checksum are this).
+/// `cb-policy` (record content ids and the index checksum are this).
 pub use cb_policy::fnv1a;
 
 #[cfg(test)]
 mod tests {
-    /// Record object names and the `index.cbc` checksum are this hash.
+    /// Record content ids and the `index.cbc` checksum are this hash.
     #[test]
     fn fnv1a_is_golden() {
         assert_eq!(super::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);

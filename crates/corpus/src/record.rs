@@ -3,8 +3,10 @@
 //! A record has two sources with one result: a [`RunReport`] in process
 //! ([`SeedRecord::from_report`]) and a failure artifact on disk
 //! ([`SeedRecord::from_artifact`], over what [`cb_harness::decode_artifact`]
-//! read from the artifact's original report). Record object files are small
-//! and are parsed as a tree ([`SeedRecord::from_json`]).
+//! read from the artifact's original report). A record is stored only as a
+//! row of the corpus index; its canonical JSON rendering
+//! ([`SeedRecord::to_json`]) is what its content id hashes and what
+//! `corpus query --json` prints.
 
 use crate::fnv1a;
 use cb_harness::json::Json;
@@ -89,8 +91,9 @@ impl SeedRecord {
         }
     }
 
-    /// Content id: FNV-64 of the canonical compact JSON rendering. Names
-    /// the record's object file and deduplicates re-ingestion.
+    /// Content id: FNV-64 of the canonical compact JSON rendering. The
+    /// index stores it and re-verifies it on load; it deduplicates
+    /// re-ingestion.
     pub fn content_id(&self) -> u64 {
         fnv1a(self.to_json().to_string_compact().as_bytes())
     }
@@ -147,66 +150,6 @@ impl SeedRecord {
             .with("blame", self.blame.clone())
     }
 
-    /// Parses a serialized record (inverse of [`SeedRecord::to_json`]).
-    pub fn from_json(json: &Json) -> Result<SeedRecord, String> {
-        let schema = json
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("record missing 'schema'")?;
-        if schema != RECORD_SCHEMA {
-            return Err(format!(
-                "unknown record schema '{schema}' (want '{RECORD_SCHEMA}')"
-            ));
-        }
-        let str_field = |key: &str| -> Result<String, String> {
-            json.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("record missing '{key}'"))
-        };
-        let u64_field = |key: &str| -> Result<u64, String> {
-            json.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("record missing '{key}'"))
-        };
-        let mut oracles = Vec::new();
-        for o in json
-            .get("oracles")
-            .and_then(Json::as_array)
-            .ok_or("record missing 'oracles'")?
-        {
-            let name = o
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("oracle missing 'name'")?;
-            let passed = matches!(o.get("passed"), Some(Json::Bool(true)));
-            oracles.push((name.to_string(), passed));
-        }
-        oracles.sort();
-        Ok(SeedRecord {
-            scenario: str_field("scenario")?,
-            seed: u64_field("seed")?,
-            plan: str_field("plan")?,
-            passed: matches!(json.get("passed"), Some(Json::Bool(true))),
-            fingerprint: u64_field("fingerprint")?,
-            events: u64_field("events")?,
-            oracles,
-            counters: parse_counters(json.get("counters"), false)?,
-            gauges: parse_gauges(json.get("gauges"))?,
-            hists: parse_hists(json.get("histograms"), false)?,
-            blame: json
-                .get("blame")
-                .and_then(Json::as_array)
-                .map(|a| {
-                    a.iter()
-                        .filter_map(Json::as_str)
-                        .map(str::to_string)
-                        .collect()
-                })
-                .unwrap_or_default(),
-        })
-    }
-
     /// Distills a campaign **failure artifact**, decoded by
     /// [`cb_harness::decode_artifact`], into a record: the `corpus ingest`
     /// path for artifacts written by sweeps that did not run with
@@ -235,9 +178,9 @@ impl SeedRecord {
             fingerprint: artifact.fingerprint,
             events: report.events,
             oracles,
-            counters: parse_counters(telemetry.get("counters"), true)?,
-            gauges: parse_gauges_masked(telemetry.get("gauges"))?,
-            hists: parse_hists(telemetry.get("histograms"), true)?,
+            counters: parse_counters(telemetry.get("counters"))?,
+            gauges: parse_gauges(telemetry.get("gauges"))?,
+            hists: parse_hists(telemetry.get("histograms"))?,
             blame: blame_targets(&artifact.provenance),
         })
     }
@@ -259,18 +202,17 @@ fn blame_targets(spans: &[Span]) -> Vec<String> {
     targets.into_iter().collect()
 }
 
-fn parse_counters(
-    section: Option<&Json>,
-    mask_wall: bool,
-) -> Result<BTreeMap<String, u64>, String> {
+// The artifact's telemetry section, wall-masked as
+// `cb_telemetry::Registry::masked` masks a report's registry.
+
+fn parse_counters(section: Option<&Json>) -> Result<BTreeMap<String, u64>, String> {
     let mut out = BTreeMap::new();
     if let Some(Json::Obj(entries)) = section {
         for (k, v) in entries {
             let v = v
                 .as_u64()
                 .ok_or_else(|| format!("counter '{k}' is not a u64"))?;
-            let v = if mask_wall && is_wall_key(k) { 0 } else { v };
-            out.insert(k.clone(), v);
+            out.insert(k.clone(), if is_wall_key(k) { 0 } else { v });
         }
     }
     Ok(out)
@@ -283,41 +225,24 @@ fn parse_gauges(section: Option<&Json>) -> Result<BTreeMap<String, i64>, String>
             let v = v
                 .as_f64()
                 .ok_or_else(|| format!("gauge '{k}' is not a number"))?;
-            out.insert(k.clone(), v as i64);
-        }
-    }
-    Ok(out)
-}
-
-fn parse_gauges_masked(section: Option<&Json>) -> Result<BTreeMap<String, i64>, String> {
-    let mut out = parse_gauges(section)?;
-    for (k, v) in out.iter_mut() {
-        if is_wall_key(k) {
-            *v = 0;
+            out.insert(k.clone(), if is_wall_key(k) { 0 } else { v as i64 });
         }
     }
     Ok(out)
 }
 
 #[allow(clippy::type_complexity)]
-fn parse_hists(
-    section: Option<&Json>,
-    from_artifact: bool,
-) -> Result<BTreeMap<String, Vec<(u32, u64)>>, String> {
+fn parse_hists(section: Option<&Json>) -> Result<BTreeMap<String, Vec<(u32, u64)>>, String> {
     let mut out = BTreeMap::new();
     if let Some(Json::Obj(entries)) = section {
         for (k, v) in entries {
-            if from_artifact && is_wall_key(k) {
+            if is_wall_key(k) {
                 out.insert(k.clone(), Vec::new());
                 continue;
             }
-            // Records store the bucket array directly; artifacts nest it
-            // under the histogram summary object (absent for empty hists).
-            let buckets = if from_artifact {
-                v.get("buckets").and_then(Json::as_array).unwrap_or(&[])
-            } else {
-                v.as_array().unwrap_or(&[])
-            };
+            // The bucket array nests under the histogram summary object
+            // (absent for an empty histogram).
+            let buckets = v.get("buckets").and_then(Json::as_array).unwrap_or(&[]);
             let mut pairs = Vec::with_capacity(buckets.len());
             for pair in buckets {
                 let p = pair
@@ -349,18 +274,6 @@ mod tests {
         let others: Vec<u32> = (0..8u32).filter(|&i| i != 3).collect();
         let plan = FaultPlan::none().partition(&[3], &others, 0, None);
         s.run(40, &plan)
-    }
-
-    #[test]
-    fn record_round_trips_through_json() {
-        let report = failing_report();
-        assert!(report.violated());
-        let record = SeedRecord::from_report(&report);
-        assert!(!record.passed);
-        assert!(!record.counters.is_empty());
-        let back = SeedRecord::from_json(&record.to_json()).expect("parse");
-        assert_eq!(back, record);
-        assert_eq!(back.content_id(), record.content_id());
     }
 
     #[test]

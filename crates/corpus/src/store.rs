@@ -1,14 +1,8 @@
-//! The on-disk corpus: content-addressed record objects plus a
-//! deterministic, checksummed binary index.
+//! The on-disk corpus: one deterministic, checksummed binary index.
 //!
-//! Layout under a corpus directory:
-//!
-//! ```text
-//! corpus/
-//!   index.cbc            # binary index, see below
-//!   objects/
-//!     <content_id:016x>.json   # canonical record JSON, write-once
-//! ```
+//! A corpus directory holds one file, `index.cbc` (older binaries also
+//! wrote an `objects/` directory of record JSON; it is neither read nor
+//! removed).
 //!
 //! The index interns every string into a sorted table and stores each
 //! record as typed columns (u32 string refs, LE integers, bucket pairs),
@@ -16,14 +10,14 @@
 //! trailer discipline as the policy pile. Records live in a `BTreeMap`
 //! keyed `(scenario, seed, content_id)`, so index bytes are a pure
 //! function of the record *set*: ingestion order and campaign worker
-//! count cannot change them.
+//! count cannot change them. A lost index is rebuilt by re-running the
+//! sweep with `--corpus` or re-ingesting its failure artifacts, since a
+//! record is a pure function of `(scenario, seed, plan)`.
 
 use crate::fnv1a;
-use crate::record::{SeedRecord, RECORD_SCHEMA};
+use crate::record::SeedRecord;
 use cb_harness::campaign::CampaignOutcome;
-use cb_harness::json::{Json, Reader};
 use cb_harness::scenario::RunReport;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -40,8 +34,8 @@ const INDEX_VERSION: u32 = 1;
 pub enum CorpusError {
     /// Filesystem failure.
     Io(std::io::Error),
-    /// Bad bytes: wrong magic, truncated column, checksum mismatch, or an
-    /// artifact/record that does not parse.
+    /// Bad bytes: wrong magic, truncated column, checksum mismatch, or a
+    /// file that is not a failure artifact.
     Malformed(String),
 }
 
@@ -118,11 +112,10 @@ impl Corpus {
     }
 
     /// Ingests every `*.json` file in `dir` (non-recursive, sorted by file
-    /// name — though order cannot matter). Accepts campaign failure
-    /// artifacts (`cb-campaign-failure/v1`, read by the decoder replay uses,
-    /// which checks the whole file but builds only what the record needs)
-    /// and corpus records (`cb-corpus-record/v1`). Returns how many records
-    /// were new.
+    /// name — though order cannot matter). Each must be a campaign failure
+    /// artifact (`cb-campaign-failure/v1`, read by the decoder replay uses,
+    /// which checks the whole file but builds only what the record needs).
+    /// Returns how many records were new.
     pub fn ingest_dir(&mut self, dir: &Path) -> Result<usize, CorpusError> {
         let mut paths: Vec<_> = std::fs::read_dir(dir)?
             .collect::<Result<Vec<_>, _>>()?
@@ -341,19 +334,9 @@ impl Corpus {
         Ok(corpus)
     }
 
-    /// Writes `index.cbc` and one object file per record under `dir`
-    /// (created if absent). Object files are write-once: an existing
-    /// `objects/<cid>.json` is left untouched, since equal content ids
-    /// imply equal bytes.
+    /// Writes `index.cbc` under `dir` (created if absent).
     pub fn save(&self, dir: &Path) -> Result<(), CorpusError> {
-        let objects = dir.join("objects");
-        std::fs::create_dir_all(&objects)?;
-        for r in self.records.values() {
-            let path = objects.join(format!("{:016x}.json", r.content_id()));
-            if !path.exists() {
-                std::fs::write(&path, r.to_json().to_string_pretty() + "\n")?;
-            }
-        }
+        std::fs::create_dir_all(dir)?;
         std::fs::write(dir.join(INDEX_FILE), self.index_bytes())?;
         Ok(())
     }
@@ -365,39 +348,12 @@ impl Corpus {
     }
 }
 
-/// Reads one campaign failure artifact or corpus record file. Both formats
-/// open with their `schema` key, so that is read first: an artifact goes
-/// through [`cb_harness::decode_artifact`], which builds only what the
-/// record needs; a record object (a few kB) is parsed into a tree. A file
-/// whose first key is not `schema` is parsed whole to find it.
+/// Reads one campaign failure artifact and distills it into a record.
 fn read_record(path: &Path) -> Result<SeedRecord, CorpusError> {
     let text = std::fs::read_to_string(path)?;
-    let bad = |e: String| malformed(format!("{}: {e}", path.display()));
-    let artifact = || {
-        cb_harness::decode_artifact(&text)
-            .and_then(|artifact| SeedRecord::from_artifact(&artifact))
-            .map_err(bad)
-    };
-    if leading_schema(&text).as_deref() == Some(cb_harness::ARTIFACT_SCHEMA) {
-        return artifact();
-    }
-    let json = Json::parse(&text).map_err(|e| bad(e.to_string()))?;
-    match json.get("schema").and_then(Json::as_str) {
-        Some(RECORD_SCHEMA) => SeedRecord::from_json(&json).map_err(bad),
-        Some(s) if s == cb_harness::ARTIFACT_SCHEMA => artifact(),
-        other => Err(bad(format!("unrecognized schema {other:?}"))),
-    }
-}
-
-/// The value of the document's first key when that key is `schema` and the
-/// value a string.
-fn leading_schema(text: &str) -> Option<Cow<'_, str>> {
-    let mut r = Reader::new(text);
-    r.begin_obj().ok()?;
-    if r.next_key().ok()?? != "schema" {
-        return None;
-    }
-    r.opt_str().ok()?
+    cb_harness::decode_artifact(&text)
+        .and_then(|artifact| SeedRecord::from_artifact(&artifact))
+        .map_err(|e| malformed(format!("{}: {e}", path.display())))
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -491,23 +447,32 @@ mod tests {
     }
 
     #[test]
-    fn save_load_and_reingest_objects() {
+    fn save_writes_only_the_index_and_loads_it_back() {
         let dir = temp_dir("saveload");
         let mut corpus = Corpus::new();
         for r in reports(0..3) {
             corpus.ingest_report(&r);
         }
-        corpus.save(&dir).expect("save");
-        let loaded = Corpus::load(&dir).expect("load");
+        // `save` creates the directory and writes `index.cbc` alone.
+        let fresh = dir.join("fresh");
+        corpus.save(&fresh).expect("save");
+        let names: Vec<_> = std::fs::read_dir(&fresh)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from(INDEX_FILE)]);
+        let loaded = Corpus::load(&fresh).expect("load");
         assert_eq!(loaded.index_bytes(), corpus.index_bytes());
 
-        // The objects directory re-ingests to the same corpus.
-        let mut from_objects = Corpus::new();
-        let fresh = from_objects
-            .ingest_dir(&dir.join("objects"))
-            .expect("ingest");
-        assert_eq!(fresh, 3);
-        assert_eq!(from_objects.index_bytes(), corpus.index_bytes());
+        // An `objects/` an older binary left behind is neither read nor
+        // removed.
+        let stale = fresh.join("objects").join("0000000000000000.json");
+        std::fs::create_dir_all(stale.parent().unwrap()).unwrap();
+        std::fs::write(&stale, "not json").unwrap();
+        corpus.save(&fresh).expect("save over an old corpus");
+        assert_eq!(std::fs::read_to_string(&stale).unwrap(), "not json");
+        let loaded = Corpus::load(&fresh).expect("load");
+        assert_eq!(loaded.index_bytes(), corpus.index_bytes());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -568,6 +533,31 @@ mod tests {
         assert!(err.to_string().contains("ring-seed75.json"), "{err}");
         let seeds: Vec<u64> = partial.iter().map(|r| r.seed).collect();
         assert_eq!(seeds, vec![70, 71, 72, 73, 74]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_object_is_refused_like_any_other_non_artifact() {
+        let dir = temp_dir("recordobject");
+        let s = RingScenario::default();
+        let others: Vec<u32> = (0..8u32).filter(|&i| i != 3).collect();
+        let plan = FaultPlan::none().partition(&[3], &others, 0, None);
+        for seed in [70, 72] {
+            let report = s.run(seed, &plan);
+            cb_harness::campaign::write_artifact(&dir, &report, &report.plan, &report).unwrap();
+        }
+        // What an older `save` wrote under `objects/`, placed between them.
+        let record = SeedRecord::from_report(&s.run(71, &plan));
+        std::fs::write(
+            dir.join("ring-seed71.json"),
+            record.to_json().to_string_pretty() + "\n",
+        )
+        .unwrap();
+        let mut corpus = Corpus::new();
+        let err = corpus.ingest_dir(&dir).expect_err("record object");
+        assert!(err.to_string().contains("ring-seed71.json"), "{err}");
+        let seeds: Vec<u64> = corpus.iter().map(|r| r.seed).collect();
+        assert_eq!(seeds, vec![70]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -41,10 +41,6 @@ pub struct NodeMetrics {
     pub msgs_dropped: Counter,
     /// Payload bytes handed to the transport.
     pub bytes_sent: Counter,
-    /// Payload bytes delivered to the actor.
-    pub bytes_received: Counter,
-    /// Timers fired.
-    pub timers_fired: Counter,
     /// Connections that completed the handshake and became established.
     pub conns_established: Counter,
     /// Established connections torn down by faults or endpoint death.

@@ -111,7 +111,6 @@ enum Ev<M> {
         to: NodeId,
         from: NodeId,
         msg: M,
-        bytes: u32,
         sent_at: SimTime,
         epoch: u64,
         /// Provenance span of the originating send (causal parent of the
@@ -581,7 +580,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 to,
                 from,
                 msg,
-                bytes,
                 sent_at: self.now,
                 epoch,
                 cause: Some(send_span),
@@ -613,7 +611,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 to,
                 from,
                 msg,
-                bytes,
                 sent_at: self.now,
                 epoch: EPOCH_UNRELIABLE,
                 cause: Some(send_span),
@@ -1059,7 +1056,6 @@ impl<A: Actor> Sim<A> {
                 to,
                 from,
                 msg,
-                bytes,
                 sent_at,
                 epoch,
                 cause,
@@ -1082,7 +1078,6 @@ impl<A: Actor> Sim<A> {
                 }
                 let m = &mut self.world.metrics[to.index()];
                 m.msgs_delivered.inc();
-                m.bytes_received.add(bytes as u64);
                 m.delivery_latency.record_duration(self.world.now - sent_at);
                 // The delivery is named after its send span, whose digest
                 // already put the payload under the fingerprint; the cause
@@ -1115,7 +1110,6 @@ impl<A: Actor> Sim<A> {
                 {
                     return Some(at);
                 }
-                self.world.metrics[node.index()].timers_fired.inc();
                 self.world
                     .dispatch_span(node, SpanKind::Timer, Label::Timer(tag), cause);
                 self.world.trace.push_words(&[
