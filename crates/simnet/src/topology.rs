@@ -624,42 +624,42 @@ impl CoreGraph {
         g
     }
 
-    fn transit_stub(cfg: &TransitStubConfig, rng: &mut SimRng) -> CoreGraph {
+    /// The backbone both transit-stub builders share: `cfg.transit_routers`
+    /// routers on a ring, plus a chord between each non-adjacent pair with
+    /// probability 0.3. Returns the transit routers.
+    fn transit_backbone(&mut self, cfg: &TransitStubConfig, rng: &mut SimRng) -> Vec<usize> {
         assert!(cfg.transit_routers >= 1, "need at least one transit router");
-        let mut g = CoreGraph::new();
-        let lat_in = |rng: &mut SimRng, (lo, hi): (SimDuration, SimDuration)| {
-            if hi <= lo {
-                lo
-            } else {
-                SimDuration::from_nanos(rng.gen_range(lo.as_nanos(), hi.as_nanos()))
-            }
+        let transit: Vec<usize> = (0..cfg.transit_routers).map(|_| self.add_router()).collect();
+        let transit_link = |g: &mut CoreGraph, rng: &mut SimRng, i: usize, j: usize| {
+            g.link(
+                transit[i],
+                transit[j],
+                LinkParams::new(lat_in(rng, cfg.transit_latency), cfg.transit_bps)
+                    .with_loss(cfg.transit_loss),
+            );
         };
-        let transit: Vec<usize> = (0..cfg.transit_routers).map(|_| g.add_router()).collect();
+        let n = transit.len();
         // Backbone ring…
-        for i in 0..transit.len() {
-            let j = (i + 1) % transit.len();
-            if transit.len() > 1 && (i < j || transit.len() > 2) {
-                g.link(
-                    transit[i],
-                    transit[j],
-                    LinkParams::new(lat_in(rng, cfg.transit_latency), cfg.transit_bps)
-                        .with_loss(cfg.transit_loss),
-                );
+        for i in 0..n {
+            let j = (i + 1) % n;
+            if n > 1 && (i < j || n > 2) {
+                transit_link(self, rng, i, j);
             }
         }
         // …plus chords for path diversity on larger backbones.
-        for i in 0..transit.len() {
-            for j in (i + 2)..transit.len() {
-                if (i, j) != (0, transit.len() - 1) && rng.gen_bool(0.3) {
-                    g.link(
-                        transit[i],
-                        transit[j],
-                        LinkParams::new(lat_in(rng, cfg.transit_latency), cfg.transit_bps)
-                            .with_loss(cfg.transit_loss),
-                    );
+        for i in 0..n {
+            for j in (i + 2)..n {
+                if (i, j) != (0, n - 1) && rng.gen_bool(0.3) {
+                    transit_link(self, rng, i, j);
                 }
             }
         }
+        transit
+    }
+
+    fn transit_stub(cfg: &TransitStubConfig, rng: &mut SimRng) -> CoreGraph {
+        let mut g = CoreGraph::new();
+        let transit = g.transit_backbone(cfg, rng);
         let mut stub_id = 0u32;
         for &t in &transit {
             for _ in 0..cfg.stubs_per_transit {
@@ -680,39 +680,8 @@ impl CoreGraph {
 
     fn transit_stub_exact(cfg: &TransitStubConfig, hosts: usize, rng: &mut SimRng) -> CoreGraph {
         assert!(hosts > 0, "need at least one host");
-        assert!(cfg.transit_routers >= 1, "need at least one transit router");
         let mut g = CoreGraph::new();
-        let lat_in = |rng: &mut SimRng, (lo, hi): (SimDuration, SimDuration)| {
-            if hi <= lo {
-                lo
-            } else {
-                SimDuration::from_nanos(rng.gen_range(lo.as_nanos(), hi.as_nanos()))
-            }
-        };
-        let transit: Vec<usize> = (0..cfg.transit_routers).map(|_| g.add_router()).collect();
-        for i in 0..transit.len() {
-            let j = (i + 1) % transit.len();
-            if transit.len() > 1 && (i < j || transit.len() > 2) {
-                g.link(
-                    transit[i],
-                    transit[j],
-                    LinkParams::new(lat_in(rng, cfg.transit_latency), cfg.transit_bps)
-                        .with_loss(cfg.transit_loss),
-                );
-            }
-        }
-        for i in 0..transit.len() {
-            for j in (i + 2)..transit.len() {
-                if (i, j) != (0, transit.len() - 1) && rng.gen_bool(0.3) {
-                    g.link(
-                        transit[i],
-                        transit[j],
-                        LinkParams::new(lat_in(rng, cfg.transit_latency), cfg.transit_bps)
-                            .with_loss(cfg.transit_loss),
-                    );
-                }
-            }
-        }
+        let transit = g.transit_backbone(cfg, rng);
         let mut stubs: Vec<usize> = Vec::new();
         for &t in &transit {
             for _ in 0..cfg.stubs_per_transit {
@@ -742,6 +711,15 @@ impl CoreGraph {
             }
         }
         g
+    }
+}
+
+/// A latency drawn uniformly from `[lo, hi)`; `lo` when the range is empty.
+fn lat_in(rng: &mut SimRng, (lo, hi): (SimDuration, SimDuration)) -> SimDuration {
+    if hi <= lo {
+        lo
+    } else {
+        SimDuration::from_nanos(rng.gen_range(lo.as_nanos(), hi.as_nanos()))
     }
 }
 
