@@ -9,11 +9,10 @@
 //!
 //! Artifacts are the JSON failure files the `campaign` binary writes under
 //! `results/campaigns/`; their `report.provenance` section embeds the fleet's
-//! flight-recorder tail (a bare report's top-level `provenance` works too).
-//! The section goes through `cb_harness::read_provenance`, the span decoder
-//! replay and corpus ingest use; the rest of the file is checked but not
-//! built. Span ids use the `t<ns>.n<node>.s<seq>` notation printed by every
-//! query.
+//! flight-recorder tail. A file goes through `cb_harness::read_artifact`,
+//! the decoder replay and corpus ingest use, so what is not an artifact
+//! (a bare report among it) is refused. Span ids use the
+//! `t<ns>.n<node>.s<seq>` notation printed by every query.
 //!
 //! * `explain` renders a decision span's option table (per-option objective,
 //!   predicted violations, explored states), the winner, the resolver and
@@ -32,8 +31,7 @@
 //! Exit status: 0 = query answered, 1 = span not found / nothing to blame,
 //! 2 = usage or artifact error.
 
-use cb_harness::json::{Kind, ParseError, Reader};
-use cb_harness::{read_provenance, ProvenanceSection};
+use cb_harness::read_artifact;
 use cb_trace::{blame, chrome_trace_json, explain, slowest, Span, SpanId, SpanIndex, SpanKind};
 use std::path::Path;
 
@@ -48,67 +46,16 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Loads the provenance spans from a failure artifact (its report's
-/// section: the run the oracle flagged), or from a bare report's
-/// `provenance`.
+/// The provenance spans of a failure artifact: its report's tail, from the
+/// run the oracle flagged.
 fn load_spans(path: &str) -> Vec<Span> {
-    let text = match std::fs::read_to_string(Path::new(path)) {
-        Ok(t) => t,
+    match read_artifact(Path::new(path)) {
+        Ok(artifact) => artifact.provenance,
         Err(e) => {
-            eprintln!("trace: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    match find_provenance(&text) {
-        Err(e) => {
-            eprintln!("trace: {path} is not valid JSON: {e}");
-            std::process::exit(2);
-        }
-        Ok(None) => {
-            eprintln!("trace: {path} has no provenance section");
-            std::process::exit(2);
-        }
-        Ok(Some(Err(e))) => {
             eprintln!("trace: {path}: {e}");
             std::process::exit(2);
         }
-        Ok(Some(Ok(section))) => section.spans,
     }
-}
-
-/// Decodes `report.provenance`, else a top-level `provenance` (the first
-/// occurrence of each key), skipping everything else.
-fn find_provenance(text: &str) -> Result<Option<Result<ProvenanceSection, String>>, ParseError> {
-    let mut r = Reader::new(text);
-    let (mut nested, mut top) = (None, None);
-    if r.peek()? == Kind::Obj {
-        r.begin_obj()?;
-        while let Some(key) = r.next_key()? {
-            match &*key {
-                "report" => r.first(&mut nested, |r| {
-                    let mut section = None;
-                    if r.peek()? != Kind::Obj {
-                        r.skip()?;
-                        return Ok(section);
-                    }
-                    r.begin_obj()?;
-                    while let Some(key) = r.next_key()? {
-                        match &*key {
-                            "provenance" => r.first(&mut section, read_provenance)?,
-                            _ => r.skip()?,
-                        }
-                    }
-                    Ok(section)
-                })?,
-                "provenance" => r.first(&mut top, read_provenance)?,
-                _ => r.skip()?,
-            }
-        }
-    } else {
-        r.skip()?;
-    }
-    r.finish()?;
-    Ok(nested.flatten().or(top))
 }
 
 fn parse_span_id(text: &str) -> SpanId {

@@ -73,7 +73,7 @@ pub use linearizability::{
 };
 pub use oracle::{check_all, Oracle, OracleVerdict};
 pub use plan::{Fault, FaultPlan, PlanParseError};
-pub use provenance::{provenance_json, read_provenance, span_json, ProvenanceSection};
+pub use provenance::{provenance_json, span_json};
 pub use scenario::{RunReport, Scenario};
 pub use telemetry::telemetry_json;
 
