@@ -8,30 +8,36 @@
 //!          [--nodes N] [--unsafe-reads] [--workload PROFILE]
 //!          [--record-policy PILE.cbp] [--policy PILE.cbp]
 //!          [--corpus DIR]
-//! campaign --replay ARTIFACT.json [ARM FLAGS]
+//! campaign --replay ARTIFACT.json [--policy PILE.cbp]
 //! campaign --list
 //! ```
 //!
 //! With no `--scenario`, sweeps every registered scenario. On an oracle
 //! violation a JSON failure artifact lands under `--out` (default
-//! `results/campaigns/`) carrying the seed, the fault-plan spec, the
-//! shrunk minimal repro, and the failing run's report (oracle verdicts,
-//! telemetry, the flight-recorder tail); `--seeds 1 --base-seed SEED
-//! --plan SHRUNK_PLAN` with the same arm flags re-runs the shrunk repro;
-//! `--replay` re-runs an artifact and verifies the violation reproduces;
-//! artifacts record the fault plan but not the scenario arm, so pass the
-//! same arm flags the sweep used (e.g. `--replay ART --unsafe-reads`).
-//! Replay takes the arm flags and nothing else: the scenario, seed and
-//! plan come from the artifact, so a sweep flag (`--scenario`, `--seeds`,
-//! `--base-seed`, `--plan`, `--workers`, `--no-shrink`, `--no-determinism`,
-//! `--out`, `--corpus`, `--telemetry`) beside `--replay` is a usage error.
-//! Sweep and replay parse the flags into one `ArmSpec` and build the
-//! scenario through the one `registry::configure`, so the same flags give
-//! the same run. Which arm flags a scenario accepts is declared in the
-//! registry — see `--list`; naming a scenario (`--scenario`, or the one an
-//! artifact records) with a flag it does not accept is a usage error,
-//! while a sweep of the whole registry hands each scenario the flags it
-//! accepts.
+//! `results/campaigns/`) carrying the shrunk minimal repro and the failing
+//! run's report: scenario, seed, fault-plan spec, arm, oracle verdicts,
+//! telemetry and the flight-recorder tail. `--seeds 1 --base-seed SEED
+//! --plan SHRUNK_PLAN` with the arm's flags re-runs the shrunk repro.
+//! `--replay` re-runs an artifact and verifies the violation reproduces.
+//! The report records the arm its scenario was built as (`report.arm`: the
+//! non-stock fields, keyed by flag name), and the scenario, seed and plan,
+//! so replay rebuilds the run from the artifact alone. A sweep flag
+//! (`--scenario`, `--seeds`, `--base-seed`, `--plan`, `--workers`,
+//! `--no-shrink`, `--no-determinism`, `--out`, `--corpus`, `--telemetry`)
+//! or an arm flag beside `--replay` is a usage error. `--policy PILE` is
+//! the exception, because a pile is an input file: an arm that loaded a
+//! policy store records the store's content id, and replay needs the pile
+//! that holds that store. An artifact that records no arm (schema v1, or
+//! written by a scenario built outside the registry) replays in the arm
+//! the flags given.
+//! Sweep and replay build the scenario through the one
+//! `registry::configure`, so the same arm gives the same run. Which arm
+//! flags a scenario accepts is declared in the registry — see `--list`;
+//! naming a scenario (`--scenario`, or the one an artifact records) with a
+//! flag it does not accept is a usage error, and so is a `--nodes` below
+//! the smallest fleet it can build, while a sweep of the whole registry
+//! hands each scenario the flags it accepts. `--base-seed S --seeds N`
+//! with `S + N` past the largest u64 is a usage error too.
 //! `--telemetry` prints a per-scenario digest of the merged telemetry
 //! (decision-latency p50/p99 on the sim-cost clock, cache hit rate,
 //! states explored per decision) after each summary line.
@@ -78,7 +84,9 @@
 //! did reproduce the recorded violation — that's what a repro is for),
 //! 2 = usage error.
 
-use cb_bench::registry::{accepted_flags, configure, configure_all, scenario_names, ArmSpec};
+use cb_bench::registry::{
+    accepted_flags, configure, configure_all, scenario_names, ArmField, ArmSpec,
+};
 use cb_harness::prelude::*;
 use cb_harness::{read_artifact, replay_artifact};
 use std::path::{Path, PathBuf};
@@ -93,7 +101,7 @@ fn usage() -> ! {
          \x20               [--nodes N] [--unsafe-reads] [--workload PROFILE]\n\
          \x20               [--record-policy PILE.cbp] [--policy PILE.cbp]\n\
          \x20               [--corpus DIR]\n\
-         \x20      campaign --replay ARTIFACT.json [ARM FLAGS]\n\
+         \x20      campaign --replay ARTIFACT.json [--policy PILE.cbp]\n\
          \x20      campaign --list\n\
          scenarios: {}\n\
          workload profiles: {}",
@@ -104,7 +112,7 @@ fn usage() -> ! {
 }
 
 /// Flags that shape a sweep, which `--replay` refuses: it re-runs the
-/// artifact's own scenario, seed and plan, and takes only the arm flags.
+/// artifact's own scenario, seed and plan.
 const SWEEP_ONLY: &[&str] = &[
     "--scenario",
     "--seeds",
@@ -137,25 +145,46 @@ fn need_parsed<T: std::str::FromStr>(args: &[String], i: &mut usize, flag: &str,
     })
 }
 
-/// `--replay`: re-runs the artifact's `(seed, plan)` on its scenario in
-/// the given arm and reports whether the recorded violation reproduces.
-fn replay(path: &Path, arm: &ArmSpec) -> ! {
-    let artifact = match read_artifact(path) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
+/// `--replay`: re-runs the artifact's `(seed, plan)` on its scenario in its
+/// recorded arm (or, for an artifact that records none, the arm `flags`
+/// give) and reports whether the recorded violation reproduces.
+fn replay(path: &Path, flags: &ArmSpec) -> ! {
+    let fail = |e: &dyn std::fmt::Display| -> ! {
+        eprintln!("{e}");
+        std::process::exit(2);
+    };
+    let artifact = read_artifact(path).unwrap_or_else(|e| fail(&e));
+    let arm = match &artifact.arm {
+        None => flags.clone(),
+        Some(recorded) => {
+            if let Some(field) = flags
+                .set_fields()
+                .into_iter()
+                .find(|f| *f != ArmField::Policy)
+            {
+                fail(&format!(
+                    "--replay does not take {}: the artifact records its arm {recorded}",
+                    field.flag()
+                ));
+            }
+            ArmSpec::from_recorded(recorded, &artifact.scenario, flags.policy.clone())
+                .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())))
         }
     };
-    let scenario = configure(&artifact.scenario, arm).unwrap_or_else(|e| {
-        eprintln!("{}: {e}", path.display());
-        std::process::exit(2);
-    });
+    let scenario = configure(&artifact.scenario, &arm)
+        .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
     println!(
-        "replaying {} seed {} plan '{}'",
+        "replaying {} seed {} plan '{}' arm {}",
         artifact.scenario,
         artifact.seed,
-        artifact.plan.to_spec()
+        artifact.plan.to_spec(),
+        match &artifact.arm {
+            Some(recorded) => recorded.to_string(),
+            None => format!(
+                "{} (not recorded; from the flags)",
+                arm.to_json(&artifact.scenario)
+            ),
+        }
     );
     match replay_artifact(scenario.as_ref(), &artifact) {
         Ok(report) => {
@@ -174,10 +203,7 @@ fn replay(path: &Path, arm: &ArmSpec) -> ! {
             }
             std::process::exit(1);
         }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+        Err(e) => fail(&e),
     }
 }
 
@@ -276,16 +302,26 @@ fn main() {
         replay(&path, &arm);
     }
 
+    if cfg.base_seed.checked_add(cfg.seeds).is_none() {
+        eprintln!(
+            "--base-seed {} --seeds {} runs past the largest seed, {}",
+            cfg.base_seed,
+            cfg.seeds,
+            u64::MAX
+        );
+        usage();
+    }
     // A named scenario takes the arm as given — a flag it does not accept
     // is a usage error. A sweep of the whole registry hands each scenario
     // the flags it accepts; the others run without them.
     let scenarios: Vec<Box<dyn Scenario>> = match &scenario_arg {
-        Some(name) => vec![configure(name, &arm).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            usage();
-        })],
+        Some(name) => configure(name, &arm).map(|s| vec![s]),
         None => configure_all(&arm),
-    };
+    }
+    .unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage();
+    });
 
     // Corpus auto-ingestion: load an existing corpus to extend in place,
     // or start fresh. Every seed's report is retained and distilled.

@@ -9,8 +9,8 @@
 //!             [--hist-min-count N] [--pass-rate-drop FRAC]
 //! ```
 //!
-//! `ingest` folds the campaign failure artifacts (`cb-campaign-failure/v1`)
-//! of each source directory into the corpus at `CORPUS_DIR`, creating or
+//! `ingest` folds the campaign failure artifacts (`cb-campaign-failure/v2`,
+//! or the older v1) of each source directory into the corpus at `CORPUS_DIR`, creating or
 //! extending its `index.cbc` in place. Every `*.json` file there must be
 //! an artifact: the first one that is not stops the ingest (exit 2, naming
 //! the file). Ingestion is idempotent and order-invariant: the saved

@@ -71,13 +71,16 @@ fn masked_equal_across_processes(tag: &str, args: &[&str], file: &str) -> Json {
     a
 }
 
+/// The report's oracles that did not pass.
 fn failing_oracles(artifact: &Json) -> Vec<&str> {
     artifact
-        .get("failing_oracles")
+        .get("report")
+        .and_then(|r| r.get("oracles"))
         .and_then(Json::as_array)
-        .expect("failing_oracles")
+        .expect("report.oracles")
         .iter()
-        .filter_map(Json::as_str)
+        .filter(|o| o.get("passed") != Some(&Json::Bool(true)))
+        .filter_map(|o| o.get("name").and_then(Json::as_str))
         .collect()
 }
 

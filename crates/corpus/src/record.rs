@@ -169,11 +169,10 @@ impl SeedRecord {
             .telemetry
             .as_ref()
             .ok_or("report missing 'telemetry'")?;
-        let missing = |key: &str| format!("report missing '{key}'");
         Ok(SeedRecord {
-            scenario: report.scenario.clone().ok_or_else(|| missing("scenario"))?,
-            seed: report.seed.ok_or_else(|| missing("seed"))?,
-            plan: report.plan.clone().ok_or_else(|| missing("plan"))?,
+            scenario: artifact.scenario.clone(),
+            seed: artifact.seed,
+            plan: artifact.plan.to_spec(),
             passed: oracles.iter().all(|(_, passed)| *passed),
             fingerprint: artifact.fingerprint,
             events: report.events,

@@ -113,8 +113,9 @@ impl Corpus {
 
     /// Ingests every `*.json` file in `dir` (non-recursive, sorted by file
     /// name — though order cannot matter). Each must be a campaign failure
-    /// artifact (`cb-campaign-failure/v1`, read by the decoder replay uses,
-    /// which checks the whole file but builds only what the record needs).
+    /// artifact (`cb-campaign-failure/v2`, or the older v1, read by the
+    /// decoder replay uses, which checks the whole file but builds only what
+    /// the record needs).
     /// Returns how many records were new.
     pub fn ingest_dir(&mut self, dir: &Path) -> Result<usize, CorpusError> {
         let mut paths: Vec<_> = std::fs::read_dir(dir)?

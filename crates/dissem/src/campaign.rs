@@ -38,6 +38,14 @@ impl Default for SwarmCampaign {
     }
 }
 
+impl SwarmCampaign {
+    /// The smallest swarm the tracker can wire: [`assign_neighbors`] needs
+    /// more than `degree + 1` peers.
+    pub fn min_peers(&self) -> usize {
+        self.degree + 2
+    }
+}
+
 impl Scenario for SwarmCampaign {
     fn name(&self) -> &'static str {
         "dissem"

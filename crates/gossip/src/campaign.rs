@@ -49,6 +49,14 @@ impl Default for GossipCampaign {
     }
 }
 
+impl GossipCampaign {
+    /// The smallest fleet the scenario builds: the publisher and one peer
+    /// for the fault plan to pick among.
+    pub fn min_nodes(&self) -> usize {
+        2
+    }
+}
+
 impl Scenario for GossipCampaign {
     fn name(&self) -> &'static str {
         "gossip"

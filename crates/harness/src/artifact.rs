@@ -1,13 +1,16 @@
 //! Reading a failure artifact back.
 //!
-//! [`decode_artifact`] is the one decoder of the `cb-campaign-failure/v1`
-//! schema; [`read_artifact`] (replay, the benchmark's `triage-io`) and
-//! `cb_corpus` ingestion both go through it. It walks the text once with
-//! the [`Reader`] pull cursor: it builds the provenance tail's spans and the
-//! handful of fields its callers use, and skips — validating, not building
-//! — the rest, including the `shrunk_report`, `last_trace` and `metrics`
-//! sections that artifacts written before each fact was stored once still
-//! carry. A file it accepts is one [`Json::parse`] accepts.
+//! [`decode_artifact`] is the one decoder of the `cb-campaign-failure`
+//! schemas, v2 and the older v1; [`read_artifact`] (replay, the `trace`
+//! CLI, the benchmark's `triage-io`) and `cb_corpus` ingestion all go
+//! through it. It walks the text once with the [`Reader`] pull cursor: it
+//! builds the provenance tail's spans and the handful of fields its callers
+//! use, all from the `report` section, and skips — validating, not building
+//! — the rest, including what older artifacts still carry: v1's top-level
+//! copies of the report's scenario, seed, plan and failing oracles, and the
+//! `shrunk_report`, `last_trace` and `metrics` sections of artifacts written
+//! before each fact was stored once. A file it accepts is one
+//! [`Json::parse`] accepts.
 
 use crate::campaign::{ReplayError, ARTIFACT_SCHEMA};
 use crate::json::{Json, Kind, ParseError, Reader};
@@ -17,10 +20,14 @@ use cb_trace::Span;
 use std::borrow::Cow;
 use std::path::Path;
 
+/// The schema artifacts were written in before the report became the one
+/// copy of scenario, seed, plan and failing oracles; still read.
+const V1_SCHEMA: &str = "cb-campaign-failure/v1";
+
 /// The parsed essentials of a failure artifact.
 #[derive(Clone, Debug)]
 pub struct Artifact {
-    /// Scenario name recorded in the artifact.
+    /// Scenario name recorded in the report.
     pub scenario: String,
     /// Failing seed.
     pub seed: u64,
@@ -29,7 +36,7 @@ pub struct Artifact {
     /// Shrunk plan: the 1-minimal repro, for a person to re-run. Replay
     /// runs the original `plan`, the one the recorded tail came from.
     pub shrunk_plan: FaultPlan,
-    /// Oracles the artifact says failed.
+    /// Oracles the report says failed, in report order.
     pub failing_oracles: Vec<String>,
     /// Fingerprint of the original failing run.
     pub fingerprint: u64,
@@ -40,22 +47,20 @@ pub struct Artifact {
     pub spans_recorded: u64,
     /// Spans the original run's bounded rings evicted.
     pub spans_evicted: u64,
+    /// The arm the report records (`report.arm`), undecoded: `None` for a
+    /// v1 artifact or one whose scenario was built outside
+    /// `cb_bench::registry`, which then replays in the arm its caller
+    /// names.
+    pub arm: Option<Json>,
     /// The original report's own fields that corpus ingestion distills.
     pub report: ArtifactReport,
 }
 
-/// Fields of an artifact's `report` section beyond the fingerprint and the
-/// tail, as written: `None` where a field is absent or of another type.
-/// Replay reads none of them; `cb_corpus` turns them into a record and
-/// refuses an artifact that lacks what a record needs.
+/// Fields of an artifact's `report` section that only a corpus record
+/// needs, as written. Replay reads none of them; `cb_corpus` turns them
+/// into a record and refuses an artifact that lacks what a record needs.
 #[derive(Clone, Debug, Default)]
 pub struct ArtifactReport {
-    /// `report.scenario`.
-    pub scenario: Option<String>,
-    /// `report.seed`.
-    pub seed: Option<u64>,
-    /// `report.plan`, the spec string.
-    pub plan: Option<String>,
     /// `report.events_processed` (0 when absent).
     pub events: u64,
     /// `report.oracles` as `(name, passed)`: the name is `None` for an
@@ -72,14 +77,16 @@ pub fn read_artifact(path: &Path) -> Result<Artifact, ReplayError> {
     decode_artifact(&text).map_err(ReplayError::Malformed)
 }
 
-/// Decodes a `cb-campaign-failure/v1` document, or says why not. Refused:
-/// text that is not JSON (anywhere, including skipped sections), another
-/// schema, a missing or non-string `scenario`, a missing `seed`, a `plan`
-/// or `shrunk_plan` that is not a valid spec, and a malformed
-/// `report.provenance`. Tolerated: unknown keys (skipped), and
-/// a missing `fingerprint` or `provenance` (read as 0 and an empty tail).
-/// Of a key given twice, the first occurrence counts, as with
-/// [`Json::get`].
+/// Decodes a `cb-campaign-failure/v2` (or v1) document, or says why not.
+/// Everything but the shrunk plan comes from the `report` section; the
+/// failing oracles are its `oracles` that did not pass. Refused: text that
+/// is not JSON (anywhere, including skipped sections), another schema, a
+/// `report.plan` or `shrunk_plan` that is not a valid spec, a missing
+/// `report.seed`, a missing or non-string `report.scenario`, and a
+/// malformed `report.provenance`. Tolerated: unknown keys (skipped, v1's
+/// top-level copies among them), and a missing `arm`, `fingerprint` or
+/// `provenance` (read as none, 0 and an empty tail). Of a key given twice,
+/// the first occurrence counts, as with [`Json::get`].
 pub fn decode_artifact(text: &str) -> Result<Artifact, String> {
     let mut r = Reader::new(text);
     let fields = read_fields(&mut r).map_err(|e| e.to_string())?;
@@ -91,11 +98,7 @@ pub fn decode_artifact(text: &str) -> Result<Artifact, String> {
 #[derive(Default)]
 struct Fields<'a> {
     schema: Option<Option<Cow<'a, str>>>,
-    scenario: Option<Option<Cow<'a, str>>>,
-    seed: Option<Option<u64>>,
-    plan: Option<Option<Cow<'a, str>>>,
     shrunk_plan: Option<Option<Cow<'a, str>>>,
-    failing_oracles: Option<Vec<String>>,
     report: Option<Report<'a>>,
 }
 
@@ -105,6 +108,7 @@ struct Report<'a> {
     scenario: Option<Option<Cow<'a, str>>>,
     seed: Option<Option<u64>>,
     plan: Option<Option<Cow<'a, str>>>,
+    arm: Option<Json>,
     fingerprint: Option<Option<u64>>,
     events: Option<Option<u64>>,
     oracles: Option<Vec<(Option<String>, bool)>>,
@@ -122,13 +126,10 @@ fn read_fields<'a>(r: &mut Reader<'a>) -> Result<Fields<'a>, ParseError> {
     while let Some(key) = r.next_key()? {
         match &*key {
             "schema" => r.first(&mut f.schema, Reader::opt_str)?,
-            "scenario" => r.first(&mut f.scenario, Reader::opt_str)?,
-            "seed" => r.first(&mut f.seed, Reader::opt_u64)?,
-            "plan" => r.first(&mut f.plan, Reader::opt_str)?,
             "shrunk_plan" => r.first(&mut f.shrunk_plan, Reader::opt_str)?,
-            "failing_oracles" => r.first(&mut f.failing_oracles, read_strings)?,
             "report" => r.first(&mut f.report, read_report)?,
-            // An older artifact's `shrunk_report` among them.
+            // An older artifact's `shrunk_report` and v1's copies of the
+            // report's scenario, seed, plan and failing oracles among them.
             _ => r.skip()?,
         }
     }
@@ -148,6 +149,7 @@ fn read_report<'a>(r: &mut Reader<'a>) -> Result<Report<'a>, ParseError> {
             "scenario" => r.first(&mut report.scenario, Reader::opt_str)?,
             "seed" => r.first(&mut report.seed, Reader::opt_u64)?,
             "plan" => r.first(&mut report.plan, Reader::opt_str)?,
+            "arm" => r.first(&mut report.arm, Reader::value)?,
             "fingerprint" => r.first(&mut report.fingerprint, Reader::opt_u64)?,
             "events_processed" => r.first(&mut report.events, Reader::opt_u64)?,
             "oracles" => r.first(&mut report.oracles, read_oracles)?,
@@ -158,23 +160,6 @@ fn read_report<'a>(r: &mut Reader<'a>) -> Result<Report<'a>, ParseError> {
         }
     }
     Ok(report)
-}
-
-/// The strings of an array, in order (other items and non-arrays give
-/// nothing).
-fn read_strings(r: &mut Reader<'_>) -> Result<Vec<String>, ParseError> {
-    let mut out = Vec::new();
-    if r.peek()? != Kind::Arr {
-        r.skip()?;
-        return Ok(out);
-    }
-    r.begin_arr()?;
-    while r.next_item()? {
-        if let Some(s) = r.opt_str()? {
-            out.push(s.into_owned());
-        }
-    }
-    Ok(out)
 }
 
 /// `report.oracles` (see [`ArtifactReport::oracles`]).
@@ -208,7 +193,7 @@ fn read_oracles(r: &mut Reader<'_>) -> Result<Vec<(Option<String>, bool)>, Parse
 }
 
 impl<'a> Fields<'a> {
-    /// Checks what replay needs, in the order the checks were always made.
+    /// Checks what replay needs and derives the failing oracles.
     fn into_artifact(self) -> Result<Artifact, String> {
         let required = |slot: Option<Option<Cow<'a, str>>>, key: &str| {
             slot.flatten()
@@ -216,34 +201,39 @@ impl<'a> Fields<'a> {
                 .ok_or_else(|| format!("missing '{key}'"))
         };
         let schema = required(self.schema, "schema")?;
-        if schema != ARTIFACT_SCHEMA {
+        if schema != ARTIFACT_SCHEMA && schema != V1_SCHEMA {
             return Err(format!(
-                "unknown schema '{schema}' (want '{ARTIFACT_SCHEMA}')"
+                "unknown schema '{schema}' (want '{ARTIFACT_SCHEMA}' or '{V1_SCHEMA}')"
             ));
         }
+        let report = self.report.unwrap_or_default();
         let parse_plan =
             |slot, key| FaultPlan::from_spec(&required(slot, key)?).map_err(|e| e.to_string());
-        let plan = parse_plan(self.plan, "plan")?;
+        let plan = parse_plan(report.plan, "report.plan")?;
         let shrunk_plan = parse_plan(self.shrunk_plan, "shrunk_plan")?;
-        let seed = self.seed.flatten().ok_or("missing 'seed'")?;
-        let report = self.report.unwrap_or_default();
+        let seed = report.seed.flatten().ok_or("missing 'report.seed'")?;
+        let scenario = required(report.scenario, "report.scenario")?;
         let provenance = report.provenance.transpose()?.unwrap_or_default();
+        let oracles = report.oracles.unwrap_or_default();
+        let failing_oracles = oracles
+            .iter()
+            .filter(|(_, passed)| !passed)
+            .filter_map(|(name, _)| name.clone())
+            .collect();
         Ok(Artifact {
-            scenario: required(self.scenario, "scenario")?,
+            scenario,
             seed,
             plan,
             shrunk_plan,
-            failing_oracles: self.failing_oracles.unwrap_or_default(),
+            failing_oracles,
             fingerprint: report.fingerprint.flatten().unwrap_or(0),
             provenance: provenance.spans,
             spans_recorded: provenance.recorded,
             spans_evicted: provenance.evicted,
+            arm: report.arm,
             report: ArtifactReport {
-                scenario: report.scenario.flatten().map(Cow::into_owned),
-                seed: report.seed.flatten(),
-                plan: report.plan.flatten().map(Cow::into_owned),
                 events: report.events.flatten().unwrap_or(0),
-                oracles: report.oracles.unwrap_or_default(),
+                oracles,
                 telemetry: report.telemetry,
             },
         })

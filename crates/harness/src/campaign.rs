@@ -13,10 +13,10 @@
 //!    whenever the violation persists, and finish with single-fault passes
 //!    to a fixpoint, so no single remaining fault can be dropped (a bug that
 //!    needs no fault at all is found by the first run);
-//! 2. writes a **JSON failure artifact** (seed, original + shrunk plan spec,
-//!    and the original run's report: oracle verdicts, telemetry, the
-//!    flight-recorder tail) under `results/campaigns/`, streamed through the
-//!    same emitters that build the [`Json`] tree;
+//! 2. writes a **JSON failure artifact** (the shrunk plan spec and the
+//!    original run's report: scenario, seed, plan, arm, oracle verdicts,
+//!    telemetry, the flight-recorder tail) under `results/campaigns/`,
+//!    streamed through the same emitters that build the [`Json`] tree;
 //!
 //! and hands the finished row to [`in_order`], which folds rows into the
 //! [`CampaignOutcome`] strictly in seed order as soon as the next expected
@@ -369,31 +369,22 @@ pub fn shrink_plan(
     (best_plan, best_report.unwrap_or_else(|| failing.clone()))
 }
 
-/// Artifact schema version tag.
-pub const ARTIFACT_SCHEMA: &str = "cb-campaign-failure/v1";
+/// Artifact schema version tag. [`decode_artifact`](crate::decode_artifact)
+/// also reads `cb-campaign-failure/v1`, which repeated the report's
+/// scenario, seed, plan and failing oracles at the top level.
+pub const ARTIFACT_SCHEMA: &str = "cb-campaign-failure/v2";
 
-/// Emits a failure artifact's document shape: the original run's report
-/// and the shrunk plan. The shrunk run's report is not written: nothing
-/// reads it, and `campaign --seeds 1 --base-seed SEED --plan SHRUNK_PLAN`
-/// with the sweep's arm flags regenerates it.
+/// Emits a failure artifact's document shape: the schema, the shrunk plan
+/// and the original run's report, which is the one copy of the scenario,
+/// seed, plan, arm and verdicts. The shrunk run's report is not written:
+/// nothing reads it, and `campaign --seeds 1 --base-seed SEED --plan
+/// SHRUNK_PLAN` in the recorded arm regenerates it.
 pub fn emit_artifact(report: &RunReport, shrunk_plan: &FaultPlan, sink: &mut dyn Sink) {
     sink.begin_obj();
     sink.key("schema");
     sink.str(ARTIFACT_SCHEMA);
-    sink.key("scenario");
-    sink.str(&report.scenario);
-    sink.key("seed");
-    sink.display(&report.seed);
-    sink.key("plan");
-    sink.str(&report.plan.to_spec());
     sink.key("shrunk_plan");
     sink.str(&shrunk_plan.to_spec());
-    sink.key("failing_oracles");
-    sink.begin_arr();
-    for name in report.failing_oracles() {
-        sink.str(name);
-    }
-    sink.end_arr();
     sink.key("report");
     report.emit(sink);
     sink.end_obj();
@@ -724,6 +715,7 @@ mod tests {
             provenance: Vec::new(),
             spans_recorded: 0,
             spans_evicted: 0,
+            arm: None,
             report: Default::default(),
         };
         match replay_artifact(&s, &artifact) {

@@ -30,6 +30,10 @@ pub struct RunReport {
     pub seed: u64,
     /// The fault plan that was applied.
     pub plan: FaultPlan,
+    /// The arm the scenario was configured as, as its constructor records
+    /// it (`cb_bench::registry` stamps every scenario it builds); `None`
+    /// for a scenario built directly.
+    pub arm: Option<Json>,
     /// Trace fingerprint at the end of the run — equal seeds and plans must
     /// produce equal fingerprints.
     pub fingerprint: u64,
@@ -92,6 +96,7 @@ impl RunReport {
             scenario: scenario.to_string(),
             seed,
             plan: plan.clone(),
+            arm: None,
             fingerprint: sim.trace().fingerprint(),
             events_processed: sim.events_processed(),
             pending_events: sim.pending_events(),
@@ -138,6 +143,10 @@ impl RunReport {
         sink.display(&self.seed);
         sink.key("plan");
         sink.str(&self.plan.to_spec());
+        if let Some(arm) = &self.arm {
+            sink.key("arm");
+            arm.emit(sink);
+        }
         sink.key("fingerprint");
         sink.display(&self.fingerprint);
         sink.key("events_processed");

@@ -629,7 +629,9 @@ impl CoreGraph {
     /// probability 0.3. Returns the transit routers.
     fn transit_backbone(&mut self, cfg: &TransitStubConfig, rng: &mut SimRng) -> Vec<usize> {
         assert!(cfg.transit_routers >= 1, "need at least one transit router");
-        let transit: Vec<usize> = (0..cfg.transit_routers).map(|_| self.add_router()).collect();
+        let transit: Vec<usize> = (0..cfg.transit_routers)
+            .map(|_| self.add_router())
+            .collect();
         let transit_link = |g: &mut CoreGraph, rng: &mut SimRng, i: usize, j: usize| {
             g.link(
                 transit[i],

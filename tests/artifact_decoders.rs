@@ -12,12 +12,15 @@
 //!    not build, so this is what shows that skipping weakened no check.
 //! 3. A whole `--unsafe-reads` sweep with shrinking on: its artifacts ingest
 //!    to exactly the records the sweep's red reports distill to in process.
-//! 4. Both shapes: a new artifact holds one report and no section that
-//!    repeats another, and an artifact in the older shape — which also
-//!    carried the shrunk run's report, a rendered `last_trace` and a
-//!    `metrics` copy of the `net.*` counters — still decodes and ingests to
-//!    exactly what the new one does.
+//! 4. Every shape: a new (v2) artifact is three keys, its report the one
+//!    copy of scenario, seed, plan, arm and verdicts; a v1 artifact (the
+//!    four top-level copies back and no arm) and one in the oldest shape
+//!    (which also carried the shrunk run's report, a rendered `last_trace`
+//!    and a `metrics` copy of the `net.*` counters) still decode to the
+//!    same artifact minus the arm, replay with the arm given, and ingest
+//!    to exactly the index the new one does.
 
+use cb_bench::registry::{configure, ArmSpec};
 use cb_corpus::{Corpus, SeedRecord};
 use cb_harness::prelude::*;
 use cb_harness::{
@@ -35,16 +38,22 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// kv with unguarded reads, seed 3: red on `kv.linearizable`, shrunk to no
-/// faults, a 2 000-span tail per report.
-fn red_kv() -> (RunReport, FaultPlan, RunReport) {
-    let scenario = KvCampaign {
+/// The kv arm with unguarded reads.
+fn unsafe_reads() -> ArmSpec {
+    ArmSpec {
         unsafe_reads: true,
-        ..KvCampaign::default()
-    };
+        ..ArmSpec::default()
+    }
+}
+
+/// kv with unguarded reads, built by the registry (so its reports record
+/// the arm), seed 3: red on `kv.linearizable`, shrunk to no faults, a
+/// 2 000-span tail per report.
+fn red_kv() -> (RunReport, FaultPlan, RunReport) {
+    let scenario = configure("kv", &unsafe_reads()).unwrap();
     let report = scenario.run(3, &scenario.default_plan(3));
     assert_eq!(report.failing_oracles(), vec!["kv.linearizable"]);
-    let (shrunk, shrunk_report) = shrink_plan(&scenario, 3, &report.plan, &report);
+    let (shrunk, shrunk_report) = shrink_plan(scenario.as_ref(), 3, &report.plan, &report);
     assert!(shrunk.is_empty(), "the planted stale read needs no fault");
     (report, shrunk, shrunk_report)
 }
@@ -100,7 +109,8 @@ fn replay_fields(a: &Artifact) -> String {
             a.fingerprint,
             &a.provenance,
             a.spans_recorded,
-            a.spans_evicted
+            a.spans_evicted,
+            &a.arm
         )
     )
 }
@@ -113,17 +123,11 @@ fn a_new_artifact_holds_one_report_and_no_repeated_section() {
         panic!("an artifact is an object");
     };
     let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["schema", "shrunk_plan", "report"]);
     assert_eq!(
-        keys,
-        [
-            "schema",
-            "scenario",
-            "seed",
-            "plan",
-            "shrunk_plan",
-            "failing_oracles",
-            "report"
-        ]
+        tree.get("report").and_then(|r| r.get("arm")),
+        Some(&Json::obj().with("unsafe-reads", true)),
+        "the report names its arm"
     );
     /// Every object key in `j`, at any depth.
     fn all_keys<'a>(j: &'a Json, out: &mut Vec<&'a str>) {
@@ -191,35 +195,82 @@ fn old_shape_report(report: &RunReport) -> Json {
     tree
 }
 
+/// `new`, a v2 artifact, in the v1 shape: the v1 schema, the report's
+/// scenario, seed, plan and failing oracles copied to the top level, and
+/// no `report.arm`.
+fn v1_shape(new: &Json, report: &RunReport) -> Json {
+    let mut v1 = new.clone();
+    let Json::Obj(fields) = &mut v1 else {
+        panic!("an artifact is an object");
+    };
+    for (key, value) in fields.iter_mut() {
+        match (key.as_str(), value) {
+            ("schema", value) => *value = Json::from("cb-campaign-failure/v1"),
+            ("report", Json::Obj(section)) => section.retain(|(k, _)| k != "arm"),
+            _ => {}
+        }
+    }
+    let failing: Vec<String> = report
+        .failing_oracles()
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    for (key, value) in [
+        ("scenario", Json::from(report.scenario.as_str())),
+        ("seed", Json::from(report.seed.to_string())),
+        ("plan", Json::from(report.plan.to_spec())),
+    ] {
+        insert_before(&mut v1, Some("shrunk_plan"), key, value);
+    }
+    insert_before(&mut v1, Some("report"), "failing_oracles", failing.into());
+    v1
+}
+
 #[test]
 fn an_old_shape_artifact_decodes_and_ingests_like_a_new_one() {
     let (report, shrunk, shrunk_report) = red_kv();
     let new = artifact_json(&report, &shrunk);
-    let mut old = new.clone();
-    if let Json::Obj(fields) = &mut old {
+    let v1 = v1_shape(&new, &report);
+    let mut oldest = v1.clone();
+    if let Json::Obj(fields) = &mut oldest {
         let (_, section) = fields
             .iter_mut()
             .find(|(k, _)| k == "report")
             .expect("a report section");
-        *section = old_shape_report(&report);
+        let mut unarmed = report.clone();
+        unarmed.arm = None;
+        *section = old_shape_report(&unarmed);
     }
     insert_before(
-        &mut old,
+        &mut oldest,
         None,
         "shrunk_report",
         old_shape_report(&shrunk_report),
     );
-    let [new, old] = [new, old].map(|tree| tree.to_string_pretty() + "\n");
+    let [new, v1, oldest] = [new, v1, oldest].map(|tree| tree.to_string_pretty() + "\n");
     assert!(
-        old.len() > new.len() * 3 / 2,
-        "the old shape carries two reports"
+        oldest.len() > new.len() * 3 / 2,
+        "the oldest shape carries two reports"
     );
 
     let decoded = decode_artifact(&new).expect("the new shape decodes");
-    let decoded_old = decode_artifact(&old).expect("the old shape decodes");
-    assert_eq!(format!("{decoded_old:?}"), format!("{decoded:?}"));
-    assert_eq!(reference::read_artifact(&old), Ok(replay_fields(&decoded)));
-    assert_eq!(reference::record(&old), reference::record(&new));
+    assert_eq!(decoded.arm, Some(unsafe_reads().to_json("kv")));
+    let mut unarmed = decoded.clone();
+    unarmed.arm = None;
+    for (tag, text) in [("v1", &v1), ("oldest", &oldest)] {
+        let old = decode_artifact(text).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        assert_eq!(format!("{old:?}"), format!("{unarmed:?}"), "{tag}");
+        assert_eq!(
+            reference::read_artifact(text),
+            Ok(replay_fields(&unarmed)),
+            "{tag}"
+        );
+        assert_eq!(reference::record(text), reference::record(&new), "{tag}");
+        // No arm recorded: it replays in the arm its caller gives.
+        let scenario = configure("kv", &unsafe_reads()).unwrap();
+        let replayed = replay_artifact(scenario.as_ref(), &old).expect("replays");
+        assert_eq!(replayed.fingerprint, decoded.fingerprint, "{tag}");
+    }
 
     let index = |text: &str, tag: &str| {
         let dir = temp_dir(tag);
@@ -229,7 +280,9 @@ fn an_old_shape_artifact_decodes_and_ingests_like_a_new_one() {
         let _ = std::fs::remove_dir_all(&dir);
         corpus.index_bytes()
     };
-    assert!(index(&old, "old-shape") == index(&new, "new-shape"));
+    let want = index(&new, "new-shape");
+    assert!(index(&v1, "v1-shape") == want);
+    assert!(index(&oldest, "oldest-shape") == want);
 }
 
 proptest! {
@@ -321,8 +374,10 @@ fn a_shrunk_sweep_reingests_to_the_records_of_its_red_reports() {
 }
 
 /// The decoders the streaming one replaced: parse the whole document into
-/// a tree, then look fields up. Kept verbatim as the oracle for the damage
-/// test.
+/// a tree, then look fields up. The oracle for the damage test, under the
+/// v2 rule: scenario, seed, plan and failing oracles come from the report,
+/// v1 and v2 schemas are both read, and a record's plan is the parsed plan
+/// rendered again.
 mod reference {
     use cb_corpus::SeedRecord;
     use cb_harness::{FaultPlan, Json, ARTIFACT_SCHEMA};
@@ -330,43 +385,52 @@ mod reference {
     use cb_trace::{blame, Span, SpanId, SpanKind};
     use std::collections::BTreeMap;
 
+    /// The schemas the decoder reads.
+    fn known_schema(schema: &str) -> bool {
+        schema == ARTIFACT_SCHEMA || schema == "cb-campaign-failure/v1"
+    }
+
     /// The replay fields of `read_artifact`, as `super::replay_fields`
-    /// renders them.
+    /// renders them: everything but the shrunk plan from the report.
     pub fn read_artifact(text: &str) -> Result<String, String> {
         let json = Json::parse(text).map_err(|e| format!("{e}"))?;
-        let get_str = |key: &str| -> Result<String, String> {
-            json.get(key)
+        let schema = json
+            .get("schema")
+            .and_then(Json::as_str)
+            .ok_or("missing 'schema'")?;
+        if !known_schema(schema) {
+            return Err(format!("unknown schema '{schema}'"));
+        }
+        let report = json.get("report");
+        let get_str = |section: Option<&Json>, key: &str| -> Result<String, String> {
+            section
+                .and_then(|s| s.get(key))
                 .and_then(Json::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| format!("missing '{key}'"))
         };
-        let schema = get_str("schema")?;
-        if schema != ARTIFACT_SCHEMA {
-            return Err(format!("unknown schema '{schema}'"));
-        }
-        let plan = FaultPlan::from_spec(&get_str("plan")?).map_err(|e| format!("{e}"))?;
-        let shrunk_plan =
-            FaultPlan::from_spec(&get_str("shrunk_plan")?).map_err(|e| format!("{e}"))?;
-        let seed = json
-            .get("seed")
+        let plan = FaultPlan::from_spec(&get_str(report, "plan")?).map_err(|e| format!("{e}"))?;
+        let shrunk_plan = FaultPlan::from_spec(&get_str(Some(&json), "shrunk_plan")?)
+            .map_err(|e| format!("{e}"))?;
+        let seed = report
+            .and_then(|r| r.get("seed"))
             .and_then(Json::as_u64)
             .ok_or("missing 'seed'")?;
-        let failing_oracles: Vec<String> = json
-            .get("failing_oracles")
+        let scenario = get_str(report, "scenario")?;
+        let failing_oracles: Vec<String> = report
+            .and_then(|r| r.get("oracles"))
             .and_then(Json::as_array)
-            .map(|a| {
-                a.iter()
-                    .filter_map(Json::as_str)
-                    .map(str::to_string)
-                    .collect()
-            })
-            .unwrap_or_default();
-        let fingerprint = json
-            .get("report")
+            .unwrap_or(&[])
+            .iter()
+            .filter(|o| !matches!(o.get("passed"), Some(Json::Bool(true))))
+            .filter_map(|o| o.get("name").and_then(Json::as_str))
+            .map(str::to_string)
+            .collect();
+        let fingerprint = report
             .and_then(|r| r.get("fingerprint"))
             .and_then(Json::as_u64)
             .unwrap_or(0);
-        let prov_section = json.get("report").and_then(|r| r.get("provenance"));
+        let prov_section = report.and_then(|r| r.get("provenance"));
         let provenance = match prov_section {
             Some(section) => parse_provenance(section)?,
             None => Vec::new(),
@@ -381,7 +445,7 @@ mod reference {
         Ok(format!(
             "{:?}",
             (
-                &get_str("scenario")?,
+                &scenario,
                 seed,
                 &plan,
                 &shrunk_plan,
@@ -389,7 +453,8 @@ mod reference {
                 fingerprint,
                 &provenance,
                 prov_u64("recorded"),
-                prov_u64("evicted")
+                prov_u64("evicted"),
+                &report.and_then(|r| r.get("arm")).cloned()
             )
         ))
     }
@@ -401,7 +466,7 @@ mod reference {
             .get("schema")
             .and_then(Json::as_str)
             .ok_or("artifact missing 'schema'")?;
-        if schema != ARTIFACT_SCHEMA {
+        if !known_schema(schema) {
             return Err(format!("unknown artifact schema '{schema}'"));
         }
         let report = artifact.get("report").ok_or("artifact missing 'report'")?;
@@ -451,7 +516,9 @@ mod reference {
                 .get("seed")
                 .and_then(Json::as_u64)
                 .ok_or("report missing 'seed'")?,
-            plan: get_str("plan")?,
+            plan: FaultPlan::from_spec(&get_str("plan")?)
+                .map_err(|e| format!("{e}"))?
+                .to_spec(),
             passed,
             fingerprint: report
                 .get("fingerprint")

@@ -212,12 +212,18 @@ fn base_observable(name: &str, base: &ArmSpec) -> String {
     observable(scenario.as_ref(), &report)
 }
 
-/// Contracts 1 and 2 for `scenario` configured as `arm`: the campaign
-/// outcome is invariant across 1/2/4/8 workers, and two of those sweeps'
-/// runs of the same `(seed, plan)` are byte-identical (fingerprint,
-/// masked provenance, telemetry). `may_fail` names the one oracle the arm
-/// is allowed to trip. Returns the arm's [`observable`].
-fn check_arm(tag: &str, scenario: &dyn Scenario, may_fail: Option<&str>) -> String {
+/// Contracts 1 and 2 for the named scenario configured as `arm`: the
+/// campaign outcome is invariant across 1/2/4/8 workers, and two of those
+/// sweeps' runs of the same `(seed, plan)` are byte-identical (fingerprint,
+/// masked provenance, telemetry). And the arm a report records decodes to
+/// an arm that re-encodes to the same record and runs the same
+/// fingerprint, which is what `campaign --replay` relies on. `may_fail`
+/// names the one oracle the arm is allowed to trip. Returns the arm's
+/// [`observable`].
+fn check_arm(tag: &str, name: &str, arm: &ArmSpec, may_fail: Option<&str>) -> String {
+    let scenario = configure(name, arm).unwrap_or_else(|e| panic!("{tag}: {e}"));
+    assert_eq!(scenario.name(), name, "{tag}: arm renamed the scenario");
+    let scenario = scenario.as_ref();
     let sweeps =
         [1usize, 2, 4, 8].map(|workers| (workers, run_campaign(scenario, &arm_sweep(workers))));
 
@@ -268,6 +274,20 @@ fn check_arm(tag: &str, scenario: &dyn Scenario, may_fail: Option<&str>) -> Stri
         masked_telemetry_digest(&b.telemetry),
         "{tag}: telemetry drift on replay"
     );
+
+    let recorded = a
+        .arm
+        .as_ref()
+        .unwrap_or_else(|| panic!("{tag}: no arm recorded"));
+    let decoded = ArmSpec::from_recorded(recorded, name, arm.policy.clone())
+        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+    assert_eq!(&decoded.to_json(name), recorded, "{tag}: arm re-encodes");
+    let rebuilt = configure(name, &decoded).unwrap_or_else(|e| panic!("{tag}: {e}"));
+    assert_eq!(
+        rebuilt.run(a.seed, &a.plan).fingerprint,
+        a.fingerprint,
+        "{tag}: the recorded arm {recorded} runs another fingerprint"
+    );
     observable(scenario, a)
 }
 
@@ -285,18 +305,16 @@ fn check_single_field_arms(wanted: impl Fn(ArmField) -> bool) {
             if !accepted.contains(&field) {
                 let refused = configure(name, &every_field_set().only(&[field])).err();
                 assert_eq!(
-                    refused.and_then(|e| e.field),
+                    refused.and_then(|e| e.field()),
                     Some(field),
                     "{tag}: outside the accept-set, must be refused"
                 );
                 continue;
             }
             let (base, arm) = single_field_arm(name, field);
-            let scenario = configure(name, &arm).unwrap_or_else(|e| panic!("{tag}: {e}"));
-            assert_eq!(scenario.name(), name, "{tag}: arm renamed the scenario");
             // The planted bug is the one arm whose point is to violate.
             let may_fail = (field == ArmField::UnsafeReads).then_some("kv.linearizable");
-            let seen = check_arm(&tag, scenario.as_ref(), may_fail);
+            let seen = check_arm(&tag, name, &arm, may_fail);
             let unmoved = bases
                 .entry(format!("{:?}", base.set_fields()))
                 .or_insert_with(|| base_observable(name, &base));
@@ -328,8 +346,7 @@ fn every_other_arm_keeps_replay_determinism_and_worker_invariance() {
     ];
     for (name, arm) in composites {
         let tag = format!("{name} ({:?} arm)", arm.set_fields());
-        let scenario = configure(name, &arm).unwrap_or_else(|e| panic!("{tag}: {e}"));
-        check_arm(&tag, scenario.as_ref(), None);
+        check_arm(&tag, name, &arm, None);
     }
 }
 
