@@ -62,12 +62,12 @@ fn tally() -> (u64, u64) {
 /// by a fraction of a byte per event, with the digit counts of the
 /// wall-clock values a report renders.
 const BOUNDS: [(&str, f64, f64); 7] = [
-    ("kv", 2.24, 685.0),
+    ("kv", 2.16, 680.0),
     ("paxos", 2.30, 985.0),
-    ("mencius", 1.00, 415.0),
+    ("mencius", 0.98, 413.0),
     ("gossip", 3.50, 865.0),
     ("dissem", 0.85, 710.0),
-    ("randtree", 1.28, 186.0),
+    ("randtree", 1.27, 185.0),
     ("ring", 3.82, 978.0),
 ];
 

@@ -5,11 +5,8 @@
 //! options (with optional feature vectors and a scenario context), and asks
 //! the runtime to resolve it (paper §3.1). Everything a resolver — random,
 //! heuristic, predictive, or learned — needs to know about a decision is in
-//! the [`ChoiceRequest`]; what the runtime decided and why is recorded as a
-//! [`DecisionRecord`] for later inspection and learning feedback.
-
-use cb_simnet::time::SimTime;
-use std::fmt;
+//! the [`ChoiceRequest`]; what the runtime decided and why is recorded once,
+//! as the decision's `Decision` span (see [`crate::runtime`]).
 
 /// Identifies a choice point in the service's code, e.g.
 /// `"randtree.forward-join"`. Static strings keep request construction
@@ -236,7 +233,8 @@ pub trait Resolver {
 
     /// The prediction backing the most recent decision, when the resolver
     /// produced one (predictive resolvers override this; others return
-    /// `None`). The runtime copies it into the decision log.
+    /// `None`). The runtime bills its explored states to the decision's
+    /// span and telemetry.
     fn last_prediction(&self) -> Option<Prediction> {
         None
     }
@@ -251,55 +249,12 @@ pub trait Resolver {
     }
 
     /// Appends resolver-specific attributes describing the decision *just
-    /// resolved* to a DecisionSpan's attr list (ladder rung taken / rungs
-    /// skipped, governor level and dominant pressure cause, cache
-    /// disposition, …). Called by the runtime immediately after
+    /// resolved* to a DecisionSpan's attr list (ladder rung taken, governor
+    /// level and dominant pressure cause, cache disposition, …). Called by the runtime immediately after
     /// [`resolve`](Resolver::resolve) while recording the decision's
     /// provenance span. Default: appends nothing.
     fn decision_attrs(&self, out: &mut Vec<(String, String)>) {
         let _ = out;
-    }
-}
-
-/// One resolved decision, kept in the runtime's decision log.
-#[derive(Clone, Debug)]
-pub struct DecisionRecord {
-    /// When the decision was made.
-    pub at: SimTime,
-    /// Which choice point.
-    pub id: ChoiceId,
-    /// Scenario context at decision time.
-    pub context: ContextKey,
-    /// Keys of the options that were available.
-    pub option_keys: Vec<u64>,
-    /// Index of the chosen option.
-    pub chosen: usize,
-    /// Prediction for the chosen option, when the resolver produced one.
-    pub prediction: Option<Prediction>,
-}
-
-impl DecisionRecord {
-    /// Key of the chosen option.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the record is malformed (chosen out of range), which the
-    /// runtime prevents.
-    pub fn chosen_key(&self) -> u64 {
-        self.option_keys[self.chosen]
-    }
-}
-
-impl fmt::Display for DecisionRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{}] {}: chose {} of {:?}",
-            self.at,
-            self.id,
-            self.chosen_key(),
-            self.option_keys
-        )
     }
 }
 
@@ -355,21 +310,5 @@ mod tests {
         });
         assert_eq!(eval.evaluate(3).objective, 3.0);
         assert_eq!(NullEvaluator.evaluate(3), Prediction::unknown());
-    }
-
-    #[test]
-    fn decision_record_chosen_key_and_display() {
-        let rec = DecisionRecord {
-            at: SimTime::from_millis(5),
-            id: "pick",
-            context: ContextKey(0),
-            option_keys: vec![10, 20, 30],
-            chosen: 2,
-            prediction: None,
-        };
-        assert_eq!(rec.chosen_key(), 30);
-        let text = format!("{rec}");
-        assert!(text.contains("pick"), "{text}");
-        assert!(text.contains("30"), "{text}");
     }
 }

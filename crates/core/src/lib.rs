@@ -52,7 +52,9 @@
 //! });
 //! sim.start_all();
 //! sim.run_until_quiescent(SimTime::from_secs(5));
-//! assert_eq!(sim.actor(NodeId(0)).decisions().len(), 1);
+//! // The decision is recorded once, as a `Decision` span on node 0's ring.
+//! let spans = sim.flight_recorder(NodeId(0)).spans();
+//! assert_eq!(spans.filter(|s| s.kind() == SpanKind::Decision).count(), 1);
 //! ```
 
 pub mod choice;
@@ -68,8 +70,8 @@ pub mod steering;
 /// Everything most services and experiments need, in one import.
 pub mod prelude {
     pub use crate::choice::{
-        ChoiceId, ChoiceRequest, ContextKey, DecisionRecord, EvalVerdict, FnEvaluator,
-        NullEvaluator, OptionDesc, OptionEvaluator, Prediction, Resolver,
+        ChoiceId, ChoiceRequest, ContextKey, EvalVerdict, FnEvaluator, NullEvaluator, OptionDesc,
+        OptionEvaluator, Prediction, Resolver,
     };
     pub use crate::governor::{DegradationGovernor, GovernorConfig, Health, HealthSignals};
     pub use crate::model::net::NetworkModel;

@@ -223,6 +223,16 @@ mod tests {
     use cb_simnet::sim::Sim;
     use cb_simnet::time::{SimDuration, SimTime};
     use cb_simnet::topology::Topology;
+    use cb_trace::{Span, SpanKind};
+
+    /// Node 1's retained `Decision` spans.
+    fn decision_spans<S: Service>(sim: &Sim<RuntimeNode<S>>) -> Vec<Span> {
+        sim.flight_recorder(NodeId(1))
+            .spans()
+            .filter(|s| s.kind() == SpanKind::Decision)
+            .map(|s| s.render(&[]))
+            .collect()
+    }
 
     /// A toy cache: Get(k) is answered locally when cached, forwarded to
     /// the origin (node 0) otherwise — and for cached keys *both* handlers
@@ -340,8 +350,8 @@ mod tests {
         assert_eq!(svc.handlers.deterministic, 1);
         assert_eq!(svc.handlers.resolved, 0);
         assert!(
-            sim.actor(NodeId(1)).decisions().is_empty(),
-            "no choice should be logged"
+            decision_spans(&sim).is_empty(),
+            "no choice should be recorded"
         );
     }
 
@@ -351,10 +361,11 @@ mod tests {
         let sim = run_cache(&[1]);
         let svc = sim.actor(NodeId(1)).service();
         assert_eq!(svc.handlers.resolved, 1);
-        let decisions = sim.actor(NodeId(1)).decisions();
+        let decisions = decision_spans(&sim);
         assert_eq!(decisions.len(), 1);
-        assert_eq!(decisions[0].id, "nfa.cache-get");
-        assert_eq!(decisions[0].option_keys, vec![0, 1]);
+        assert_eq!(decisions[0].attr("choice"), Some("nfa.cache-get"));
+        let keys = ["options", "opt0.key", "opt1.key"].map(|k| decisions[0].attr(k));
+        assert_eq!(keys, [Some("2"), Some("0"), Some("1")]);
     }
 
     #[test]

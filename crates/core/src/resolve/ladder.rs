@@ -480,9 +480,6 @@ impl Resolver for LadderResolver {
 
     fn decision_attrs(&self, out: &mut Vec<(String, String)>) {
         out.push(("ladder.rung".into(), self.last_rung.to_string()));
-        // How many higher-fidelity chain rungs were passed over (fast-rung
-        // hits skip the whole chain below them).
-        out.push(("ladder.rungs_skipped".into(), self.last_rung.to_string()));
         out.push((
             "governor.level".into(),
             self.governor.health().label().into(),

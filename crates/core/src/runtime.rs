@@ -12,15 +12,19 @@
 //!   optional steering advisor, which runs consequence prediction over the
 //!   latest consistent snapshot and proposes event filters;
 //! * **exposed choices** made inside handlers are resolved by the
-//!   configured [`Resolver`] and logged as [`DecisionRecord`]s.
+//!   configured [`Resolver`] and recorded once, as a
+//!   [`SpanKind::Decision`] span on the node's flight recorder: the option
+//!   table, every tapped prediction, the verdict and the resolver's own
+//!   attributes. `trace`, blame walks and the corpus all read that span.
 //!
 //! The service code underneath stays a plain state machine: it sends,
 //! receives, sets timers — and *chooses*, through [`ServiceCtx::choose`].
 
 use crate::choice::{
-    ChoiceId, ChoiceRequest, ContextKey, DecisionRecord, EvalVerdict, NullEvaluator, OptionDesc,
-    OptionEvaluator, Prediction, Resolver,
+    ChoiceId, ChoiceRequest, ContextKey, EvalVerdict, NullEvaluator, OptionDesc, OptionEvaluator,
+    Prediction, Resolver,
 };
+use crate::governor::HealthSignals;
 use crate::model::net::NetworkModel;
 use crate::model::state::StateModel;
 use crate::steering::{EventFilter, FilterAction, Steering};
@@ -30,7 +34,6 @@ use cb_simnet::time::{SimDuration, SimTime};
 use cb_simnet::topology::NodeId;
 use cb_telemetry::{keys, Registry, Stopwatch};
 use cb_trace::{Span, SpanId, SpanKind};
-use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -220,26 +223,22 @@ struct RuntimeCore<M, C> {
     net_model: NetworkModel,
     state_model: StateModel<C>,
     steering: Steering<M>,
-    decisions: Vec<DecisionRecord>,
     controller_cycles: u64,
     checkpoints_sent: u64,
     checkpoints_received: u64,
     /// Latest service-reported load (normalized backlog, in units of
     /// work-per-drain-interval). Folded into every decision's
-    /// [`crate::governor::HealthSignals`] so overload can step the
-    /// governor down even when models stay fresh.
+    /// [`HealthSignals`] so overload can step the governor down even when
+    /// models stay fresh.
     reported_load: u64,
-    /// Service-owned counters ([`ServiceCtx::count`]): absolute totals
-    /// keyed by pre-registered telemetry names, exported idempotently in
-    /// [`RuntimeNode::telemetry`].
-    service_counters: BTreeMap<&'static str, u64>,
     /// Attrs queued by the service ([`ServiceCtx::decision_attr`]) for the
     /// *next* decision span — lets handlers label the decision they are
     /// about to expose (e.g. `workload=flash`).
     pending_attrs: Vec<(String, String)>,
-    /// Hot-path telemetry. Only the resolver-arm counter below is
-    /// registered up front: a key is allocated the first time this node
-    /// touches it, so a node that never decides holds none of the schema.
+    /// Hot-path telemetry, service-owned counters ([`ServiceCtx::count`])
+    /// included. Only the resolver-arm counter below is registered up
+    /// front: a key is allocated the first time this node touches it, so a
+    /// node that never decides holds none of the schema.
     /// The merged per-run registry ([`fleet_telemetry`]) pre-registers the
     /// standard key set once, which is what keeps every export's key set
     /// the same.
@@ -276,12 +275,10 @@ impl<S: Service> RuntimeNode<S> {
                 net_model: NetworkModel::new(NET_HALF_LIFE),
                 state_model: StateModel::new(MAX_CHECKPOINT_STALENESS),
                 steering: Steering::new(),
-                decisions: Vec::new(),
                 controller_cycles: 0,
                 checkpoints_sent: 0,
                 checkpoints_received: 0,
                 reported_load: 0,
-                service_counters: BTreeMap::new(),
                 pending_attrs: Vec::new(),
                 telemetry,
                 arm_key,
@@ -292,16 +289,6 @@ impl<S: Service> RuntimeNode<S> {
     /// The wrapped service.
     pub fn service(&self) -> &S {
         &self.service
-    }
-
-    /// Mutable access to the wrapped service (drivers only).
-    pub fn service_mut(&mut self) -> &mut S {
-        &mut self.service
-    }
-
-    /// The decision log.
-    pub fn decisions(&self) -> &[DecisionRecord] {
-        &self.core.decisions
     }
 
     /// The network model.
@@ -324,15 +311,11 @@ impl<S: Service> RuntimeNode<S> {
         self.core.controller_cycles
     }
 
-    /// Checkpoints (sent, received).
-    pub fn checkpoint_traffic(&self) -> (u64, u64) {
-        (self.core.checkpoints_sent, self.core.checkpoints_received)
-    }
-
     /// Snapshot of this node's telemetry under the standard `core.*` keys:
-    /// the hot-path registry (decision counts and dual-clock latency)
-    /// plus controller/checkpoint/steering counters and whatever the
-    /// resolver exports (cache hit/miss/refresh, lookahead evaluations).
+    /// the hot-path registry (decision counts, dual-clock latency and the
+    /// service's own counters) plus controller/checkpoint/steering counters
+    /// and whatever the resolver exports (cache hit/miss/refresh, lookahead
+    /// evaluations).
     /// Idempotent; aggregate nodes with [`Registry::merge`] or use
     /// [`fleet_telemetry`].
     pub fn telemetry(&self) -> Registry {
@@ -349,9 +332,6 @@ impl<S: Service> RuntimeNode<S> {
         reg.set_counter(keys::CORE_STEERING_FIRED, self.core.steering.fired);
         reg.set_counter(keys::CORE_STEERING_EXPIRED, self.core.steering.expired);
         reg.set_counter(keys::CORE_STEERING_REMOVED, self.core.steering.removed);
-        for (key, total) in &self.core.service_counters {
-            reg.set_counter(key, *total);
-        }
         self.core.resolver.export_metrics(&mut reg);
         reg
     }
@@ -363,16 +343,8 @@ impl<S: Service> RuntimeNode<S> {
         // decisions: a node that stops choosing while overloaded (or
         // after load vanishes) must still step down — and, crucially,
         // climb back to Healthy — on the controller cadence.
-        self.core
-            .resolver
-            .observe_health(&crate::governor::HealthSignals {
-                snapshot_staleness: self.core.state_model.oldest_age(now),
-                min_peer_confidence: 1.0,
-                steering_pressure: self.core.steering.active() as u64,
-                deadline_fired: false,
-                load: self.core.reported_load,
-                now,
-            });
+        let signals = self.core.health(now, &[]);
+        self.core.resolver.observe_health(&signals);
         // 1. Ship a fresh checkpoint to the neighborhood.
         let cp = self.service.checkpoint(&self.core.state_model);
         for peer in self.service.neighbors() {
@@ -548,6 +520,33 @@ impl<S: Service> Actor for RuntimeNode<S> {
             core: &mut self.core,
         };
         self.service.on_conn_broken(&mut sctx, peer);
+    }
+}
+
+impl<M, C: Clone> RuntimeCore<M, C> {
+    /// The model-health snapshot a health-aware resolver (the ladder) feeds
+    /// its degradation governor: snapshot staleness, the worst network
+    /// confidence among the peers `options` name (1.0 when they name none
+    /// the model knows), steering pressure and the reported load. Every
+    /// option key that fits a node id is read as one, peer or not.
+    fn health(&self, now: SimTime, options: &[OptionDesc]) -> HealthSignals {
+        let mut min_conf = 1.0f64;
+        for o in options {
+            if o.key <= u32::MAX as u64 {
+                let peer = NodeId(o.key as u32);
+                if self.net_model.estimate(peer).is_some() {
+                    min_conf = min_conf.min(self.net_model.confidence(peer, now));
+                }
+            }
+        }
+        HealthSignals {
+            snapshot_staleness: self.state_model.oldest_age(now),
+            min_peer_confidence: min_conf,
+            steering_pressure: self.steering.active() as u64,
+            deadline_fired: false,
+            load: self.reported_load,
+            now,
+        }
     }
 }
 
@@ -732,29 +731,9 @@ impl<'a, 'b, M: Clone + Debug + 'static, C: Clone + Debug + 'static> ServiceCtx<
             context,
             state_fp: 0,
         };
-        // Model-health snapshot for this decision: snapshot staleness,
-        // worst network confidence among the peers the options name, and
-        // steering pressure. Health-aware resolvers (the ladder) route
-        // these into their degradation governor; everything else ignores
-        // the call.
-        let now = self.net.now();
-        let mut min_conf = 1.0f64;
-        for o in options {
-            if o.key <= u32::MAX as u64 {
-                let peer = NodeId(o.key as u32);
-                if self.core.net_model.estimate(peer).is_some() {
-                    min_conf = min_conf.min(self.core.net_model.confidence(peer, now));
-                }
-            }
-        }
-        let signals = crate::governor::HealthSignals {
-            snapshot_staleness: self.core.state_model.oldest_age(now),
-            min_peer_confidence: min_conf,
-            steering_pressure: self.core.steering.active() as u64,
-            deadline_fired: false,
-            load: self.core.reported_load,
-            now,
-        };
+        // Model health for this decision; resolvers without a governor
+        // ignore it.
+        let signals = self.core.health(self.net.now(), options);
         self.core.resolver.observe_health(&signals);
         // Tap per-option predictions for the decision's provenance span.
         let mut tap = TapEval {
@@ -768,13 +747,16 @@ impl<'a, 'b, M: Clone + Debug + 'static, C: Clone + Debug + 'static> ServiceCtx<
             chosen < options.len(),
             "resolver returned out-of-range option {chosen}"
         );
-        let prediction = self.core.resolver.last_prediction();
         // Dual-clock decision accounting. Sim time does not advance inside
         // a handler, so the deterministic clock records a *modeled* cost:
         // 1 µs per state the prediction explored (0 for non-predictive
         // resolvers). The wall clock records the real hardware cost and is
         // fingerprint-exempt.
-        let states = prediction.map_or(0, |p| p.states_explored);
+        let states = self
+            .core
+            .resolver
+            .last_prediction()
+            .map_or(0, |p| p.states_explored);
         self.core.telemetry.inc(keys::CORE_DECISIONS_TOTAL);
         self.core.telemetry.add(keys::CORE_STATES_EXPLORED, states);
         self.core
@@ -809,7 +791,6 @@ impl<'a, 'b, M: Clone + Debug + 'static, C: Clone + Debug + 'static> ServiceCtx<
         attrs.push(("resolver".into(), self.core.resolver.name().to_string()));
         attrs.push(("options".into(), options.len().to_string()));
         attrs.push(("chosen".into(), chosen.to_string()));
-        attrs.push(("chosen_key".into(), options[chosen].key.to_string()));
         for (i, o) in options.iter().enumerate() {
             attrs.push((format!("opt{i}.key"), o.key.to_string()));
         }
@@ -841,21 +822,13 @@ impl<'a, 'b, M: Clone + Debug + 'static, C: Clone + Debug + 'static> ServiceCtx<
         // breaks) are consequences of the decision, not merely of the
         // triggering event: re-parent them to the decision span.
         self.net.set_cause(span_id);
-        self.core.decisions.push(DecisionRecord {
-            at: self.net.now(),
-            id,
-            context,
-            option_keys: options.iter().map(|o| o.key).collect(),
-            chosen,
-            prediction,
-        });
         chosen
     }
 
     /// Reports the service's current load to the runtime as a normalized
     /// backlog (units of work-per-drain-interval; 0 = idle). The value is
     /// folded into every subsequent decision's
-    /// [`crate::governor::HealthSignals`], so sustained overload steps a
+    /// [`HealthSignals`], so sustained overload steps a
     /// health-aware resolver's governor down even while the models stay
     /// fresh — and its removal lets the governor climb back up.
     pub fn report_load(&mut self, normalized_backlog: u64) {
@@ -867,18 +840,12 @@ impl<'a, 'b, M: Clone + Debug + 'static, C: Clone + Debug + 'static> ServiceCtx<
         self.core.reported_load
     }
 
-    /// Adds `delta` to a service-owned telemetry counter. Totals are
-    /// exported idempotently by [`RuntimeNode::telemetry`] and therefore
-    /// sum across the fleet under [`Registry::merge`]. `key` should be a
-    /// pre-registered standard key (e.g. the `workload.*` family) so
-    /// masked-telemetry digests keep a stable key set.
+    /// Adds `delta` to a service-owned counter in the node's telemetry
+    /// registry, so totals sum across the fleet under [`Registry::merge`].
+    /// `key` should be a pre-registered standard key (e.g. the `workload.*`
+    /// family) so masked-telemetry digests keep a stable key set.
     pub fn count(&mut self, key: &'static str, delta: u64) {
-        *self.core.service_counters.entry(key).or_insert(0) += delta;
-    }
-
-    /// Reads back a service-owned counter total (see [`Self::count`]).
-    pub fn counted(&self, key: &'static str) -> u64 {
-        self.core.service_counters.get(key).copied().unwrap_or(0)
+        self.core.telemetry.add(key, delta);
     }
 
     /// Queues an attribute for the *next* decision span this handler
@@ -894,11 +861,6 @@ impl<'a, 'b, M: Clone + Debug + 'static, C: Clone + Debug + 'static> ServiceCtx<
     pub fn feedback(&mut self, id: ChoiceId, context: ContextKey, option_key: u64, reward: f64) {
         self.core.resolver.feedback(id, context, option_key, reward);
     }
-
-    /// The resolver's name (for experiment labelling).
-    pub fn resolver_name(&self) -> &'static str {
-        self.core.resolver.name()
-    }
 }
 
 #[cfg(test)]
@@ -907,6 +869,15 @@ mod tests {
     use crate::resolve::random::RandomResolver;
     use cb_simnet::sim::Sim;
     use cb_simnet::topology::Topology;
+
+    /// Node `n`'s retained `Decision` spans, oldest first.
+    fn decision_spans<S: Service>(sim: &Sim<RuntimeNode<S>>, n: NodeId) -> Vec<Span> {
+        sim.flight_recorder(n)
+            .spans()
+            .filter(|s| s.kind() == SpanKind::Decision)
+            .map(|s| s.render(&[]))
+            .collect()
+    }
 
     /// A counter service: node 0 spams increments to everyone; everyone
     /// tracks the max seen and exposes a trivial choice on each message.
@@ -994,14 +965,17 @@ mod tests {
         for n in [0u32, 1, 2] {
             assert_eq!(sim.actor(NodeId(n)).service().max_seen, 10, "node {n}");
         }
-        // Choices were made and logged.
+        // Choices were made and recorded.
         let node1 = sim.actor(NodeId(1));
         assert_eq!(node1.service().choices_made, 10);
-        assert_eq!(node1.decisions().len(), 10);
-        assert_eq!(node1.decisions()[0].id, "counter.ack");
+        let decisions = decision_spans(&sim, NodeId(1));
+        assert_eq!(decisions.len(), 10);
+        assert_eq!(decisions[0].attr("choice"), Some("counter.ack"));
         // Controller ran and checkpoints flowed.
         assert!(node1.controller_cycles() > 3);
-        let (sent, received) = node1.checkpoint_traffic();
+        let reg = node1.telemetry();
+        let sent = reg.counter(keys::CORE_CHECKPOINTS_SENT);
+        let received = reg.counter(keys::CORE_CHECKPOINTS_RECEIVED);
         assert!(sent > 0 && received > 0, "sent={sent} received={received}");
         // The state model holds peers' checkpoints.
         assert!(!node1.state_model().is_empty());
@@ -1204,11 +1178,21 @@ mod tests {
         let mut sim = build();
         sim.start_all();
         sim.run_until_quiescent(SimTime::from_secs(5));
-        let recs = sim.actor(NodeId(1)).decisions();
-        assert!(!recs.is_empty());
-        for r in recs {
-            assert_eq!(r.option_keys, vec![0, 1]);
-            assert!(r.chosen < 2);
+        let spans = decision_spans(&sim, NodeId(1));
+        assert!(!spans.is_empty());
+        for s in &spans {
+            assert_eq!(s.attr("options"), Some("2"));
+            assert_eq!(
+                (s.attr("opt0.key"), s.attr("opt1.key")),
+                (Some("0"), Some("1"))
+            );
+            let chosen: usize = s.attr("chosen").unwrap().parse().unwrap();
+            assert!(chosen < 2);
+            assert_eq!(
+                s.attr("chosen_key"),
+                None,
+                "the chosen key is opt{{chosen}}.key"
+            );
         }
     }
 }

@@ -313,6 +313,7 @@ mod tests {
     use super::*;
     use cb_core::resolve::random::RandomResolver;
     use cb_core::runtime::{RuntimeConfig, RuntimeNode};
+    use cb_simnet::prelude::SpanKind;
     use cb_simnet::sim::Sim;
     use cb_simnet::time::SimTime;
     use cb_simnet::topology::Topology;
@@ -361,9 +362,9 @@ mod tests {
     #[test]
     fn baseline_makes_no_exposed_choices() {
         let sim = run_join(15, 13);
-        for n in sim.topology().hosts() {
+        for rec in sim.flight_recorders() {
             assert!(
-                sim.actor(n).decisions().is_empty(),
+                rec.spans().all(|s| s.kind() != SpanKind::Decision),
                 "baseline must not call choose()"
             );
         }

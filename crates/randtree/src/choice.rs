@@ -305,9 +305,20 @@ mod tests {
     use super::*;
     use cb_core::resolve::random::RandomResolver;
     use cb_core::runtime::{RuntimeConfig, RuntimeNode};
+    use cb_simnet::prelude::{Span, SpanKind};
     use cb_simnet::sim::Sim;
     use cb_simnet::time::SimTime;
     use cb_simnet::topology::Topology;
+
+    /// Every node's retained `Decision` spans.
+    fn decision_spans<S: Service>(sim: &Sim<RuntimeNode<S>>) -> Vec<Span> {
+        sim.flight_recorders()
+            .iter()
+            .flat_map(|rec| rec.spans())
+            .filter(|s| s.kind() == SpanKind::Decision)
+            .map(|s| s.render(&[]))
+            .collect()
+    }
 
     fn run_join(n: usize, seed: u64) -> Sim<RuntimeNode<ChoiceRandTree>> {
         let topo = Topology::star(n, SimDuration::from_millis(10), 50_000_000);
@@ -384,17 +395,14 @@ mod tests {
     #[test]
     fn forwarding_makes_choices() {
         let sim = run_join(15, 7);
-        let decisions: usize = sim
-            .topology()
-            .hosts()
-            .map(|n| sim.actor(n).decisions().len())
-            .sum();
-        assert!(decisions > 0, "a 15-node join must forward at least once");
+        let decisions = decision_spans(&sim);
+        assert!(
+            !decisions.is_empty(),
+            "a 15-node join must forward at least once"
+        );
         // Every decision came from the single exposed choice point.
-        for n in sim.topology().hosts() {
-            for d in sim.actor(n).decisions() {
-                assert_eq!(d.id, "randtree.forward");
-            }
+        for d in &decisions {
+            assert_eq!(d.attr("choice"), Some("randtree.forward"));
         }
     }
 
@@ -412,11 +420,14 @@ mod tests {
         });
         sim.start_all();
         sim.run_until_quiescent(SimTime::from_secs(120));
-        let with_predictions = sim
-            .topology()
-            .hosts()
-            .flat_map(|n| sim.actor(n).decisions().to_vec())
-            .filter(|d| d.prediction.is_some())
+        // A decision carries its prediction as the chosen option's
+        // `opt{i}.objective`.
+        let with_predictions = decision_spans(&sim)
+            .iter()
+            .filter(|d| {
+                let chosen = d.attr("chosen").expect("every decision names its pick");
+                d.attr(&format!("opt{chosen}.objective")).is_some()
+            })
             .count();
         assert!(
             with_predictions > 0,

@@ -20,6 +20,7 @@ use cb_core::runtime::{RuntimeConfig, RuntimeNode, Service};
 use cb_simnet::sim::Sim;
 use cb_simnet::time::{SimDuration, SimTime};
 use cb_simnet::topology::{NodeId, Topology, TransitStubConfig};
+use cb_telemetry::keys;
 use std::collections::HashMap;
 
 /// The three experimental arms of §4.
@@ -182,7 +183,7 @@ where
     let msgs_sent = sim.summary().msgs_sent;
     let decisions = participants
         .iter()
-        .map(|&n| sim.actor(n).decisions().len() as u64)
+        .map(|&n| sim.actor(n).telemetry().counter(keys::CORE_DECISIONS_TOTAL))
         .sum();
     Outcome {
         setup,

@@ -122,7 +122,6 @@ pub fn explain(spans: &[Span], id: SpanId) -> Option<String> {
         "governor.level",
         "governor.cause",
         "ladder.rung",
-        "ladder.rungs_skipped",
         "policy",
         "verdict",
     ] {

@@ -136,9 +136,22 @@ fn main() {
             .map_or_else(|| "unmeasured".into(), |(l, _)| format!("{l}"));
         println!("  worker {w}: {processed:2} items   measured one-way latency: {lat}");
     }
-    println!("\nfirst five decisions from the runtime's log:");
-    for d in dispatcher.decisions().iter().take(5) {
-        println!("  {d}");
+    println!("\nfirst five decisions, read from the dispatcher's Decision spans:");
+    let decisions = sim
+        .flight_recorder(NodeId(0))
+        .spans()
+        .filter(|s| s.kind() == SpanKind::Decision)
+        .map(|s| s.render(&[]));
+    for d in decisions.take(5) {
+        let attr = |key: &str| d.attr(key).unwrap_or("?").to_string();
+        let chosen = attr("chosen");
+        println!(
+            "  [{}] {}: chose {} of {} options",
+            SimTime::from_nanos(d.id.at_ns),
+            attr("choice"),
+            attr(&format!("opt{chosen}.key")),
+            attr("options"),
+        );
     }
     let slow = sim.actor(NodeId(3)).service().processed;
     let fast: u32 = (1..3)
