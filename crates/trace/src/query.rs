@@ -104,8 +104,11 @@ pub fn blame(spans: &[Span], from: SpanId) -> Option<BlameChain> {
 
 /// Render a human-readable explanation of a `Decision` span: the option
 /// table (key, objective, violations, states), the winner, and the
-/// resolver/governor context that shaped the pick. Returns `None` if `id`
-/// is not a retained `Decision` span.
+/// resolver/governor context that shaped the pick. The winner's reason is
+/// the lookahead rule only when every option carries a prediction;
+/// otherwise it names the resolver (and its ladder rung and policy
+/// disposition, when recorded) and how many options were predicted.
+/// Returns `None` if `id` is not a retained `Decision` span.
 pub fn explain(spans: &[Span], id: SpanId) -> Option<String> {
     let index = SpanIndex::new(spans);
     let span = index.get(id)?;
@@ -155,11 +158,10 @@ pub fn explain(spans: &[Span], id: SpanId) -> Option<String> {
             ));
         }
         if let Some(c) = chosen {
-            let why = match span.attr("why") {
-                Some(w) => w.to_string(),
-                None => "lowest violations, then best objective".to_string(),
-            };
-            out.push_str(&format!("  winner: option {c} ({why})\n"));
+            out.push_str(&format!(
+                "  winner: option {c} ({})\n",
+                winner_reason(span, n)
+            ));
         }
     }
     if !span.parents.is_empty() {
@@ -167,6 +169,28 @@ pub fn explain(spans: &[Span], id: SpanId) -> Option<String> {
         out.push_str(&format!("  caused by: {}\n", parents.join(", ")));
     }
     Some(out)
+}
+
+/// Why a decision's winner won, from what its span records: the lookahead
+/// rule when all `n` options were predicted, else the resolver that picked.
+fn winner_reason(span: &Span, n: usize) -> String {
+    let predicted = (0..n)
+        .filter(|i| span.attr(&format!("opt{i}.objective")).is_some())
+        .count();
+    if predicted == n {
+        return "lowest violations, then best objective".to_string();
+    }
+    let mut picker = format!("resolver {}", span.attr("resolver").unwrap_or("?"));
+    if let Some(rung) = span.attr("ladder.rung") {
+        picker.push_str(&format!(", rung {rung}"));
+    }
+    if let Some(policy) = span.attr("policy") {
+        picker.push_str(&format!(", policy {policy}"));
+    }
+    match predicted {
+        0 => format!("{picker}; no prediction was made"),
+        k => format!("{picker}; {k} of {n} options predicted"),
+    }
 }
 
 /// Top-`k` `Decision` spans by `sim_cost_us`, descending (ties broken by
@@ -307,9 +331,77 @@ mod tests {
         assert!(text.contains("parent-pick"));
         assert!(text.contains("lookahead"));
         assert!(text.contains("*  1"));
-        assert!(text.contains("winner: option 1"));
+        assert!(text.contains("winner: option 1 (lowest violations, then best objective)\n"));
         // Non-decision or unknown ids render nothing.
         assert!(explain(&spans, id(3, 2)).is_none());
+    }
+
+    /// A two-option decision with `extra` attrs and `opt{i}.objective` on
+    /// the options in `predicted`.
+    fn decision(extra: &[(&str, &str)], predicted: &[usize]) -> Span {
+        let mut d = span(2, 1, SpanKind::Decision, vec![]);
+        let mut attrs = vec![("options", "2"), ("chosen", "0")];
+        attrs.extend_from_slice(extra);
+        d.attrs = attrs
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        for i in 0..2 {
+            d.attrs.push((format!("opt{i}.key"), format!("{}", 10 + i)));
+        }
+        for i in predicted {
+            d.attrs.push((format!("opt{i}.objective"), "1".into()));
+        }
+        d
+    }
+
+    fn winner_line(d: Span) -> String {
+        let text = explain(&[d], id(2, 1)).unwrap();
+        let line = text.lines().find(|l| l.contains("winner:"));
+        line.expect("a winner line").trim().to_string()
+    }
+
+    #[test]
+    fn explain_names_the_resolver_of_an_unpredicted_pick() {
+        assert_eq!(
+            winner_line(decision(&[("resolver", "random")], &[])),
+            "winner: option 0 (resolver random; no prediction was made)"
+        );
+    }
+
+    #[test]
+    fn explain_names_the_rung_and_policy_of_an_unpredicted_ladder_pick() {
+        let ladder = [
+            ("resolver", "ladder"),
+            ("ladder.rung", "4"),
+            ("policy", "off"),
+        ];
+        assert_eq!(
+            winner_line(decision(&ladder, &[])),
+            "winner: option 0 (resolver ladder, rung 4, policy off; no prediction was made)"
+        );
+    }
+
+    #[test]
+    fn explain_counts_the_options_a_partial_prediction_covered() {
+        assert_eq!(
+            winner_line(decision(
+                &[("resolver", "ladder"), ("ladder.rung", "0")],
+                &[1]
+            )),
+            "winner: option 0 (resolver ladder, rung 0; 1 of 2 options predicted)"
+        );
+    }
+
+    #[test]
+    fn explain_gives_the_lookahead_rule_when_every_option_was_predicted() {
+        assert_eq!(
+            winner_line(decision(
+                &[("resolver", "ladder"), ("ladder.rung", "0")],
+                &[0, 1]
+            )),
+            "winner: option 0 (lowest violations, then best objective)"
+        );
     }
 
     #[test]
