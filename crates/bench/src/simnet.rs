@@ -112,9 +112,7 @@ fn run_arm(
 ) -> ArmResult {
     let n = nodes as u32;
     let mut sim = Sim::new_with_scheduler(topo.clone(), seed, kind, move |_| LoadActor { n, tick });
-    if lite {
-        sim.set_lite(true);
-    }
+    sim.set_lite(lite);
     sim.start_all();
     let t0 = std::time::Instant::now();
     sim.run_until(horizon);

@@ -124,11 +124,6 @@ impl Scenario for SwarmCampaign {
                     .controller_every(SimDuration::from_secs(5)),
             )
         });
-        // Large fleets run in lite-trace mode (compact word fingerprints,
-        // empty provenance rings); see the gossip campaign for rationale.
-        if peers >= 1000 {
-            sim.set_lite(true);
-        }
         for p in 0..peers as u32 {
             sim.schedule_start(NodeId(p), SimTime::ZERO);
         }

@@ -140,12 +140,6 @@ impl Scenario for GossipCampaign {
                 RuntimeConfig::new(resolver).controller_every(SimDuration::from_secs(2)),
             )
         });
-        // Fleets at 1000+ nodes run in lite-trace mode: fingerprints come
-        // from compact word records instead of rendered debug strings, and
-        // per-node provenance rings stay empty. Deterministic either way.
-        if n >= 1000 {
-            sim.set_lite(true);
-        }
         for i in 0..n as u32 {
             sim.schedule_start(NodeId(i), SimTime::ZERO);
         }

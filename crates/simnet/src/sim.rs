@@ -214,13 +214,6 @@ impl<M> EventQueue<M> {
         }
     }
 
-    fn kind(&self) -> SchedulerKind {
-        match self {
-            EventQueue::Heap(_) => SchedulerKind::Heap,
-            EventQueue::Wheel(_) => SchedulerKind::Wheel,
-        }
-    }
-
     fn push(&mut self, at: SimTime, node: NodeId, seq: u64, ev: Ev<M>) {
         match self {
             EventQueue::Heap(h) => h.push(HeapEntry { at, node, seq, ev }),
@@ -348,6 +341,10 @@ pub struct World<M> {
     lite: bool,
 }
 
+/// The fleet size from which a new simulation records in lite mode (see
+/// [`Sim::set_lite`]).
+const LITE_FLEET: usize = 1000;
+
 /// Fingerprint event tags: the first word of every [`Trace::push_words`].
 const EV_SEND: u64 = 1;
 const EV_DELIVER: u64 = 2;
@@ -397,7 +394,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             recorders: (0..n).map(|i| FlightRecorder::new(i as u32)).collect(),
             current_cause: None,
             rendered: String::new(),
-            lite: false,
+            lite: n >= LITE_FLEET,
         }
     }
 
@@ -852,7 +849,8 @@ impl<A: Actor> Sim<A> {
     /// Creates a simulation with one actor per host, built by `factory`.
     /// No node is started yet; use [`Sim::start_all`] or
     /// [`Sim::schedule_start`]. Uses the default scheduler
-    /// ([`SchedulerKind::Wheel`]).
+    /// ([`SchedulerKind::Wheel`]); records in lite mode from 1000 hosts up
+    /// (see [`Sim::set_lite`]).
     pub fn new(topo: Topology, seed: u64, factory: impl Fn(NodeId) -> A + 'static) -> Self {
         Sim::new_with_scheduler(topo, seed, SchedulerKind::default(), factory)
     }
@@ -876,26 +874,17 @@ impl<A: Actor> Sim<A> {
         }
     }
 
-    /// The event-queue implementation driving this simulation.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.world.queue.kind()
-    }
-
-    /// Switches large-fleet "lite" mode on or off (default off). Lite mode
-    /// records nothing per event: span ids are still allocated (so causes,
-    /// and with them the event stream, are the same in both modes) but no
-    /// slot is retained, and payloads are neither `Debug`-rendered nor
-    /// digested. Runs stay fully deterministic — equal seeds give equal
-    /// fingerprints — but a lite fingerprint does not cover payload content
-    /// and is only comparable to another lite run's. The large-fleet
-    /// campaign arms enable this before scheduling any event.
+    /// Switches large-fleet "lite" mode on or off. A new simulation is lite
+    /// when its topology has 1000 hosts or more; call this before
+    /// scheduling any event to choose otherwise. Lite mode records nothing
+    /// per event: span ids are still allocated (so causes, and with them the
+    /// event stream, are the same in both modes) but no slot is retained,
+    /// and payloads are neither `Debug`-rendered nor digested. Runs stay
+    /// fully deterministic — equal seeds give equal fingerprints — but a
+    /// lite fingerprint does not cover payload content and is only
+    /// comparable to another lite run's.
     pub fn set_lite(&mut self, lite: bool) {
         self.world.lite = lite;
-    }
-
-    /// Whether large-fleet lite mode is active.
-    pub fn is_lite(&self) -> bool {
-        self.world.lite
     }
 
     /// Starts every node at the current time.
