@@ -43,8 +43,11 @@
 //! finite and >= 0, and an unknown flag is refused rather than read as a
 //! directory.
 //!
-//! Exit status 2 on usage or I/O errors.
+//! Exit status 2 on usage or I/O errors. Output goes through
+//! [`cb_bench::cli`]: a reader that closes the pipe early (`| head`) ends
+//! the command with exit 0.
 
+use cb_bench::outln;
 use cb_corpus::{diff, parse_predicate, select, top_blame, Corpus, DiffConfig};
 use cb_harness::json::Json;
 use std::path::{Path, PathBuf};
@@ -83,13 +86,13 @@ fn cmd_ingest(args: &[String]) -> i32 {
             eprintln!("{src}: {e}");
             std::process::exit(2);
         });
-        println!("{src}: {fresh} new record(s)");
+        outln!("{src}: {fresh} new record(s)");
     }
     if let Err(e) = corpus.save(&corpus_dir) {
         eprintln!("{}: {e}", corpus_dir.display());
         std::process::exit(2);
     }
-    println!(
+    outln!(
         "corpus: {} record(s) -> {}",
         corpus.len(),
         corpus_dir.display()
@@ -121,10 +124,10 @@ fn cmd_query(args: &[String]) -> i32 {
     let hits = select(&corpus, &pred);
     if json_out {
         let rows: Vec<Json> = hits.iter().map(|r| r.to_json()).collect();
-        println!("{}", Json::Arr(rows).to_string_pretty());
+        outln!("{}", Json::Arr(rows).to_string_pretty());
     } else {
         for r in &hits {
-            println!(
+            outln!(
                 "{} seed {} {} fingerprint {:#018x}{}",
                 r.scenario,
                 r.seed,
@@ -137,7 +140,7 @@ fn cmd_query(args: &[String]) -> i32 {
                 }
             );
         }
-        println!("{} of {} record(s) match", hits.len(), corpus.len());
+        outln!("{} of {} record(s) match", hits.len(), corpus.len());
     }
     i32::from(hits.is_empty())
 }
@@ -187,7 +190,7 @@ fn cmd_top_blame(args: &[String]) -> i32 {
                     )
             })
             .collect();
-        println!("{}", Json::Arr(rows).to_string_pretty());
+        outln!("{}", Json::Arr(rows).to_string_pretty());
     } else {
         for t in &tallies {
             let seeds: Vec<String> = t
@@ -195,20 +198,20 @@ fn cmd_top_blame(args: &[String]) -> i32 {
                 .iter()
                 .map(|(s, seed)| format!("{s}/{seed}"))
                 .collect();
-            println!(
+            outln!(
                 "{:<32} {:>3} seed(s)  {}",
                 t.target,
                 t.seeds.len(),
                 seeds.join(" ")
             );
         }
-        println!(
+        outln!(
             "{} blame target(s) shared by >= {} violating seed(s)",
             tallies.len(),
             min_seeds
         );
         if !tallies.is_empty() {
-            println!("next: `trace blame <artifact>` on any listed seed's failure artifact");
+            outln!("next: `trace blame <artifact>` on any listed seed's failure artifact");
         }
     }
     i32::from(tallies.is_empty())
@@ -285,25 +288,31 @@ fn cmd_diff(args: &[String]) -> i32 {
             eprintln!("{}: {e}", path.display());
             return 2;
         }
-        println!("wrote {}", path.display());
+        outln!("wrote {}", path.display());
     }
     if json_out {
-        println!("{}", json.to_string_pretty());
+        outln!("{}", json.to_string_pretty());
     } else {
-        println!(
+        outln!(
             "baseline {} record(s), candidate {} record(s)",
-            report.baseline_seeds, report.candidate_seeds
+            report.baseline_seeds,
+            report.candidate_seeds
         );
         for f in &report.findings {
-            println!(
+            outln!(
                 "{:<18} {:<10} {:<36} {} -> {}  ({})",
-                f.kind, f.scenario, f.key, f.baseline, f.candidate, f.detail
+                f.kind,
+                f.scenario,
+                f.key,
+                f.baseline,
+                f.candidate,
+                f.detail
             );
         }
         if report.regressed() {
-            println!("{} regression finding(s)", report.findings.len());
+            outln!("{} regression finding(s)", report.findings.len());
         } else {
-            println!("no regressions flagged");
+            outln!("no regressions flagged");
         }
     }
     i32::from(report.regressed())

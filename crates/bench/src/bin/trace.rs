@@ -28,9 +28,12 @@
 //!   flow arrows along every causal edge. `--masked` blanks wall clocks for
 //!   byte-stable output.
 //!
-//! Exit status: 0 = query answered, 1 = span not found / nothing to blame,
-//! 2 = usage or artifact error.
+//! Exit status: 0 = query answered (also when the reader closes the pipe
+//! early, as `| head` does), 1 = span not found / nothing to blame, 2 =
+//! usage, artifact or output error.
 
+use cb_bench::cli::write_stdout;
+use cb_bench::outln;
 use cb_harness::read_artifact;
 use cb_trace::{blame, chrome_trace_json, explain, slowest, Span, SpanId, SpanIndex, SpanKind};
 use std::path::Path;
@@ -96,7 +99,7 @@ fn cmd_explain(spans: &[Span], target: Option<&str>) -> i32 {
     };
     match explain(spans, id) {
         Some(text) => {
-            print!("{text}");
+            write_stdout(format_args!("{text}"));
             0
         }
         None => {
@@ -123,35 +126,35 @@ fn cmd_blame(spans: &[Span], target: Option<&str>) -> i32 {
         eprintln!("trace: {id} is not a retained span");
         return 1;
     };
-    println!(
+    outln!(
         "blame {id}: {} spans on the causal chain",
         chain.chain.len()
     );
     const SHOWN: usize = 32;
     for s in chain.chain.iter().take(SHOWN) {
-        println!("  {}", span_line(s));
+        outln!("  {}", span_line(s));
     }
     if chain.chain.len() > SHOWN {
-        println!(
+        outln!(
             "  ... ({} more spans on the chain)",
             chain.chain.len() - SHOWN
         );
     }
     if !chain.decisions.is_empty() {
         let ids: Vec<String> = chain.decisions.iter().map(|d| d.to_string()).collect();
-        println!(
+        outln!(
             "originating decisions ({}): {}",
             chain.decisions.len(),
             ids.join(", ")
         );
-        println!(
+        outln!(
             "  (run `trace explain ARTIFACT {}` for the option table)",
             ids[0]
         );
     } else {
-        println!("originating decisions: none reached");
+        outln!("originating decisions: none reached");
     }
-    println!(
+    outln!(
         "nodes crossed: {:?}{}",
         chain.nodes,
         if chain.unresolved.is_empty() {
@@ -178,9 +181,9 @@ fn cmd_slowest(spans: &[Span], k: usize) -> i32 {
         eprintln!("trace: no decision spans in the tail");
         return 1;
     }
-    println!("top {} decisions by sim-cost:", top.len());
+    outln!("top {} decisions by sim-cost:", top.len());
     for s in top {
-        println!("  {}  [{}]", span_line(s), s.id);
+        outln!("  {}  [{}]", span_line(s), s.id);
     }
     0
 }
@@ -193,9 +196,9 @@ fn cmd_chrome(spans: &[Span], out: Option<&str>, masked: bool) -> i32 {
                 eprintln!("trace: cannot write {path}: {e}");
                 return 2;
             }
-            println!("wrote chrome trace ({} spans) to {path}", spans.len());
+            outln!("wrote chrome trace ({} spans) to {path}", spans.len());
         }
-        None => println!("{json}"),
+        None => outln!("{json}"),
     }
     0
 }

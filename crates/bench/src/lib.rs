@@ -10,6 +10,7 @@
 //! times. See `EXPERIMENTS.md` at the repository root for the
 //! paper-vs-measured record and `DESIGN.md` for the experiment index.
 
+pub mod cli;
 pub mod codemetrics;
 pub mod decisions;
 pub mod experiments;

@@ -5,10 +5,11 @@
 //! gate off (a regressed candidate exited 0), and a negative one flagged
 //! every scenario of a self-diff. An unknown flag used to be taken as a
 //! corpus directory. A counter regression planted into every record must
-//! flip the exit code. Drives the built binary against the committed
+//! flip the exit code. A query whose reader closes the pipe early ends
+//! with exit 0, not a panic. Drives the built binary against the committed
 //! baseline corpus.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const USAGE: &str = "usage: corpus ingest CORPUS_DIR SRC_DIR";
 
@@ -134,4 +135,21 @@ fn a_planted_counter_regression_is_flagged() {
     );
     assert!(stdout.contains("net.msgs_delivered"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_reader_that_closes_early_ends_the_query_cleanly() {
+    // `corpus query ... | head -1` with the head done before the first
+    // line: the query meets a closed pipe and ends with exit 0.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_corpus"))
+        .args(["query", &baseline(), "failed"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("corpus runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("corpus ends");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }

@@ -4,13 +4,15 @@
 //! partition trips `tree.reachable`. Every query answers with its
 //! documented exit status, `explain` states each decision fact once and
 //! gives the winner's reason the span supports, `chrome --masked` is
-//! byte-stable, and a file that is not an artifact — a missing one, or a
-//! bare report — is refused with exit 2, since `trace` reads files through
-//! the one artifact decoder.
+//! byte-stable, `chrome --out` writes trace-event JSON, a reader that
+//! closes the pipe early ends the query with exit 0 rather than a panic,
+//! and a file that is not an artifact — a missing one, or a bare report —
+//! is refused with exit 2, since `trace` reads files through the one
+//! artifact decoder.
 
 use cb_harness::Json;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::sync::OnceLock;
 
 fn run(bin: &str, args: &[&str]) -> Output {
@@ -232,6 +234,43 @@ fn masked_chrome_exports_are_byte_identical() {
     });
     assert!(!files[0].is_empty());
     assert!(files[0] == files[1], "masked chrome exports differ");
+}
+
+#[test]
+fn chrome_out_writes_the_storm_tail_as_trace_event_json() {
+    let path = scratch_dir().join("storm-chrome.json");
+    let out = trace(&[
+        "chrome",
+        storm_artifact(),
+        "--out",
+        path.to_str().expect("utf-8 temp path"),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+    let text = std::fs::read_to_string(&path).expect("chrome trace written");
+    let json = Json::parse(&text).expect("the export parses as JSON");
+    let events = json
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("a traceEvents list");
+    assert!(!events.is_empty(), "the storm tail exported no events");
+}
+
+#[test]
+fn a_reader_that_closes_early_ends_the_query_cleanly() {
+    // The pipe's read end is closed before `trace` has loaded the artifact,
+    // so its first line already meets a closed pipe (`trace ... | head -1`
+    // with the head done at once).
+    let mut child = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(["blame", storm_artifact()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("trace runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("trace ends");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
 
 #[test]

@@ -345,20 +345,19 @@ impl<S: Service> RuntimeNode<S> {
         // climb back to Healthy — on the controller cadence.
         let signals = self.core.health(now, &[]);
         self.core.resolver.observe_health(&signals);
-        // 1. Ship a fresh checkpoint to the neighborhood.
+        // 1. Ship a fresh checkpoint to the neighborhood, rendered once.
         let cp = self.service.checkpoint(&self.core.state_model);
-        for peer in self.service.neighbors() {
-            if peer != ctx.id() {
-                ctx.send(
-                    peer,
-                    Envelope::Checkpoint {
-                        data: cp.clone(),
-                        taken_at: now,
-                    },
-                );
-                self.core.checkpoints_sent += 1;
-            }
-        }
+        let me = ctx.id();
+        let mut peers = self.service.neighbors();
+        peers.retain(|&p| p != me);
+        self.core.checkpoints_sent += peers.len() as u64;
+        ctx.multicast(
+            peers,
+            Envelope::Checkpoint {
+                data: cp.clone(),
+                taken_at: now,
+            },
+        );
         // 2. Consult the advisor (prediction over the current models).
         if let Some(advisor) = self.core.advisor.as_mut() {
             let input = SteeringInput {
@@ -635,6 +634,21 @@ impl<'a, 'b, M: Clone + Debug + 'static, C: Clone + Debug + 'static> ServiceCtx<
             .send_sized(to, Envelope::App { msg, sent_at: now }, bytes);
     }
 
+    /// Sends one application message to each node of `to`, in order, as a
+    /// loop of [`ServiceCtx::send`] would, with the payload wrapped once
+    /// and rendered once (see [`SimCtx::multicast_sized`]).
+    pub fn multicast(&mut self, to: impl IntoIterator<Item = NodeId>, msg: M) {
+        let now = self.net.now();
+        self.net.multicast(to, Envelope::App { msg, sent_at: now });
+    }
+
+    /// [`ServiceCtx::multicast`] with an explicit payload size.
+    pub fn multicast_sized(&mut self, to: impl IntoIterator<Item = NodeId>, msg: M, bytes: u32) {
+        let now = self.net.now();
+        self.net
+            .multicast_sized(to, Envelope::App { msg, sent_at: now }, bytes);
+    }
+
     /// Sends an unreliable datagram.
     pub fn send_unreliable(&mut self, to: NodeId, msg: M) {
         let now = self.net.now();
@@ -686,12 +700,13 @@ impl<'a, 'b, M: Clone + Debug + 'static, C: Clone + Debug + 'static> ServiceCtx<
         &self.core.net_model
     }
 
-    /// Actively probes `peer`: the peer's runtime echoes, and the reply
-    /// folds a fresh latency sample into the network model. Use when a
-    /// passive sample is not coming (e.g. before a first contact).
-    pub fn probe(&mut self, peer: NodeId) {
+    /// Actively probes each of `peers`, in order, with one multicast: each
+    /// peer's runtime echoes, and the reply folds a fresh latency sample
+    /// into the network model. Use when a passive sample is not coming
+    /// (e.g. before a first contact).
+    pub fn probe(&mut self, peers: impl IntoIterator<Item = NodeId>) {
         let now = self.net.now();
-        self.net.send(peer, Envelope::Probe { sent_at: now });
+        self.net.multicast(peers, Envelope::Probe { sent_at: now });
     }
 
     /// The runtime's state model (read side).
@@ -913,11 +928,9 @@ mod tests {
         ) {
             if tag == 1 {
                 self.max_seen += 1;
-                for n in ctx.nodes() {
-                    if n != ctx.id() {
-                        ctx.send(n, self.max_seen);
-                    }
-                }
+                let me = ctx.id();
+                let others = ctx.nodes().into_iter().filter(|&n| n != me);
+                ctx.multicast(others, self.max_seen);
                 if self.max_seen < 10 {
                     ctx.set_timer(SimDuration::from_millis(100), 1);
                 }
@@ -995,6 +1008,32 @@ mod tests {
         assert!(lat >= SimDuration::from_millis(9), "latency {lat}");
         assert!(lat <= SimDuration::from_millis(20), "latency {lat}");
         assert!(conf > 0.0);
+    }
+
+    #[test]
+    fn checkpoint_fan_out_counts_are_pinned() {
+        // The controller ships each checkpoint through one multicast to its
+        // neighbours minus itself; per node, the counts equal those of the
+        // per-peer send loop it replaced, and the run's fingerprint too.
+        let mut sim = build();
+        sim.start_all();
+        sim.run_until_quiescent(SimTime::from_secs(30));
+        let counts: Vec<(u64, u64, u64)> = (0..3)
+            .map(|n| {
+                let node = sim.actor(NodeId(n));
+                let reg = node.telemetry();
+                (
+                    node.controller_cycles(),
+                    reg.counter(keys::CORE_CHECKPOINTS_SENT),
+                    reg.counter(keys::CORE_CHECKPOINTS_RECEIVED),
+                )
+            })
+            .collect();
+        assert_eq!(
+            (counts, sim.trace().fingerprint()),
+            (vec![(59, 118, 118); 3], 18187965388947121366),
+            "observed (cycles, sent, received) per node and fingerprint"
+        );
     }
 
     #[test]

@@ -286,14 +286,7 @@ impl Service for SwarmNode {
             b.sort_unstable();
             b
         };
-        for &p in &self.neighbors.clone() {
-            ctx.send(
-                p,
-                SwarmMsg::Bitmap {
-                    blocks: blocks.clone(),
-                },
-            );
-        }
+        ctx.multicast(self.neighbors.iter().copied(), SwarmMsg::Bitmap { blocks });
         if self.complete() {
             self.completed_at = Some(ctx.now());
         }
@@ -365,11 +358,8 @@ impl Service for SwarmNode {
                         ctx.feedback("dissem.block-strategy", self.phase(), skey, 1.0);
                     }
                 }
-                for &p in &self.neighbors.clone() {
-                    if p != from {
-                        ctx.send(p, SwarmMsg::Have { block });
-                    }
-                }
+                let others = self.neighbors.iter().copied().filter(|&p| p != from);
+                ctx.multicast(others, SwarmMsg::Have { block });
                 if self.complete() && self.completed_at.is_none() {
                     self.completed_at = Some(ctx.now());
                     ctx.note(format!("{} completed the file", self.me));

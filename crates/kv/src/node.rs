@@ -56,9 +56,7 @@ impl Service for KvNode {
             KvNode::Client(s) => {
                 // Probe every replica so the network model is warm before
                 // the first read-replica choice.
-                for &r in &s.group.clone() {
-                    ctx.probe(r);
-                }
+                ctx.probe(s.group.iter().copied());
                 s.on_start(ctx);
             }
             KvNode::Load(g) => g.on_start(ctx),

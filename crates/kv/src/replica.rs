@@ -257,12 +257,13 @@ impl Replica {
         self.group.len() / 2 + 1
     }
 
+    /// The other group members, in group order.
+    fn others(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.group.iter().copied().filter(move |&n| n != self.me)
+    }
+
     fn peers(&self) -> Vec<NodeId> {
-        self.group
-            .iter()
-            .copied()
-            .filter(|&n| n != self.me)
-            .collect()
+        self.others().collect()
     }
 
     /// The other group members (checkpoint recipients).
@@ -445,9 +446,7 @@ impl Replica {
         let now = ctx.now();
         match self.role {
             Role::Leader => {
-                for p in self.peers() {
-                    ctx.send(p, KvMsg::Heartbeat { term: self.term });
-                }
+                ctx.multicast(self.others(), KvMsg::Heartbeat { term: self.term });
                 self.repair(ctx, now);
                 self.guards
                     .retain(|_, g| now.saturating_since(g.since) < GUARD_TTL);
@@ -458,9 +457,7 @@ impl Replica {
                 }
             }
             Role::Recovering => {
-                for p in self.peers() {
-                    ctx.send(p, KvMsg::SyncReq);
-                }
+                ctx.multicast(self.others(), KvMsg::SyncReq);
             }
         }
         let delay = SimDuration::from_millis(TICK_BASE_MS + ctx.rng().gen_below(TICK_JITTER_MS));
@@ -468,7 +465,6 @@ impl Replica {
     }
 
     fn repair(&mut self, ctx: &mut Cx<'_, '_>, now: SimTime) {
-        let peers = self.peers();
         let term = self.term;
         let mut resend = Vec::new();
         for (&ver, p) in self.pending.iter_mut() {
@@ -478,19 +474,17 @@ impl Replica {
             }
         }
         for (ver, key, value, client, client_seq) in resend {
-            for &p in &peers {
-                ctx.send(
-                    p,
-                    KvMsg::Replicate {
-                        term,
-                        ver,
-                        key,
-                        value,
-                        client,
-                        client_seq,
-                    },
-                );
-            }
+            ctx.multicast(
+                self.others(),
+                KvMsg::Replicate {
+                    term,
+                    ver,
+                    key,
+                    value,
+                    client,
+                    client_seq,
+                },
+            );
         }
     }
 
@@ -517,9 +511,7 @@ impl Replica {
             .collect();
         let i = ctx.choose("kv.leader", ContextKey::default(), &options);
         let candidate = self.group[i];
-        for p in self.peers() {
-            ctx.send(p, KvMsg::VoteReq { term, candidate });
-        }
+        ctx.multicast(self.others(), KvMsg::VoteReq { term, candidate });
         self.on_vote_req(ctx, term, candidate);
     }
 
@@ -638,23 +630,19 @@ impl Replica {
                     fanout: peers.len(),
                 },
             );
-            for &p in &peers {
-                ctx.send(
-                    p,
-                    KvMsg::Replicate {
-                        term,
-                        ver: e.ver,
-                        key,
-                        value: e.value,
-                        client: e.client,
-                        client_seq: e.client_seq,
-                    },
-                );
-            }
+            ctx.multicast(
+                peers.iter().copied(),
+                KvMsg::Replicate {
+                    term,
+                    ver: e.ver,
+                    key,
+                    value: e.value,
+                    client: e.client,
+                    client_seq: e.client_seq,
+                },
+            );
         }
-        for &p in &peers {
-            ctx.send(p, KvMsg::Heartbeat { term });
-        }
+        ctx.multicast(peers, KvMsg::Heartbeat { term });
     }
 
     fn on_heartbeat(&mut self, ctx: &mut Cx<'_, '_>, from: NodeId, term: u64) {
@@ -732,14 +720,12 @@ impl Replica {
             self.committed.insert(p.key, (ver, p.value));
         }
         self.merge_seq(p.client.0, p.client_seq);
-        for &a in &p.ackers {
-            ctx.send(
-                a,
-                KvMsg::PutAck {
-                    client_seq: p.client_seq,
-                },
-            );
-        }
+        ctx.multicast(
+            p.ackers.iter().copied(),
+            KvMsg::PutAck {
+                client_seq: p.client_seq,
+            },
+        );
         if p.takeover {
             if !self.pending.values().any(|q| q.takeover) {
                 self.ready = true;
@@ -819,20 +805,18 @@ impl Replica {
                     },
                 );
                 let term = self.term;
-                for j in 0..fanout {
-                    let p = peers[(self.fanout_cursor + j) % peers.len()];
-                    ctx.send(
-                        p,
-                        KvMsg::Replicate {
-                            term,
-                            ver,
-                            key,
-                            value,
-                            client,
-                            client_seq: seq,
-                        },
-                    );
-                }
+                let cursor = self.fanout_cursor;
+                ctx.multicast(
+                    (0..fanout).map(|j| peers[(cursor + j) % peers.len()]),
+                    KvMsg::Replicate {
+                        term,
+                        ver,
+                        key,
+                        value,
+                        client,
+                        client_seq: seq,
+                    },
+                );
                 self.fanout_cursor = (self.fanout_cursor + 1) % peers.len();
             }
             Role::Leader => {} // not ready yet; the client will resubmit
@@ -878,15 +862,13 @@ impl Replica {
                     },
                 );
                 let term = self.term;
-                for p in self.peers() {
-                    ctx.send(
-                        p,
-                        KvMsg::Guard {
-                            term,
-                            guard_id: gid,
-                        },
-                    );
-                }
+                ctx.multicast(
+                    self.others(),
+                    KvMsg::Guard {
+                        term,
+                        guard_id: gid,
+                    },
+                );
             }
             Role::Leader => {}
             Role::Follower => {

@@ -388,9 +388,7 @@ impl MenciusSession {
 
     /// Schedules the opening timers.
     pub fn on_start(&mut self, ctx: &mut Cx<'_, '_>) {
-        for &r in &self.group.clone() {
-            ctx.probe(r);
-        }
+        ctx.probe(self.group.iter().copied());
         let first = SimDuration::from_millis(200 + ctx.rng().gen_below(800));
         ctx.set_timer(first, MOP_TIMER);
         ctx.set_timer(SimDuration::from_secs(1), MSWEEP_TIMER);

@@ -48,9 +48,7 @@ impl Service for PaxosNode {
         if let PaxosNode::Client(c) = self {
             // Probe every replica so the network model is warm before the
             // first proposer choice.
-            for &r in &c.group.clone() {
-                ctx.probe(r);
-            }
+            ctx.probe(c.group.iter().copied());
             let jitter = SimDuration::from_nanos(ctx.rng().gen_below(c.period().as_nanos().max(1)));
             ctx.set_timer(c.period() + jitter, SUBMIT_TIMER);
             ctx.set_timer(SimDuration::from_secs(5), CLIENT_SWEEP_TIMER);

@@ -201,17 +201,15 @@ impl Replica {
                 committed: false,
             },
         );
-        for &a in &self.group.clone() {
-            ctx.send_sized(
-                a,
-                PaxosMsg::Accept {
-                    slot,
-                    ballot,
-                    value,
-                },
-                crate::scenario::CMD_BYTES,
-            );
-        }
+        ctx.multicast_sized(
+            self.group.iter().copied(),
+            PaxosMsg::Accept {
+                slot,
+                ballot,
+                value,
+            },
+            crate::scenario::CMD_BYTES,
+        );
     }
 
     /// Raises the minimum ballot round for this replica's explicit
@@ -264,9 +262,10 @@ impl Replica {
                 committed: false,
             },
         );
-        for &a in &self.group.clone() {
-            ctx.send(a, PaxosMsg::Prepare { slot, ballot });
-        }
+        ctx.multicast(
+            self.group.iter().copied(),
+            PaxosMsg::Prepare { slot, ballot },
+        );
     }
 
     fn on_prepare(
@@ -309,7 +308,6 @@ impl Replica {
         accepted: Option<(Ballot, Command)>,
     ) {
         let quorum = self.quorum();
-        let group = self.group.clone();
         let Some(p) = self.proposals.get_mut(&slot) else {
             return;
         };
@@ -329,17 +327,15 @@ impl Replica {
             }
             p.accepting = true;
             let (b, v) = (p.ballot, p.value);
-            for &a in &group {
-                ctx.send_sized(
-                    a,
-                    PaxosMsg::Accept {
-                        slot,
-                        ballot: b,
-                        value: v,
-                    },
-                    crate::scenario::CMD_BYTES,
-                );
-            }
+            ctx.multicast_sized(
+                self.group.iter().copied(),
+                PaxosMsg::Accept {
+                    slot,
+                    ballot: b,
+                    value: v,
+                },
+                crate::scenario::CMD_BYTES,
+            );
         }
     }
 
@@ -376,7 +372,6 @@ impl Replica {
         ballot: Ballot,
     ) {
         let quorum = self.quorum();
-        let group = self.group.clone();
         let Some(p) = self.proposals.get_mut(&slot) else {
             return;
         };
@@ -390,13 +385,11 @@ impl Replica {
             p.committed = true;
             let v = p.value;
             self.committed_here += 1;
-            for &l in &group {
-                ctx.send_sized(
-                    l,
-                    PaxosMsg::Learn { slot, value: v },
-                    crate::scenario::CMD_BYTES,
-                );
-            }
+            ctx.multicast_sized(
+                self.group.iter().copied(),
+                PaxosMsg::Learn { slot, value: v },
+                crate::scenario::CMD_BYTES,
+            );
             ctx.send(v.client(), PaxosMsg::Committed { cmd: v });
         }
     }
@@ -408,7 +401,6 @@ impl Replica {
         promised: Ballot,
     ) {
         self.nacks_seen += 1;
-        let group = self.group.clone();
         // Only a nack that post-dates our current attempt is news. Stale
         // nacks (crossed in flight with a bump they themselves caused)
         // MUST be dropped: retrying on each would answer every nack of a
@@ -426,9 +418,10 @@ impl Replica {
         p.promises.clear();
         p.accepts.clear();
         p.accepting = false;
-        for &a in &group {
-            ctx.send(a, PaxosMsg::Prepare { slot, ballot });
-        }
+        ctx.multicast(
+            self.group.iter().copied(),
+            PaxosMsg::Prepare { slot, ballot },
+        );
     }
 }
 

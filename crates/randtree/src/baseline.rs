@@ -192,17 +192,15 @@ impl BaselineRandTree {
                     self.attached_at = ctx.now();
                 } else if self.tree.parent == Some(parent) && self.tree.depth != depth {
                     self.tree.depth = depth;
-                    for &c in &self.tree.children.clone() {
-                        ctx.send(c, TreeMsg::DepthUpdate { depth: depth + 1 });
-                    }
+                    let children = self.tree.children.iter().copied();
+                    ctx.multicast(children, TreeMsg::DepthUpdate { depth: depth + 1 });
                 }
             }
             TreeMsg::DepthUpdate { depth } => {
                 if self.tree.depth != depth {
                     self.tree.depth = depth;
-                    for &c in &self.tree.children.clone() {
-                        ctx.send(c, TreeMsg::DepthUpdate { depth: depth + 1 });
-                    }
+                    let children = self.tree.children.iter().copied();
+                    ctx.multicast(children, TreeMsg::DepthUpdate { depth: depth + 1 });
                 }
             }
             TreeMsg::Join { .. } => unreachable!("routed to handle_join"),

@@ -189,9 +189,8 @@ impl ChoiceRandTree {
     /// Handler: an ancestor moved — adjust depth and tell the children.
     fn handle_depth_update(&mut self, ctx: &mut Ctx<'_, '_>, depth: u32) {
         self.tree.depth = depth;
-        for &c in &self.tree.children.clone() {
-            ctx.send(c, TreeMsg::DepthUpdate { depth: depth + 1 });
-        }
+        let children = self.tree.children.iter().copied();
+        ctx.multicast(children, TreeMsg::DepthUpdate { depth: depth + 1 });
     }
 
     // [handlers:end]

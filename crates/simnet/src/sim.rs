@@ -19,6 +19,8 @@
 //!   be broken — by the application (execution steering does this), by a
 //!   crash, or by exceeding the retry budget — which drops the in-flight
 //!   messages of the pair and notifies both endpoints.
+//! * [`Ctx::multicast`] is one reliable send per destination, in order,
+//!   with the payload rendered for the trace once for the whole fan-out.
 //! * [`Ctx::send_unreliable`] is fire-and-forget datagram delivery: lossy,
 //!   unordered across flows (though still latency-ordered per path).
 //!
@@ -441,23 +443,35 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         self.queue.push(at, ev.target(), seq, ev);
     }
 
-    /// Records a send, returning its span id. The payload is rendered once,
-    /// here: the text names the send span (and, by inheritance, the
-    /// delivery's) and its digest puts the content under the fingerprint, so
-    /// a delivery has nothing to render or hash again. Lite mode skips the
-    /// rendering: [`World::span`] keeps no label there, and the content
-    /// word is zero.
-    fn trace_send(&mut self, from: NodeId, to: NodeId, bytes: u32, msg: &M) -> SpanId {
-        let (label, content) = if self.lite {
-            (Label::Static(""), 0)
-        } else {
-            self.rendered.clear();
-            let _ = write!(self.rendered, "{msg:?}");
-            (
-                Label::text(&self.rendered),
-                digest(self.rendered.as_bytes()),
-            )
-        };
+    /// Renders a payload for the trace: its `Debug` text, cut into a send
+    /// span's label, and the digest of that text, which puts the content
+    /// under the fingerprint. This is the only place a payload is rendered:
+    /// a send renders once (a fan-out once for all its destinations, see
+    /// [`Ctx::multicast`]), the text names the send span and, by
+    /// inheritance, the delivery's, so a delivery has nothing to render or
+    /// hash again. Lite mode renders nothing: [`World::span`] keeps no label
+    /// there, and the content word is zero.
+    fn render(&mut self, msg: &M) -> (Label, u64) {
+        if self.lite {
+            return (Label::Static(""), 0);
+        }
+        self.rendered.clear();
+        let _ = write!(self.rendered, "{msg:?}");
+        (
+            Label::text(&self.rendered),
+            digest(self.rendered.as_bytes()),
+        )
+    }
+
+    /// Records one send of a payload [`World::render`] has already
+    /// rendered: its span and its fingerprint words. Returns the span id.
+    fn trace_send(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        bytes: u32,
+        (label, content): (Label, u64),
+    ) -> SpanId {
         let span = self.span(from, SpanKind::Send, label, self.current_cause);
         self.trace.push_words(&[
             EV_SEND,
@@ -493,13 +507,21 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         ]);
     }
 
-    /// Prices a reliable message and enqueues its delivery, or records why
-    /// it could not be sent.
-    fn send_reliable(&mut self, from: NodeId, to: NodeId, msg: M, payload_bytes: u32) {
+    /// Prices a reliable message whose payload is already rendered and
+    /// enqueues its delivery, or records why it could not be sent. The one
+    /// per-destination path of [`Ctx::send`] and [`Ctx::multicast`].
+    fn send_reliable(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        msg: M,
+        payload_bytes: u32,
+        rendered: (Label, u64),
+    ) {
         let bytes = payload_bytes + HEADER_BYTES;
         self.metrics[from.index()].msgs_sent.inc();
         self.metrics[from.index()].bytes_sent.add(bytes as u64);
-        let send_span = self.trace_send(from, to, bytes, &msg);
+        let send_span = self.trace_send(from, to, bytes, rendered);
         let (key, dir) = link_key(from, to);
         if self.blocked.contains(&(from, to)) {
             // Partitioned: TCP eventually times out; tell the sender.
@@ -589,7 +611,8 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         let bytes = payload_bytes + HEADER_BYTES;
         self.metrics[from.index()].msgs_sent.inc();
         self.metrics[from.index()].bytes_sent.add(bytes as u64);
-        let send_span = self.trace_send(from, to, bytes, &msg);
+        let rendered = self.render(&msg);
+        let send_span = self.trace_send(from, to, bytes, rendered);
         if self.blocked.contains(&(from, to)) {
             self.trace_drop(from, from, to, "partitioned", Some(send_span));
             return;
@@ -698,7 +721,37 @@ impl<'a, M: Clone + std::fmt::Debug + 'static> Ctx<'a, M> {
     /// (bandwidth pricing uses the size).
     pub fn send_sized(&mut self, to: NodeId, msg: M, bytes: u32) {
         let from = self.node;
-        self.world.send_reliable(from, to, msg, bytes);
+        let rendered = self.world.render(&msg);
+        self.world.send_reliable(from, to, msg, bytes, rendered);
+    }
+
+    /// Sends `msg` reliably to each node of `to`, in order, assuming a
+    /// control-message payload of [`DEFAULT_MSG_BYTES`] (see
+    /// [`Ctx::multicast_sized`]).
+    pub fn multicast(&mut self, to: impl IntoIterator<Item = NodeId>, msg: M) {
+        self.multicast_sized(to, msg, DEFAULT_MSG_BYTES);
+    }
+
+    /// Sends `msg` reliably to each node of `to`, in order, with an
+    /// explicit payload size. Each destination goes through the same path
+    /// as [`Ctx::send_sized`] — metrics, span ids, random draws, the link
+    /// table, partition drops and broken-connection notices, all as a loop
+    /// of sends would leave them — but the payload is rendered and
+    /// digested once for the whole fan-out. The last destination gets
+    /// `msg` itself and the others clones; an empty `to` sends nothing.
+    pub fn multicast_sized(&mut self, to: impl IntoIterator<Item = NodeId>, msg: M, bytes: u32) {
+        let from = self.node;
+        let mut peers = to.into_iter();
+        let Some(mut peer) = peers.next() else {
+            return;
+        };
+        let rendered = self.world.render(&msg);
+        for next in peers {
+            self.world
+                .send_reliable(from, peer, msg.clone(), bytes, rendered);
+            peer = next;
+        }
+        self.world.send_reliable(from, peer, msg, bytes, rendered);
     }
 
     /// Sends `msg` as an unreliable datagram of [`DEFAULT_MSG_BYTES`].
@@ -1948,5 +2001,172 @@ mod tests {
         assert_eq!(run(SchedulerKind::Heap, 5), run(SchedulerKind::Wheel, 5));
         assert_eq!(run(SchedulerKind::Wheel, 5), run(SchedulerKind::Wheel, 5));
         assert_ne!(run(SchedulerKind::Wheel, 5), run(SchedulerKind::Wheel, 6));
+    }
+
+    /// One delivery as the fleet saw it: when, to whom, from whom, what.
+    type Delivery = (SimTime, NodeId, NodeId, Vec<u32>);
+
+    /// Node 0 fans a payload out either through a loop of sends or through
+    /// one multicast; every node logs its deliveries in one fleet-wide log.
+    struct Fanner {
+        multicast: bool,
+        log: std::rc::Rc<std::cell::RefCell<Vec<Delivery>>>,
+    }
+
+    impl Fanner {
+        fn fan(
+            &self,
+            ctx: &mut Ctx<'_, Vec<u32>>,
+            peers: &[NodeId],
+            msg: Vec<u32>,
+            bytes: Option<u32>,
+        ) {
+            let peers = peers.iter().copied();
+            match (self.multicast, bytes) {
+                (true, None) => ctx.multicast(peers, msg),
+                (true, Some(b)) => ctx.multicast_sized(peers, msg, b),
+                (false, None) => peers.for_each(|p| ctx.send(p, msg.clone())),
+                (false, Some(b)) => peers.for_each(|p| ctx.send_sized(p, msg.clone(), b)),
+            }
+        }
+    }
+
+    impl Actor for Fanner {
+        type Msg = Vec<u32>;
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Vec<u32>>, from: NodeId, msg: Vec<u32>) {
+            self.log.borrow_mut().push((ctx.now(), ctx.id(), from, msg));
+        }
+    }
+
+    /// What changes the world between the two fan-outs of [`fan_out`].
+    type Between<'a> = &'a dyn Fn(&mut Sim<Fanner>);
+
+    /// Everything a fan-out leaves behind that a reader could compare.
+    #[derive(Debug, PartialEq)]
+    struct FanOutcome {
+        fingerprint: u64,
+        words: u64,
+        spans: Vec<Vec<cb_trace::Span>>,
+        summary: String,
+        bytes_sent: u64,
+        deliveries: Vec<Delivery>,
+        last_render: String,
+    }
+
+    /// Two fan-outs from node 0 to `peers` over a lossy transit-stub net,
+    /// at 0 s and at 1 s; `between` changes the world before the second.
+    fn fan_out(
+        multicast: bool,
+        lite: bool,
+        peers: &[NodeId],
+        bytes: Option<u32>,
+        between: Between<'_>,
+    ) -> FanOutcome {
+        let cfg = crate::topology::TransitStubConfig {
+            transit_routers: 2,
+            stubs_per_transit: 2,
+            hosts_per_stub: 2,
+            transit_loss: 0.2,
+            ..Default::default()
+        };
+        let topo = Topology::transit_stub(&cfg, &mut SimRng::seed_from(11));
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let shared = log.clone();
+        let mut sim = Sim::new(topo, 5, move |_| Fanner {
+            multicast,
+            log: shared.clone(),
+        });
+        sim.set_lite(lite);
+        sim.start_all();
+        sim.run_until(SimTime::ZERO);
+        for round in 0..2u32 {
+            if round == 1 {
+                between(&mut sim);
+            }
+            sim.invoke(NodeId(0), |a, ctx| {
+                a.fan(ctx, peers, vec![round, 7, 7], bytes)
+            });
+            sim.run_until(SimTime::from_secs(round as u64 + 1));
+        }
+        sim.run_until_quiescent(SimTime::from_secs(60));
+        let fleet = sim.flight_recorders();
+        let deliveries = log.borrow().clone();
+        FanOutcome {
+            fingerprint: sim.trace().fingerprint(),
+            words: sim.trace().total_pushed(),
+            spans: fleet
+                .iter()
+                .map(|r| r.spans().map(|s| s.render(fleet)).collect())
+                .collect(),
+            summary: format!("{:?}", sim.summary()),
+            bytes_sent: sim.summary().bytes_sent,
+            deliveries,
+            last_render: sim.world.rendered.clone(),
+        }
+    }
+
+    #[test]
+    fn multicast_equals_a_send_loop() {
+        let peers = [NodeId(1), NodeId(2), NodeId(3), NodeId(5)];
+        let down = |sim: &mut Sim<Fanner>| {
+            let now = sim.now();
+            sim.schedule_crash(NodeId(3), now);
+            sim.run_until(now);
+            assert!(!sim.is_up(NodeId(3)));
+        };
+        let cases: [(&str, Between<'_>); 3] = [
+            ("steady", &|_| {}),
+            // Node 2 sits mid-fan-out; its connection is established by
+            // the first round, so the second breaks it on both ends.
+            ("partitioned peer", &|sim| sim.block(NodeId(0), NodeId(2))),
+            ("down destination", &down),
+        ];
+        for (case, between) in cases {
+            for lite in [false, true] {
+                for bytes in [None, Some(20_000)] {
+                    let looped = fan_out(false, lite, &peers, bytes, between);
+                    let fanned = fan_out(true, lite, &peers, bytes, between);
+                    assert_eq!(looped, fanned, "{case}, lite {lite}, bytes {bytes:?}");
+                    // The sized variant is priced at its size, per peer.
+                    let per_send = bytes.unwrap_or(DEFAULT_MSG_BYTES) + HEADER_BYTES;
+                    assert_eq!(fanned.bytes_sent, 8 * per_send as u64, "{case}");
+                    // Lite keeps no slots and renders nothing.
+                    assert_eq!(fanned.spans.iter().all(Vec::is_empty), lite);
+                    assert_eq!(fanned.last_render.is_empty(), lite);
+                }
+            }
+        }
+        // The cases are what they say: a partition drop, a dead end, and a
+        // steady fan-out that reaches everyone with the rendered payload.
+        let blocked = fan_out(true, false, &peers, None, cases[1].1);
+        assert!(
+            blocked.summary.contains("msgs_dropped: 1,"),
+            "{}",
+            blocked.summary
+        );
+        assert!(!blocked
+            .deliveries
+            .iter()
+            .any(|d| d.0 >= SimTime::from_secs(1) && d.1 == NodeId(2)));
+        let crashed = fan_out(true, false, &peers, None, cases[2].1);
+        assert!(!crashed
+            .deliveries
+            .iter()
+            .any(|d| d.0 >= SimTime::from_secs(1) && d.1 == NodeId(3)));
+        let steady = fan_out(true, false, &peers, None, cases[0].1);
+        assert_eq!(steady.deliveries.len(), 8);
+        assert!(steady.spans[0]
+            .iter()
+            .any(|s| s.kind == SpanKind::Send && s.name == "[1, 7, 7]"));
+    }
+
+    #[test]
+    fn multicast_to_nobody_sends_nothing() {
+        let nobody = fan_out(true, false, &[], None, &|_| {});
+        assert_eq!(nobody, fan_out(false, false, &[], None, &|_| {}));
+        assert_eq!(nobody.bytes_sent, 0);
+        assert!(nobody.deliveries.is_empty());
+        assert!(nobody.last_render.is_empty(), "nothing was rendered");
+        assert!(nobody.spans[0].iter().all(|s| s.kind != SpanKind::Send));
     }
 }
