@@ -82,8 +82,11 @@
 //! tail as Chrome trace-event JSON, loadable at `ui.perfetto.dev`.
 //! Exit status: 0 = all oracles passed, 1 = violations (or a replay that
 //! did reproduce the recorded violation — that's what a repro is for),
-//! 2 = usage error.
+//! 2 = usage error. A reader that closes stdout early (`campaign --list |
+//! head -1`) stops the printing, not the work: the sweep still writes its
+//! artifacts, corpus and pile and exits with its own status.
 
+use cb_bench::outln;
 use cb_bench::registry::{
     accepted_flags, configure, configure_all, scenario_names, ArmField, ArmSpec,
 };
@@ -173,7 +176,7 @@ fn replay(path: &Path, flags: &ArmSpec) -> ! {
     };
     let scenario = configure(&artifact.scenario, &arm)
         .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
-    println!(
+    outln!(
         "replaying {} seed {} plan '{}' arm {}",
         artifact.scenario,
         artifact.seed,
@@ -188,15 +191,15 @@ fn replay(path: &Path, flags: &ArmSpec) -> ! {
     );
     match replay_artifact(scenario.as_ref(), &artifact) {
         Ok(report) => {
-            println!(
+            outln!(
                 "violation reproduced: {:?} (fingerprint {})",
                 report.failing_oracles(),
                 report.fingerprint
             );
             if report.fingerprint == artifact.fingerprint {
-                println!("fingerprint matches the recorded run exactly");
+                outln!("fingerprint matches the recorded run exactly");
             } else {
-                println!(
+                outln!(
                     "note: fingerprint differs from recorded {} (artifact predates a code change?)",
                     artifact.fingerprint
                 );
@@ -225,7 +228,7 @@ fn main() {
         match args[i].as_str() {
             "--list" => {
                 for name in scenario_names() {
-                    println!("{name:<9} {}", accepted_flags(name));
+                    outln!("{name:<9} {}", accepted_flags(name));
                 }
                 return;
             }
@@ -353,14 +356,14 @@ fn main() {
         if let Some(c) = corpus.as_mut() {
             c.ingest_outcome(&outcome);
         }
-        println!(
+        outln!(
             "{} ({:.1}s wall)",
             outcome.summary_line(),
             start.elapsed().as_secs_f64()
         );
         if show_telemetry {
             let s = cb_telemetry::summary::summarize(&outcome.telemetry);
-            println!(
+            outln!(
                 "  telemetry: {} decisions, latency p50/p99 {}/{} sim-us, \
                  cache hit {}, {:.2} states/decision, {} states visited",
                 s.decisions,
@@ -372,31 +375,31 @@ fn main() {
             );
         }
         for f in &outcome.failures {
-            println!(
+            outln!(
                 "  seed {}: FAIL {:?}",
                 f.report.seed,
                 f.report.failing_oracles()
             );
-            println!("    plan:   {}", f.report.plan);
-            println!("    shrunk: {}", f.shrunk_plan);
+            outln!("    plan:   {}", f.report.plan);
+            outln!("    shrunk: {}", f.shrunk_plan);
             if let Some(p) = &f.artifact {
-                println!("    artifact: {}", p.display());
+                outln!("    artifact: {}", p.display());
             } else if let Some((_, e)) = outcome
                 .artifact_errors
                 .iter()
                 .find(|(seed, _)| *seed == f.report.seed)
             {
-                println!("    artifact: NOT WRITTEN ({e})");
+                outln!("    artifact: NOT WRITTEN ({e})");
             }
         }
         for seed in &outcome.nondeterministic_seeds {
-            println!("  seed {seed}: NONDETERMINISTIC (fingerprint mismatch on re-run)");
+            outln!("  seed {seed}: NONDETERMINISTIC (fingerprint mismatch on re-run)");
         }
         any_failed |= !outcome.all_passed();
     }
     if let (Some(dir), Some(c)) = (&corpus_dir, &corpus) {
         match c.save(dir) {
-            Ok(()) => println!("corpus: {} record(s) -> {}", c.len(), dir.display()),
+            Ok(()) => outln!("corpus: {} record(s) -> {}", c.len(), dir.display()),
             Err(e) => {
                 eprintln!("--corpus {}: {e}", dir.display());
                 std::process::exit(2);
@@ -405,7 +408,7 @@ fn main() {
     }
     if let Some(path) = &record_policy {
         match recorded_pile.save(path) {
-            Ok(()) => println!(
+            Ok(()) => outln!(
                 "policy pile: {} scenario(s), {} entries, content id {} -> {}",
                 recorded_pile.len(),
                 recorded_pile.total_entries(),

@@ -44,8 +44,9 @@
 //! directory.
 //!
 //! Exit status 2 on usage or I/O errors. Output goes through
-//! [`cb_bench::cli`]: a reader that closes the pipe early (`| head`) ends
-//! the command with exit 0.
+//! [`cb_bench::cli`]: a reader that closes the pipe early (`| head`) stops
+//! the printing, not the work — `ingest` still saves `index.cbc` and
+//! `diff` still writes `--out` and exits with its verdict.
 
 use cb_bench::outln;
 use cb_corpus::{diff, parse_predicate, select, top_blame, Corpus, DiffConfig};

@@ -28,9 +28,9 @@
 //!   flow arrows along every causal edge. `--masked` blanks wall clocks for
 //!   byte-stable output.
 //!
-//! Exit status: 0 = query answered (also when the reader closes the pipe
-//! early, as `| head` does), 1 = span not found / nothing to blame, 2 =
-//! usage, artifact or output error.
+//! Exit status: 0 = query answered, 1 = span not found / nothing to blame,
+//! 2 = usage, artifact or output error. A reader that closes the pipe early,
+//! as `| head` does, stops the printing but not the status.
 
 use cb_bench::cli::write_stdout;
 use cb_bench::outln;

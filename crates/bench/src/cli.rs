@@ -1,24 +1,24 @@
 //! Standard output for the command-line tools.
 //!
-//! Every line `trace` and `corpus` print goes through [`write_stdout`],
-//! mostly by way of [`outln!`](crate::outln). A reader that closes the
-//! pipe early — `trace blame ART | head -1` — has read what it wanted, so
-//! the tool ends there with exit 0 instead of panicking; any other write
-//! error ends it with exit 2.
+//! Every line `campaign`, `trace` and `corpus` print goes through
+//! [`write_stdout`], mostly by way of [`outln!`](crate::outln). A reader
+//! that closes the pipe early (`trace blame ART | head -1`) has read what it
+//! wanted, so a closed stdout stops the printing, not the work: the tool
+//! still writes its files and exits with the status it would have. Any
+//! other write error ends the tool with exit 2.
 
 use std::fmt;
 use std::io::{self, Write};
 
-/// Writes `args` to standard output and flushes, ending the process on a
-/// closed pipe (exit 0) or any other write error (exit 2).
+/// Writes `args` to standard output and flushes. A closed pipe drops the
+/// text; any other write error ends the process with exit 2.
 pub fn write_stdout(args: fmt::Arguments<'_>) {
     let mut out = io::stdout().lock();
     if let Err(e) = out.write_fmt(args).and_then(|()| out.flush()) {
-        if e.kind() == io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
+        if e.kind() != io::ErrorKind::BrokenPipe {
+            eprintln!("cannot write to standard output: {e}");
+            std::process::exit(2);
         }
-        eprintln!("cannot write to standard output: {e}");
-        std::process::exit(2);
     }
 }
 

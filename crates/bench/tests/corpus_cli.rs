@@ -5,9 +5,10 @@
 //! gate off (a regressed candidate exited 0), and a negative one flagged
 //! every scenario of a self-diff. An unknown flag used to be taken as a
 //! corpus directory. A counter regression planted into every record must
-//! flip the exit code. A query whose reader closes the pipe early ends
-//! with exit 0, not a panic. Drives the built binary against the committed
-//! baseline corpus.
+//! flip the exit code. A closed stdout stops the printing, not the work: a
+//! query still ends with exit 0, an ingest still saves its index and a
+//! diff still exits 1 on a regression, none with a panic. Drives the built
+//! binary against the committed baseline corpus.
 
 use std::process::{Command, Output, Stdio};
 
@@ -106,10 +107,10 @@ fn an_unknown_flag_is_a_usage_error_not_a_directory() {
     }
 }
 
-#[test]
-fn a_planted_counter_regression_is_flagged() {
-    let baseline_dir = baseline();
-    let baseline = cb_corpus::Corpus::load(std::path::Path::new(&baseline_dir)).expect("baseline");
+/// Saves the baseline with `net.msgs_delivered` raised by 100 000 in every
+/// record into a fresh temp dir named after `tag`, and returns the dir.
+fn planted_corpus(tag: &str) -> std::path::PathBuf {
+    let baseline = cb_corpus::Corpus::load(std::path::Path::new(&baseline())).expect("baseline");
     let mut planted = cb_corpus::Corpus::new();
     for record in baseline.iter() {
         let mut record = record.clone();
@@ -120,8 +121,16 @@ fn a_planted_counter_regression_is_flagged() {
         planted.insert(record);
     }
     assert_eq!(planted.len(), baseline.len());
-    let dir = std::env::temp_dir().join(format!("cb-planted-corpus-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("cb-{tag}-corpus-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     planted.save(&dir).expect("save planted corpus");
+    dir
+}
+
+#[test]
+fn a_planted_counter_regression_is_flagged() {
+    let baseline_dir = baseline();
+    let dir = planted_corpus("planted");
     let out = corpus(&[
         "diff",
         &baseline_dir,
@@ -152,4 +161,48 @@ fn a_reader_that_closes_early_ends_the_query_cleanly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_eq!(out.status.code(), Some(0), "{stderr}");
+}
+
+/// Runs `corpus args` with stdout closed before the first line and returns
+/// the exit status, after checking nothing panicked.
+fn to_a_closed_stdout(args: &[&str]) -> Option<i32> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_corpus"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("corpus runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("corpus ends");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    out.status.code()
+}
+
+#[test]
+fn a_closed_stdout_stops_the_printing_not_the_work() {
+    // An ingest still saves its index.
+    let ingested = std::env::temp_dir().join(format!("cb-closed-corpus-{}", std::process::id()));
+    std::fs::remove_dir_all(&ingested).ok();
+    let campaigns = format!("{}/../../results/campaigns", env!("CARGO_MANIFEST_DIR"));
+    let to = ingested.to_str().expect("utf-8 temp path");
+    assert_eq!(to_a_closed_stdout(&["ingest", to, &campaigns]), Some(0));
+    let saved = cb_corpus::Corpus::load(&ingested).expect("ingest saved its index");
+    assert!(!saved.is_empty(), "no records ingested");
+    std::fs::remove_dir_all(&ingested).ok();
+
+    // A diff that finds a regression still writes its report and exits 1.
+    let planted = planted_corpus("closed-planted");
+    let report = planted.join("diff.json");
+    let status = to_a_closed_stdout(&[
+        "diff",
+        &baseline(),
+        planted.to_str().expect("utf-8 temp path"),
+        "--out",
+        report.to_str().expect("utf-8 temp path"),
+    ]);
+    assert_eq!(status, Some(1));
+    let written = std::fs::read_to_string(&report).expect("diff wrote its report");
+    assert!(written.contains("net.msgs_delivered"), "{written}");
+    std::fs::remove_dir_all(&planted).ok();
 }

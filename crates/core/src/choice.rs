@@ -8,6 +8,8 @@
 //! the [`ChoiceRequest`]; what the runtime decided and why is recorded once,
 //! as the decision's `Decision` span (see [`crate::runtime`]).
 
+use cb_simnet::topology::NodeId;
+
 /// Identifies a choice point in the service's code, e.g.
 /// `"randtree.forward-join"`. Static strings keep request construction
 /// allocation-free on the hot path.
@@ -28,20 +30,35 @@ pub struct OptionDesc {
     /// Optional features for heuristic/learned resolvers, e.g.
     /// `[estimated latency ms, tree depth, load]`. May be empty.
     pub features: Vec<f64>,
+    /// Whether the option is a peer (its key a `NodeId.0`): the runtime
+    /// folds the network model's confidence in the links to the peers a
+    /// choice offers into the decision's health signals, and in no others.
+    /// Set only by [`OptionDesc::peer`].
+    pub peer: bool,
 }
 
 impl OptionDesc {
     /// An option with no features.
     pub fn key(key: u64) -> Self {
-        OptionDesc {
-            key,
-            features: Vec::new(),
-        }
+        Self::with_features(key, Vec::new())
     }
 
     /// An option with features.
     pub fn with_features(key: u64, features: Vec<f64>) -> Self {
-        OptionDesc { key, features }
+        OptionDesc {
+            key,
+            features,
+            peer: false,
+        }
+    }
+
+    /// The option of sending to `node`, with features.
+    pub fn peer(node: NodeId, features: Vec<f64>) -> Self {
+        OptionDesc {
+            key: node.0 as u64,
+            features,
+            peer: true,
+        }
     }
 }
 
@@ -268,6 +285,9 @@ mod tests {
         assert!(a.features.is_empty());
         let b = OptionDesc::with_features(8, vec![1.0, 2.0]);
         assert_eq!(b.features, vec![1.0, 2.0]);
+        assert!(!a.peer && !b.peer);
+        let c = OptionDesc::peer(NodeId(9), vec![3.0]);
+        assert_eq!((c.key, c.features, c.peer), (9, vec![3.0], true));
     }
 
     #[test]

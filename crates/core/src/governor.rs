@@ -124,8 +124,9 @@ pub struct HealthSignals {
     /// `None` when no neighbor snapshots are expected (single node) —
     /// treated as fresh.
     pub snapshot_staleness: Option<SimDuration>,
-    /// Minimum network-model confidence across the peers involved in the
-    /// decision (1.0 when no peers are involved).
+    /// Minimum network-model confidence across the decision's declared
+    /// peer options ([`crate::choice::OptionDesc::peer`]); 1.0 when it
+    /// declares none the model knows.
     pub min_peer_confidence: f64,
     /// Steering filters currently installed on this node (a burst of
     /// filters means the controller is predicting trouble).

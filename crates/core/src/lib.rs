@@ -32,8 +32,8 @@
 //!     type Checkpoint = u8;
 //!     fn on_start(&mut self, ctx: &mut ServiceCtx<'_, '_, &'static str, u8>) {
 //!         if ctx.id() == NodeId(0) {
-//!             let peers: Vec<OptionDesc> = (1..ctx.host_count() as u64)
-//!                 .map(OptionDesc::key)
+//!             let peers: Vec<OptionDesc> = (1..ctx.host_count() as u32)
+//!                 .map(|n| OptionDesc::peer(NodeId(n), Vec::new()))
 //!                 .collect();
 //!             // The choice is exposed: the runtime decides which peer.
 //!             let i = ctx.choose("pinger.peer", ContextKey::default(), &peers);

@@ -525,17 +525,14 @@ impl<S: Service> Actor for RuntimeNode<S> {
 impl<M, C: Clone> RuntimeCore<M, C> {
     /// The model-health snapshot a health-aware resolver (the ladder) feeds
     /// its degradation governor: snapshot staleness, the worst network
-    /// confidence among the peers `options` name (1.0 when they name none
-    /// the model knows), steering pressure and the reported load. Every
-    /// option key that fits a node id is read as one, peer or not.
+    /// confidence among the declared peer options (1.0 when they name none
+    /// the model knows), steering pressure and the reported load.
     fn health(&self, now: SimTime, options: &[OptionDesc]) -> HealthSignals {
         let mut min_conf = 1.0f64;
-        for o in options {
-            if o.key <= u32::MAX as u64 {
-                let peer = NodeId(o.key as u32);
-                if self.net_model.estimate(peer).is_some() {
-                    min_conf = min_conf.min(self.net_model.confidence(peer, now));
-                }
+        for o in options.iter().filter(|o| o.peer) {
+            let peer = NodeId(o.key as u32);
+            if self.net_model.estimate(peer).is_some() {
+                min_conf = min_conf.min(self.net_model.confidence(peer, now));
             }
         }
         HealthSignals {
@@ -724,6 +721,33 @@ impl<'a, 'b, M: Clone + Debug + 'static, C: Clone + Debug + 'static> ServiceCtx<
         self.choose_with(id, context, options, &mut NullEvaluator)
     }
 
+    /// Resolves an exposed choice among `peers`, in order, and returns the
+    /// chosen one. Each option is [`OptionDesc::peer`] with one feature,
+    /// the predicted latency in ms: 0 for this node, 40 when the network
+    /// model has no estimate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `peers` is empty.
+    pub fn choose_peer(&mut self, id: ChoiceId, peers: &[NodeId]) -> NodeId {
+        let (me, now) = (self.id(), self.now());
+        let options: Vec<OptionDesc> = peers
+            .iter()
+            .map(|&p| {
+                let latency_ms = if p == me {
+                    0.0
+                } else {
+                    self.core
+                        .net_model
+                        .predicted_latency(p, now)
+                        .map_or(40.0, |(l, _)| l.as_millis_f64())
+                };
+                OptionDesc::peer(p, vec![latency_ms])
+            })
+            .collect();
+        peers[self.choose(id, ContextKey::default(), &options)]
+    }
+
     /// Resolves an exposed choice, letting predictive resolvers evaluate
     /// options through `eval` (usually a
     /// [`crate::predict::ModelEvaluator`] built over the snapshot models).
@@ -850,11 +874,6 @@ impl<'a, 'b, M: Clone + Debug + 'static, C: Clone + Debug + 'static> ServiceCtx<
         self.core.reported_load = normalized_backlog;
     }
 
-    /// The most recently reported service load (see [`Self::report_load`]).
-    pub fn reported_load(&self) -> u64 {
-        self.core.reported_load
-    }
-
     /// Adds `delta` to a service-owned counter in the node's telemetry
     /// registry, so totals sum across the fleet under [`Registry::merge`].
     /// `key` should be a pre-registered standard key (e.g. the `workload.*`
@@ -884,6 +903,8 @@ mod tests {
     use crate::resolve::random::RandomResolver;
     use cb_simnet::sim::Sim;
     use cb_simnet::topology::Topology;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Node `n`'s retained `Decision` spans, oldest first.
     fn decision_spans<S: Service>(sim: &Sim<RuntimeNode<S>>, n: NodeId) -> Vec<Span> {
@@ -1034,6 +1055,138 @@ mod tests {
             (vec![(59, 118, 118); 3], 18187965388947121366),
             "observed (cycles, sent, received) per node and fingerprint"
         );
+    }
+
+    /// A service that does nothing on its own; tests drive its node's
+    /// choices through [`in_handler`].
+    struct Idle;
+
+    impl Service for Idle {
+        type Msg = u8;
+        type Checkpoint = u8;
+        fn on_message(&mut self, _: &mut ServiceCtx<'_, '_, u8, u8>, _: NodeId, _: u8) {}
+        fn checkpoint(&self, _model: &StateModel<u8>) -> u8 {
+            0
+        }
+        fn neighbors(&self) -> Vec<NodeId> {
+            Vec::new()
+        }
+    }
+
+    /// Each decision's options and the peer confidence the runtime
+    /// reported just before resolving it.
+    type Seen = Rc<RefCell<Vec<(Vec<OptionDesc>, f64)>>>;
+
+    /// Picks the last option and records what it was offered.
+    struct Recording {
+        seen: Seen,
+        confidence: f64,
+    }
+
+    impl Resolver for Recording {
+        fn observe_health(&mut self, signals: &HealthSignals) {
+            self.confidence = signals.min_peer_confidence;
+        }
+
+        fn resolve(&mut self, request: &ChoiceRequest<'_>, _: &mut dyn OptionEvaluator) -> usize {
+            self.seen
+                .borrow_mut()
+                .push((request.options.to_vec(), self.confidence));
+            request.len() - 1
+        }
+
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+    }
+
+    /// Three idle nodes on a star, controller off, resolving through
+    /// [`Recording`] into `seen`.
+    fn recorded_fleet(seen: &Seen) -> Sim<RuntimeNode<Idle>> {
+        let topo = Topology::star(3, SimDuration::from_millis(5), 10_000_000);
+        let seen = seen.clone();
+        let mut sim = Sim::new(topo, 5, move |_| {
+            let resolver = Recording {
+                seen: seen.clone(),
+                confidence: f64::NAN,
+            };
+            RuntimeNode::new(
+                Idle,
+                RuntimeConfig::new(Box::new(resolver)).controller_every(SimDuration::ZERO),
+            )
+        });
+        sim.start_all();
+        sim
+    }
+
+    /// Runs `f` on node `n` as if inside one of its handlers.
+    fn in_handler<R>(
+        sim: &mut Sim<RuntimeNode<Idle>>,
+        n: NodeId,
+        f: impl FnOnce(&mut ServiceCtx<'_, '_, u8, u8>) -> R,
+    ) -> R {
+        sim.invoke(n, |node, net| {
+            f(&mut ServiceCtx {
+                net,
+                core: &mut node.core,
+            })
+        })
+    }
+
+    #[test]
+    fn only_declared_peer_options_carry_link_confidence() {
+        let seen = Seen::default();
+        let mut sim = recorded_fleet(&seen);
+        // One sample of node 1 at t = 0, then five half-lives of silence.
+        in_handler(&mut sim, NodeId(0), |ctx| {
+            ctx.core.net_model.observe_latency(
+                NodeId(1),
+                SimDuration::from_millis(10),
+                SimTime::ZERO,
+            )
+        });
+        sim.run_until(SimTime::from_secs(100));
+        let stale = sim
+            .actor(NodeId(0))
+            .net_model()
+            .confidence(NodeId(1), sim.now());
+        assert!(stale < 0.1, "confidence {stale}");
+        in_handler(&mut sim, NodeId(0), |ctx| {
+            let keys = [OptionDesc::key(0), OptionDesc::key(1)];
+            ctx.choose("test.keys", ContextKey::default(), &keys);
+            let peers = [
+                OptionDesc::peer(NodeId(0), Vec::new()),
+                OptionDesc::peer(NodeId(1), Vec::new()),
+            ];
+            ctx.choose("test.peers", ContextKey::default(), &peers);
+        });
+        let confidences: Vec<f64> = seen.borrow().iter().map(|(_, c)| *c).collect();
+        assert_eq!(confidences, vec![1.0, stale]);
+    }
+
+    #[test]
+    fn choose_peer_offers_each_peer_with_its_predicted_latency() {
+        let seen = Seen::default();
+        let mut sim = recorded_fleet(&seen);
+        // Node 0 has measured node 1 and never heard from node 2.
+        let chosen = in_handler(&mut sim, NodeId(0), |ctx| {
+            let now = ctx.now();
+            ctx.core
+                .net_model
+                .observe_latency(NodeId(1), SimDuration::from_millis(10), now);
+            ctx.choose_peer("test.peer", &[NodeId(2), NodeId(0), NodeId(1)])
+        });
+        let offered = seen.borrow()[0].0.clone();
+        assert_eq!(
+            offered,
+            vec![
+                OptionDesc::peer(NodeId(2), vec![40.0]),
+                OptionDesc::peer(NodeId(0), vec![0.0]),
+                OptionDesc::peer(NodeId(1), vec![10.0]),
+            ]
+        );
+        assert!(offered.iter().all(|o| o.peer));
+        assert_eq!(chosen, NodeId(1), "the recorder picks the last option");
     }
 
     #[test]

@@ -205,7 +205,7 @@ impl GossipNode {
                         } else {
                             useful as f64 / total as f64
                         };
-                        OptionDesc::with_features(p.0 as u64, vec![latency_ms, use_rate])
+                        OptionDesc::peer(p, vec![latency_ms, use_rate])
                     })
                     .collect();
                 let i = ctx.choose("gossip.peer", ContextKey::default(), &options);

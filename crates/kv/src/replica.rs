@@ -494,23 +494,7 @@ impl Replica {
         // The exposed leader-election choice: nominate any group member,
         // with the runtime-measured latency as a feature so learned
         // resolvers can prefer well-connected leaders.
-        let now = ctx.now();
-        let options: Vec<OptionDesc> = self
-            .group
-            .iter()
-            .map(|&r| {
-                let latency_ms = if r == self.me {
-                    0.0
-                } else {
-                    ctx.net_model()
-                        .predicted_latency(r, now)
-                        .map_or(40.0, |(l, _)| l.as_millis_f64())
-                };
-                OptionDesc::with_features(r.0 as u64, vec![latency_ms])
-            })
-            .collect();
-        let i = ctx.choose("kv.leader", ContextKey::default(), &options);
-        let candidate = self.group[i];
+        let candidate = ctx.choose_peer("kv.leader", &self.group);
         ctx.multicast(self.others(), KvMsg::VoteReq { term, candidate });
         self.on_vote_req(ctx, term, candidate);
     }

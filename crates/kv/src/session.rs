@@ -16,7 +16,7 @@
 
 use crate::proto::KvMsg;
 use crate::replica::KvCheckpoint;
-use cb_core::choice::{ContextKey, OptionDesc};
+use cb_core::choice::ContextKey;
 use cb_core::runtime::ServiceCtx;
 use cb_harness::linearizability::{Op, OpKind};
 use cb_simnet::time::{SimDuration, SimTime};
@@ -119,20 +119,7 @@ impl Session {
     }
 
     fn pick_read_replica(&mut self, ctx: &mut Cx<'_, '_>) -> NodeId {
-        let now = ctx.now();
-        let options: Vec<OptionDesc> = self
-            .group
-            .iter()
-            .map(|&r| {
-                let latency_ms = ctx
-                    .net_model()
-                    .predicted_latency(r, now)
-                    .map_or(40.0, |(l, _)| l.as_millis_f64());
-                OptionDesc::with_features(r.0 as u64, vec![latency_ms])
-            })
-            .collect();
-        let i = ctx.choose("kv.read_replica", ContextKey::default(), &options);
-        self.group[i]
+        ctx.choose_peer("kv.read_replica", &self.group)
     }
 
     /// Invokes the next operation, if idle and under budget.

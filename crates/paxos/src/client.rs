@@ -17,7 +17,7 @@
 
 use crate::proto::{Command, PaxosMsg};
 use crate::replica::ReplicaCheckpoint;
-use cb_core::choice::{ContextKey, OptionDesc};
+use cb_core::choice::ContextKey;
 use cb_core::runtime::ServiceCtx;
 use cb_simnet::time::{SimDuration, SimTime};
 use cb_simnet::topology::NodeId;
@@ -121,22 +121,7 @@ impl Client {
             ProposerRegime::RoundRobin => {
                 self.group[(seq as usize + attempt as usize) % self.group.len()]
             }
-            ProposerRegime::Resolved => {
-                let now = ctx.now();
-                let options: Vec<OptionDesc> = self
-                    .group
-                    .iter()
-                    .map(|&r| {
-                        let latency_ms = ctx
-                            .net_model()
-                            .predicted_latency(r, now)
-                            .map_or(40.0, |(l, _)| l.as_millis_f64());
-                        OptionDesc::with_features(r.0 as u64, vec![latency_ms])
-                    })
-                    .collect();
-                let i = ctx.choose("paxos.proposer", ContextKey::default(), &options);
-                self.group[i]
-            }
+            ProposerRegime::Resolved => ctx.choose_peer("paxos.proposer", &self.group),
         }
     }
 

@@ -40,7 +40,7 @@
 use crate::campaign::agreement;
 use crate::proto::{Command, PaxosMsg};
 use crate::replica::{Replica, ReplicaCheckpoint, SlotOwnership};
-use cb_core::choice::{ContextKey, OptionDesc};
+use cb_core::choice::ContextKey;
 use cb_core::resolve::random::RandomResolver;
 use cb_core::runtime::{fleet_telemetry, RuntimeConfig, RuntimeNode, Service, ServiceCtx};
 use cb_harness::linearizability::{Op, OpKind, INIT_VALUE};
@@ -396,20 +396,7 @@ impl MenciusSession {
 
     /// The exposed submitter choice: which replica carries this command.
     fn pick_submitter(&mut self, ctx: &mut Cx<'_, '_>) -> NodeId {
-        let now = ctx.now();
-        let options: Vec<OptionDesc> = self
-            .group
-            .iter()
-            .map(|&r| {
-                let latency_ms = ctx
-                    .net_model()
-                    .predicted_latency(r, now)
-                    .map_or(40.0, |(l, _)| l.as_millis_f64());
-                OptionDesc::with_features(r.0 as u64, vec![latency_ms])
-            })
-            .collect();
-        let i = ctx.choose("mencius.submitter", ContextKey::default(), &options);
-        self.group[i]
+        ctx.choose_peer("mencius.submitter", &self.group)
     }
 
     /// Invokes the next operation, if idle and under budget.

@@ -155,7 +155,7 @@ impl ChoiceRandTree {
                     Some(ck) => (ck.subtree_height as f64, ck.subtree_size as f64),
                     None => (1.0, 1.0),
                 };
-                OptionDesc::with_features(c.0 as u64, vec![h, s])
+                OptionDesc::peer(*c, vec![h, s])
             })
             .collect();
         let rng = ctx.rng().fork();

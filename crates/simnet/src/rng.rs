@@ -74,11 +74,6 @@ impl SimRng {
         result
     }
 
-    /// Returns the next 32 uniformly random bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniform value in `[0, bound)` without modulo bias
     /// (Lemire's multiply-shift rejection method).
     ///

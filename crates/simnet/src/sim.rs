@@ -807,13 +807,6 @@ impl<'a, M: Clone + std::fmt::Debug + 'static> Ctx<'a, M> {
         self.world.break_conn(me, peer, cause);
     }
 
-    /// Ground-truth path properties to `to`, as a measurement facility
-    /// (real deployments would probe; models built on this should treat it
-    /// as a sample, not an oracle).
-    pub fn measure_path(&self, to: NodeId) -> PathProps {
-        self.world.topo.path(self.node, to)
-    }
-
     /// The domain label of a host (see [`Topology::domain`]).
     pub fn domain(&self, n: NodeId) -> u32 {
         self.world.topo.domain(n)
@@ -1290,21 +1283,9 @@ impl<A: Actor> Sim<A> {
         self.world.queue.len()
     }
 
-    /// Directed pairs currently blackholed (sorted for determinism).
-    pub fn blocked_pairs(&self) -> Vec<(NodeId, NodeId)> {
-        let mut v: Vec<_> = self.world.blocked.iter().copied().collect();
-        v.sort();
-        v
-    }
-
     /// Immutable access to a node's actor.
     pub fn actor(&self, n: NodeId) -> &A {
         &self.actors[n.index()]
-    }
-
-    /// Mutable access to a node's actor (for drivers between steps).
-    pub fn actor_mut(&mut self, n: NodeId) -> &mut A {
-        &mut self.actors[n.index()]
     }
 
     /// Runs `f` against a node's actor with a live [`Ctx`], as if an

@@ -60,7 +60,7 @@ impl Service for Dispatch {
                     .net_model()
                     .predicted_latency(NodeId(w), now)
                     .map_or(25.0, |(l, _)| l.as_millis_f64());
-                OptionDesc::with_features(w as u64, vec![latency_ms])
+                OptionDesc::peer(NodeId(w), vec![latency_ms])
             })
             .collect();
         let pick = ctx.choose("dispatch.worker", ContextKey::default(), &options);

@@ -119,8 +119,9 @@ fn stock_scenarios_are_pinned() {
 /// Arms whose run bodies share the replica-group plan, the agreement and
 /// linearizability oracles and the workload windows rule, seed 3 under the
 /// default plan: `(fingerprint, events_processed, failing oracles)`.
-/// Recorded at PR 24, before those decisions moved behind one definition
-/// each (PR 25).
+/// Recorded before those decisions moved behind one definition each. The
+/// kv flash pin moved once since, when the governor stopped reading
+/// `kv.admission` and `kv.fanout` keys as peers.
 #[test]
 fn replica_group_arms_are_pinned() {
     let flash = || WorkloadProfile::by_name("flash");
@@ -132,7 +133,7 @@ fn replica_group_arms_are_pinned() {
                 workload: flash(),
                 ..ArmSpec::default()
             },
-            (0x2067_8f73_b96d_0463, 15_375, &[]),
+            (0xe7f3_e914_6de6_e313, 15_442, &[]),
         ),
         (
             "mencius",

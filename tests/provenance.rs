@@ -208,8 +208,8 @@ fn storm_tail_exports_valid_chrome_trace_events() {
     }
 }
 
-/// CI's flash artifact (kv `--workload flash`, seed 2, a quorum-killing
-/// partition at 40 s): every admission decision in the tail carries the
+/// The flash artifact `crates/bench/tests/campaign_cli.rs` blames (kv
+/// `--workload flash`, seed 2, a quorum-killing partition at 40 s): every admission decision in the tail carries the
 /// driving profile as its `workload` attr.
 #[test]
 fn flash_admission_decisions_carry_the_workload() {
