@@ -231,3 +231,52 @@ fn flash_admission_decisions_carry_the_workload() {
         assert_eq!(s.attr("workload"), Some("flash"), "{:?}", s.attrs);
     }
 }
+
+/// The masked provenance of two red seeds whose tails hold long payload
+/// labels — kv `--unsafe-reads` seed 2 (`App {…}` envelopes) and the storm
+/// artifact above (`Checkpoint {…}` broadcasts) — pinned as the
+/// `cb_corpus::fnv1a` of its compact text. Recorded before the simulator
+/// stopped formatting whole payloads; a change to how a send's label is
+/// produced must leave both alone.
+#[test]
+fn red_tails_are_pinned() {
+    let unsafe_reads = ArmSpec {
+        unsafe_reads: true,
+        ..ArmSpec::default()
+    };
+    let storm = ArmSpec {
+        storm: true,
+        ladder: true,
+        deadline_states: 20,
+        ..ArmSpec::default()
+    };
+    let kv = configure("kv", &unsafe_reads).expect("arm configures");
+    let kv = kv.run(2, &kv.default_plan(2));
+    assert!(kv.violated(), "the planted bug must violate");
+    let tree = failing_run(
+        "randtree",
+        &storm,
+        1,
+        "part:1.2|0.3.4.5.6.7.8.9.10.11.12.13.14@4000-never;\
+         stall:6@2000-9000;delayspike:200@3000-12000",
+    );
+    let got = [&kv, &tree].map(|r| {
+        let text = r.provenance_masked_json().to_string_compact();
+        (cb_corpus::fnv1a(text.as_bytes()), text.len())
+    });
+    for (r, needle) in [(&kv, "App {"), (&tree, "Checkpoint {")] {
+        let long = r
+            .provenance
+            .iter()
+            .any(|s| s.name.starts_with(needle) && s.name.ends_with('…'));
+        assert!(long, "{}: no cut `{needle}…` label in the tail", r.scenario);
+    }
+    assert_eq!(
+        got,
+        [
+            (0x437a_d43d_7856_2135, 359_217),
+            (0x1e9c_973d_e468_24a4, 662_186)
+        ],
+        "observed (fnv1a, bytes) of the masked provenance"
+    );
+}
