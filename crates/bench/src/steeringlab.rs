@@ -13,7 +13,7 @@ use cb_core::prelude::*;
 use cb_simnet::time::{SimDuration, SimTime};
 
 /// The racing-waves protocol message.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct SetValue(pub u32);
 
 const FORWARD_TIMER: u64 = 1;

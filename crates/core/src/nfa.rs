@@ -19,6 +19,7 @@ use crate::choice::{ContextKey, OptionDesc};
 use crate::runtime::ServiceCtx;
 use cb_simnet::topology::NodeId;
 use std::fmt;
+use std::hash::Hash;
 
 /// A guard: is this handler applicable?
 type Guard<S, M> = Box<dyn Fn(&S, NodeId, &M) -> bool>;
@@ -96,8 +97,8 @@ impl<S, M, C> fmt::Debug for HandlerSet<S, M, C> {
 
 impl<S, M, C> HandlerSet<S, M, C>
 where
-    M: Clone + fmt::Debug + 'static,
-    C: Clone + fmt::Debug + 'static,
+    M: Clone + fmt::Debug + Hash + 'static,
+    C: Clone + fmt::Debug + Hash + 'static,
 {
     /// Creates an empty set; `name` becomes the choice-point id
     /// (`"nfa.<name>"` appears in decision logs).
@@ -243,7 +244,7 @@ mod tests {
         forwarded: u32,
     }
 
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Debug, Hash)]
     enum Msg {
         Get(u32),
         Answer(#[allow(dead_code)] u32),

@@ -43,7 +43,7 @@ pub const CONTROLLER_TAG: u64 = u64::MAX;
 
 /// What travels on the wire: application messages wrapped with runtime
 /// metadata, plus runtime-to-runtime checkpoint and probe traffic.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub enum Envelope<M, C> {
     /// An application message, timestamped for passive latency measurement.
     App {
@@ -82,7 +82,7 @@ pub enum Envelope<M, C> {
 /// can resolve exposed choices.
 pub trait Service: 'static + Sized {
     /// The service's message type.
-    type Msg: Clone + Debug + 'static;
+    type Msg: Clone + Debug + Hash + 'static;
     /// The checkpoint the runtime ships to neighbors.
     type Checkpoint: Clone + Debug + Hash + Eq + 'static;
 
@@ -597,7 +597,9 @@ pub struct ServiceCtx<'a, 'b, M, C> {
     core: &'a mut RuntimeCore<M, C>,
 }
 
-impl<'a, 'b, M: Clone + Debug + 'static, C: Clone + Debug + 'static> ServiceCtx<'a, 'b, M, C> {
+impl<'a, 'b, M: Clone + Debug + Hash + 'static, C: Clone + Debug + Hash + 'static>
+    ServiceCtx<'a, 'b, M, C>
+{
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.net.now()
@@ -1052,7 +1054,7 @@ mod tests {
             .collect();
         assert_eq!(
             (counts, sim.trace().fingerprint()),
-            (vec![(59, 118, 118); 3], 18187965388947121366),
+            (vec![(59, 118, 118); 3], 5072386732935604999),
             "observed (cycles, sent, received) per node and fingerprint"
         );
     }

@@ -64,7 +64,7 @@ impl BlockStrategy {
 }
 
 /// Swarm protocol messages.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SwarmMsg {
     /// Full file map announcement (sent on start to each neighbor).
     Bitmap {

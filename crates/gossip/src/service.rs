@@ -62,7 +62,7 @@ impl PeerStrategy {
 }
 
 /// Gossip protocol messages.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum GossipMsg {
     /// Push the listed rumor ids (payload priced by count × RUMOR_BYTES).
     Push {

@@ -37,7 +37,7 @@ impl RingNode {
 }
 
 /// The single message type: a heartbeat.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct Ping;
 
 impl Actor for RingNode {

@@ -21,7 +21,7 @@ pub struct Version {
 
 /// One key's stored state: the winning version, its value, and the client
 /// write it came from (kept for exactly-once resubmit handling).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct Entry {
     /// Version of the write that produced this value.
     pub ver: Version,
@@ -40,7 +40,7 @@ pub type StoreSnapshot = Vec<(u64, Entry)>;
 pub type SeqSnapshot = Vec<(u32, u32)>;
 
 /// Every message of the KV deployment.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub enum KvMsg {
     /// Client write request (routed to the leader; followers forward).
     Put {

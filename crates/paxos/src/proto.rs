@@ -75,7 +75,7 @@ impl Command {
 }
 
 /// Paxos messages.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum PaxosMsg {
     /// Client asks a proposer to get a command committed.
     Submit {

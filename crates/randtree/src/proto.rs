@@ -42,7 +42,7 @@ pub const LEASE_CHECK_EVERY: SimDuration = SimDuration::from_secs(2);
 pub const LEASE_TIMEOUT: SimDuration = SimDuration::from_secs(12);
 
 /// Messages of the RandTree protocol.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum TreeMsg {
     /// A join request on behalf of `joiner`, forwarded down the tree.
     Join {

@@ -20,7 +20,8 @@
 //!   crash, or by exceeding the retry budget — which drops the in-flight
 //!   messages of the pair and notifies both endpoints.
 //! * [`Ctx::multicast`] is one reliable send per destination, in order,
-//!   with the payload rendered for the trace once for the whole fan-out.
+//!   with the payload labelled and hashed for the trace once for the whole
+//!   fan-out.
 //! * [`Ctx::send_unreliable`] is fire-and-forget datagram delivery: lossy,
 //!   unordered across flows (though still latency-ordered per path).
 //!
@@ -49,13 +50,13 @@ use crate::metrics::{HistogramExt, MetricsSummary, NodeMetrics};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, PathProps, Topology};
-use crate::trace::{digest, Trace};
+use crate::trace::{digest, Digest, Trace};
 use crate::wheel::EventWheel;
 use cb_telemetry::{keys, Registry};
 use cb_trace::{FlightRecorder, Label, SpanId, SpanKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fmt::Write;
+use std::hash::{Hash, Hasher};
 
 fn compact(cause: Option<SpanId>) -> u64 {
     cause.map(|c| c.compact()).unwrap_or(0)
@@ -80,8 +81,9 @@ const HEADER_BYTES: u32 = 64;
 /// Implementations are plain state machines; all interaction with the
 /// outside world goes through the [`Ctx`] handed to each callback.
 pub trait Actor: 'static {
-    /// The message type this system exchanges.
-    type Msg: Clone + std::fmt::Debug + 'static;
+    /// The message type this system exchanges. `Debug` names a send's
+    /// span; `Hash` puts its content under the run fingerprint.
+    type Msg: Clone + std::fmt::Debug + Hash + 'static;
 
     /// Called once when the node starts (or restarts after a crash).
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
@@ -335,10 +337,8 @@ pub struct World<M> {
     /// The span of the event currently being dispatched; every effect the
     /// running handler emits (send, timer, conn break) is parented to it.
     current_cause: Option<SpanId>,
-    /// The `Debug` text of the payload being sent; one buffer, reused.
-    rendered: String,
     /// Large-fleet mode: span ids are allocated but no slot is retained,
-    /// and payloads are neither rendered nor digested — so a lite
+    /// and payloads are neither labelled nor hashed — so a lite
     /// fingerprint only compares with another lite run's.
     lite: bool,
 }
@@ -368,7 +368,7 @@ fn link_key(from: NodeId, to: NodeId) -> ((NodeId, NodeId), usize) {
     }
 }
 
-impl<M: Clone + std::fmt::Debug + 'static> World<M> {
+impl<M: Clone + std::fmt::Debug + Hash + 'static> World<M> {
     fn new(topo: Topology, seed: u64, scheduler: SchedulerKind) -> Self {
         let n = topo.host_count();
         let mut root = SimRng::seed_from(seed);
@@ -395,7 +395,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             events_processed: 0,
             recorders: (0..n).map(|i| FlightRecorder::new(i as u32)).collect(),
             current_cause: None,
-            rendered: String::new(),
             lite: n >= LITE_FLEET,
         }
     }
@@ -443,24 +442,22 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         self.queue.push(at, ev.target(), seq, ev);
     }
 
-    /// Renders a payload for the trace: its `Debug` text, cut into a send
-    /// span's label, and the digest of that text, which puts the content
-    /// under the fingerprint. This is the only place a payload is rendered:
-    /// a send renders once (a fan-out once for all its destinations, see
-    /// [`Ctx::multicast`]), the text names the send span and, by
-    /// inheritance, the delivery's, so a delivery has nothing to render or
-    /// hash again. Lite mode renders nothing: [`World::span`] keeps no label
-    /// there, and the content word is zero.
-    fn render(&mut self, msg: &M) -> (Label, u64) {
+    /// Renders a payload for the trace: a send span's label, its `Debug`
+    /// text formatted only as far as [`Label::debug`] keeps it, and the
+    /// content word, its `Hash` through the fingerprint's own [`Digest`].
+    /// This is the only place a payload is rendered: a send renders once (a
+    /// fan-out once for all its destinations, see [`Ctx::multicast`]), the
+    /// label names the send span and, by inheritance, the delivery's, so a
+    /// delivery has nothing to render or hash again. Lite mode renders
+    /// nothing: [`World::span`] keeps no label there, and the content word
+    /// is zero.
+    fn render(&self, msg: &M) -> (Label, u64) {
         if self.lite {
             return (Label::Static(""), 0);
         }
-        self.rendered.clear();
-        let _ = write!(self.rendered, "{msg:?}");
-        (
-            Label::text(&self.rendered),
-            digest(self.rendered.as_bytes()),
-        )
+        let mut content = Digest::default();
+        msg.hash(&mut content);
+        (Label::debug(msg), content.finish())
     }
 
     /// Records one send of a payload [`World::render`] has already
@@ -690,7 +687,7 @@ pub struct Ctx<'a, M> {
     node: NodeId,
 }
 
-impl<'a, M: Clone + std::fmt::Debug + 'static> Ctx<'a, M> {
+impl<'a, M: Clone + std::fmt::Debug + Hash + 'static> Ctx<'a, M> {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.world.now
@@ -736,8 +733,8 @@ impl<'a, M: Clone + std::fmt::Debug + 'static> Ctx<'a, M> {
     /// explicit payload size. Each destination goes through the same path
     /// as [`Ctx::send_sized`] — metrics, span ids, random draws, the link
     /// table, partition drops and broken-connection notices, all as a loop
-    /// of sends would leave them — but the payload is rendered and
-    /// digested once for the whole fan-out. The last destination gets
+    /// of sends would leave them — but the payload is labelled and hashed
+    /// once for the whole fan-out. The last destination gets
     /// `msg` itself and the others clones; an empty `to` sends nothing.
     pub fn multicast_sized(&mut self, to: impl IntoIterator<Item = NodeId>, msg: M, bytes: u32) {
         let from = self.node;
@@ -925,7 +922,7 @@ impl<A: Actor> Sim<A> {
     /// scheduling any event to choose otherwise. Lite mode records nothing
     /// per event: span ids are still allocated (so causes, and with them the
     /// event stream, are the same in both modes) but no slot is retained,
-    /// and payloads are neither `Debug`-rendered nor digested. Runs stay
+    /// and payloads are neither `Debug`-labelled nor hashed. Runs stay
     /// fully deterministic — equal seeds give equal fingerprints — but a
     /// lite fingerprint does not cover payload content and is only
     /// comparable to another lite run's.
@@ -1114,8 +1111,8 @@ impl<A: Actor> Sim<A> {
                 let m = &mut self.world.metrics[to.index()];
                 m.msgs_delivered.inc();
                 m.delivery_latency.record_duration(self.world.now - sent_at);
-                // The delivery is named after its send span, whose digest
-                // already put the payload under the fingerprint; the cause
+                // The delivery is named after its send span, whose content
+                // word already put the payload under the fingerprint; the cause
                 // word ties this event to it.
                 self.world
                     .dispatch_span(to, SpanKind::Deliver, Label::Inherit, cause);
@@ -1889,6 +1886,82 @@ mod tests {
         assert!(std::mem::size_of::<Ev<u32>>() <= 64);
     }
 
+    /// Receives any payload and does nothing: a test bed for payload types.
+    struct Sink<M>(std::marker::PhantomData<M>);
+
+    impl<M: Clone + std::fmt::Debug + Hash + 'static> Actor for Sink<M> {
+        type Msg = M;
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, M>, _from: NodeId, _msg: M) {}
+    }
+
+    /// One send of `msg` from node 0 to node 1: the send span's name, if
+    /// one was kept, and the run's fingerprint.
+    fn send_one<M: Clone + std::fmt::Debug + Hash + 'static>(
+        lite: bool,
+        msg: M,
+    ) -> (Option<String>, u64) {
+        let topo = Topology::star(2, SimDuration::from_millis(10), 10_000_000);
+        let mut sim = Sim::new(topo, 1, |_| Sink(std::marker::PhantomData));
+        sim.set_lite(lite);
+        sim.start_all();
+        sim.run_until(SimTime::ZERO);
+        sim.invoke(NodeId(0), |_, ctx| ctx.send(NodeId(1), msg));
+        sim.run_until_quiescent(SimTime::from_secs(1));
+        let fleet = sim.flight_recorders();
+        let send = fleet[0]
+            .spans()
+            .find(|s| s.kind() == SpanKind::Send)
+            .map(|s| s.render(fleet).name);
+        (send, sim.trace().fingerprint())
+    }
+
+    std::thread_local! {
+        static FORMATTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// An element whose `Debug` counts its calls on this thread.
+    #[derive(Clone, Hash)]
+    struct Counted(u32);
+
+    impl std::fmt::Debug for Counted {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            FORMATTED.with(|n| n.set(n.get() + 1));
+            write!(f, "{}", self.0)
+        }
+    }
+
+    #[test]
+    fn a_send_formats_only_what_its_label_keeps() {
+        let payload: Vec<Counted> = (0..100_000).map(Counted).collect();
+        for lite in [false, true] {
+            FORMATTED.with(|n| n.set(0));
+            let (label, _) = send_one(lite, payload.clone());
+            let formatted = FORMATTED.with(|n| n.get());
+            if lite {
+                assert_eq!((label, formatted), (None, 0), "lite formats nothing");
+            } else {
+                assert!(formatted <= 64, "{formatted} elements formatted");
+                let whole = Label::text(&format!("{payload:?}")).render();
+                assert_eq!(label, Some(whole));
+            }
+        }
+    }
+
+    #[test]
+    fn full_fingerprint_covers_content_past_the_label() {
+        let head = "x".repeat(60);
+        let (a, b) = ((head.clone(), 1u32), (head, 2u32));
+        assert_eq!(format!("{a:?}")[..60], format!("{b:?}")[..60]);
+        let (label_a, full_a) = send_one(false, a.clone());
+        let (label_b, full_b) = send_one(false, b.clone());
+        assert_eq!(label_a, label_b, "the labels cut before they differ");
+        assert_ne!(
+            full_a, full_b,
+            "full mode must fingerprint the whole payload"
+        );
+        assert_eq!(send_one(true, a).1, send_one(true, b).1);
+    }
+
     #[test]
     fn lite_fleet_reserves_no_span_memory() {
         let topo = Topology::star(1000, SimDuration::from_millis(2), 10_000_000);
@@ -2031,7 +2104,6 @@ mod tests {
         summary: String,
         bytes_sent: u64,
         deliveries: Vec<Delivery>,
-        last_render: String,
     }
 
     /// Two fan-outs from node 0 to `peers` over a lossy transit-stub net,
@@ -2082,7 +2154,6 @@ mod tests {
             summary: format!("{:?}", sim.summary()),
             bytes_sent: sim.summary().bytes_sent,
             deliveries,
-            last_render: sim.world.rendered.clone(),
         }
     }
 
@@ -2111,9 +2182,8 @@ mod tests {
                     // The sized variant is priced at its size, per peer.
                     let per_send = bytes.unwrap_or(DEFAULT_MSG_BYTES) + HEADER_BYTES;
                     assert_eq!(fanned.bytes_sent, 8 * per_send as u64, "{case}");
-                    // Lite keeps no slots and renders nothing.
+                    // Lite keeps no slots.
                     assert_eq!(fanned.spans.iter().all(Vec::is_empty), lite);
-                    assert_eq!(fanned.last_render.is_empty(), lite);
                 }
             }
         }
@@ -2147,7 +2217,6 @@ mod tests {
         assert_eq!(nobody, fan_out(false, false, &[], None, &|_| {}));
         assert_eq!(nobody.bytes_sent, 0);
         assert!(nobody.deliveries.is_empty());
-        assert!(nobody.last_render.is_empty(), "nothing was rendered");
         assert!(nobody.spans[0].iter().all(|s| s.kind != SpanKind::Send));
     }
 }

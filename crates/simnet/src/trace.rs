@@ -7,6 +7,8 @@
 //! the record of *what* happened lives in the per-node flight recorders
 //! (`cb-trace`), which render text only when someone reads them.
 
+use std::hash::Hasher;
+
 const SEED: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01B3;
 
@@ -18,18 +20,84 @@ fn round(h: u64, word: u64) -> u64 {
 }
 
 /// A 64-bit content digest of `bytes`, eight bytes per round; the tail
-/// rides one length-tagged word, so `"ab"` and `"ab\0"` differ.
+/// rides one length-tagged word, so `"ab"` and `"ab\0"` differ. Equal to
+/// one [`Digest::write`] followed by [`Digest::finish`].
 pub fn digest(bytes: &[u8]) -> u64 {
-    let mut h = SEED;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        h = round(h, u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+    let mut d = Digest::default();
+    d.write(bytes);
+    d.finish()
+}
+
+/// The fingerprint's round as a [`Hasher`]: what puts a payload's content
+/// under the fingerprint, through its `derive(Hash)`. Every write absorbs
+/// whole words (an integer is one round); [`Hasher::finish`] closes with
+/// the count of bytes absorbed.
+#[derive(Clone, Copy, Debug)]
+pub struct Digest {
+    state: u64,
+    len: u64,
+}
+
+impl Default for Digest {
+    fn default() -> Self {
+        Digest {
+            state: SEED,
+            len: 0,
+        }
     }
-    let mut tail = [0u8; 8];
-    let rest = chunks.remainder();
-    tail[..rest.len()].copy_from_slice(rest);
-    h = round(h, u64::from_le_bytes(tail));
-    round(h, bytes.len() as u64)
+}
+
+impl Digest {
+    #[inline]
+    fn word(&mut self, word: u64, bytes: u64) {
+        self.state = round(self.state, word);
+        self.len += bytes;
+    }
+}
+
+impl Hasher for Digest {
+    fn finish(&self) -> u64 {
+        round(self.state, self.len)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.state = round(
+                self.state,
+                u64::from_le_bytes(chunk.try_into().expect("8 bytes")),
+            );
+        }
+        let mut tail = [0u8; 8];
+        let rest = chunks.remainder();
+        tail[..rest.len()].copy_from_slice(rest);
+        self.word(u64::from_le_bytes(tail), bytes.len() as u64);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.word(v as u64, 1);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.word(v as u64, 2);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.word(v as u64, 4);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.word(v, 8);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.word(v as u64, 8);
+    }
 }
 
 /// The rolling fingerprint of a run and the count of events behind it.
@@ -127,5 +195,23 @@ mod tests {
         assert_ne!(digest(b"ab"), digest(b"ab\0"));
         assert_ne!(digest(b""), digest(b"\0"));
         assert_ne!(digest(b"abcdefgh12345678"), digest(b"12345678abcdefgh"));
+    }
+
+    #[test]
+    fn digest_is_pinned() {
+        let got = [
+            digest(b""),
+            digest(b"partitioned"),
+            digest("Checkpoint { data: TreeCheckpoint { parent: Some…".as_bytes()),
+        ];
+        assert_eq!(
+            got,
+            [
+                0x7550_e78b_c965_3c45,
+                0x68c9_17cb_5ad9_9fff,
+                0xe4b5_ac1a_6de3_eebd
+            ],
+            "{got:#018x?}"
+        );
     }
 }

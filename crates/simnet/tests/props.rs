@@ -79,6 +79,91 @@ proptest! {
     }
 }
 
+/// A payload whose `Debug` writes its text in the pieces it was built
+/// from, so the label writer sees every split a formatter could make.
+#[derive(Clone, Hash)]
+struct Pieces(Vec<String>);
+
+impl std::fmt::Debug for Pieces {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.iter().try_for_each(|piece| f.write_str(piece))
+    }
+}
+
+impl Actor for Pieces {
+    type Msg = Pieces;
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, Pieces>, _from: NodeId, _msg: Pieces) {}
+}
+
+/// The name of the span node 0's one send of `payload` leaves behind.
+fn send_label(payload: Pieces) -> String {
+    let topo = Topology::star(2, SimDuration::from_millis(5), 5_000_000);
+    let mut sim = Sim::new(topo, 1, |_| Pieces(Vec::new()));
+    sim.start_all();
+    sim.run_until(SimTime::ZERO);
+    sim.invoke(NodeId(0), |_, ctx| ctx.send(NodeId(1), payload));
+    let fleet = sim.flight_recorders();
+    let send = fleet[0]
+        .spans()
+        .find(|s| s.kind() == cb_trace::SpanKind::Send)
+        .expect("the send keeps a span");
+    send.render(fleet).name
+}
+
+/// [`send_label`] against the label of the whole text.
+fn assert_send_label(pieces: &[&str]) {
+    let payload = Pieces(pieces.iter().map(|p| p.to_string()).collect());
+    let whole = cb_trace::Label::text(&format!("{payload:?}")).render();
+    assert_eq!(send_label(payload), whole, "{pieces:?}");
+}
+
+#[test]
+fn send_label_cuts_inside_at_and_across_pieces() {
+    let a = |n: usize| "a".repeat(n);
+    // Inside a piece, and inside the first of several.
+    assert_send_label(&[&a(40), &a(20)]);
+    assert_send_label(&[&a(60), "b", "c"]);
+    // At a piece boundary: exactly full, then one more byte.
+    assert_send_label(&[&a(48)]);
+    assert_send_label(&[&a(48), ""]);
+    assert_send_label(&[&a(48), "b"]);
+    assert_send_label(&[&a(24), &a(24), "b"]);
+    // A multi-byte char across byte 48, whole or as its own piece.
+    assert_send_label(&[&a(47), "é"]);
+    assert_send_label(&[&a(46), "xé"]);
+    assert_send_label(&[&a(45), "𝄞b"]);
+    assert_send_label(&[&a(46), "é", "b"]);
+}
+
+proptest! {
+    /// A send's label is the label of the payload's whole `Debug` text,
+    /// however the formatter splits that text into writes.
+    #[test]
+    fn send_label_is_the_label_of_the_whole_debug_text(
+        prefix in 0usize..56,
+        picks in prop::collection::vec(any::<u8>(), 0..24),
+        splits in prop::collection::vec(0usize..80, 0..6),
+    ) {
+        const ALPHABET: [char; 6] = ['x', ' ', 'é', '…', '→', '𝄞'];
+        let mut chars: Vec<char> = "a".repeat(prefix).chars().collect();
+        chars.extend(picks.iter().map(|p| ALPHABET[*p as usize % ALPHABET.len()]));
+        let mut cuts: Vec<usize> = splits.iter().map(|c| c % (chars.len() + 1)).collect();
+        cuts.push(chars.len());
+        cuts.sort_unstable();
+        let mut from = 0;
+        let pieces: Vec<String> = cuts
+            .into_iter()
+            .map(|to| {
+                let piece = chars[from..to].iter().collect();
+                from = to;
+                piece
+            })
+            .collect();
+        let whole = cb_trace::Label::text(&pieces.concat()).render();
+        prop_assert_eq!(send_label(Pieces(pieces)), whole);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -12,6 +12,7 @@
 
 use crate::span::{Span, SpanId, SpanKind};
 use std::collections::VecDeque;
+use std::fmt::{self, Write};
 
 /// Default ring capacity, in spans. Bounded so long runs cannot grow memory
 /// without limit; eviction is **counted** (never silent) so consumers can
@@ -64,23 +65,18 @@ impl Label {
     /// Inline copy of `s`, cut at [`TEXT_CUT`] bytes on a char boundary and
     /// suffixed with `…` when longer.
     pub fn text(s: &str) -> Label {
-        let mut bytes = [0u8; TEXT_BYTES];
-        let len = if s.len() <= TEXT_CUT {
-            bytes[..s.len()].copy_from_slice(s.as_bytes());
-            s.len()
-        } else {
-            let mut cut = TEXT_CUT;
-            while !s.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            bytes[..cut].copy_from_slice(&s.as_bytes()[..cut]);
-            bytes[cut..cut + ELLIPSIS.len()].copy_from_slice(ELLIPSIS.as_bytes());
-            cut + ELLIPSIS.len()
-        };
-        Label::Text {
-            len: len as u8,
-            bytes,
-        }
+        let mut cut = Cut::new();
+        let _ = cut.write_str(s);
+        cut.label()
+    }
+
+    /// [`Label::text`] of `value`'s `Debug` text, formatted only as far as
+    /// the label keeps it: once the text runs past [`TEXT_CUT`] bytes the
+    /// writer refuses, and a `derive(Debug)` formatter skips what is left.
+    pub fn debug(value: &dyn fmt::Debug) -> Label {
+        let mut cut = Cut::new();
+        let _ = write!(cut, "{value:?}");
+        cut.label()
     }
 
     /// The label's text. [`Label::Inherit`] has none of its own and renders
@@ -95,6 +91,58 @@ impl Label {
                 .to_string(),
             Label::Inherit => INHERIT_EVICTED.to_string(),
         }
+    }
+}
+
+/// The writer behind [`Label::text`] and [`Label::debug`]: keeps the first
+/// [`TEXT_CUT`] bytes written to it and, once more arrive, cuts back to a
+/// char boundary, appends `…` and fails every write from then on.
+struct Cut {
+    len: usize,
+    bytes: [u8; TEXT_BYTES],
+    full: bool,
+}
+
+impl Cut {
+    fn new() -> Cut {
+        Cut {
+            len: 0,
+            bytes: [0; TEXT_BYTES],
+            full: false,
+        }
+    }
+
+    fn label(&self) -> Label {
+        Label::Text {
+            len: self.len as u8,
+            bytes: self.bytes,
+        }
+    }
+}
+
+impl fmt::Write for Cut {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if self.full {
+            return Err(fmt::Error);
+        }
+        let room = TEXT_CUT - self.len;
+        if s.len() <= room {
+            self.bytes[self.len..self.len + s.len()].copy_from_slice(s.as_bytes());
+            self.len += s.len();
+            return Ok(());
+        }
+        // Every earlier piece ended on a char boundary, so the last one at
+        // or before the cut lies inside this piece.
+        let mut keep = room;
+        while !s.is_char_boundary(keep) {
+            keep -= 1;
+        }
+        let end = self.len + keep;
+        self.bytes[self.len..end].copy_from_slice(&s.as_bytes()[..keep]);
+        self.bytes[end..end + ELLIPSIS.len()].copy_from_slice(ELLIPSIS.as_bytes());
+        self.len = end + ELLIPSIS.len();
+        self.full = true;
+        Err(fmt::Error)
     }
 }
 

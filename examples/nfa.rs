@@ -12,7 +12,7 @@
 use cb_core::prelude::*;
 use std::collections::HashMap;
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 enum Msg {
     /// Client asks the edge for a key.
     Get { key: u32, client: NodeId },

@@ -13,7 +13,7 @@ use cb_core::prelude::*;
 use std::collections::HashMap;
 
 /// Work-dispatch messages.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 enum Msg {
     /// A unit of work.
     Work(u32),

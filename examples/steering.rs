@@ -18,7 +18,7 @@ use cb_core::prelude::*;
 /// a propagation delay (two waves crawl toward each other from opposite
 /// ends of the id space, slowly enough that checkpoints and prediction run
 /// ahead of them).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 struct SetValue(u32);
 
 const FORWARD_TIMER: u64 = 1;

@@ -89,7 +89,7 @@ fn randtree_lookahead_is_pinned() {
         (
             1,
             (
-                0x725e_47ec_714d_afd8,
+                0xa476_3dc6_7b40_6eec,
                 83_479,
                 [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 56],
             ),
@@ -98,7 +98,7 @@ fn randtree_lookahead_is_pinned() {
         (
             2,
             (
-                0xc8e2_c8a6_cd9b_1feb,
+                0x15ce_366e_02a2_b3e3,
                 83_482,
                 [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 58],
             ),
@@ -129,7 +129,7 @@ fn randtree_storm_ladder_deadline_is_pinned() {
         "randtree storm+ladder+deadline=20 seed 3",
         &run("randtree", &arm, 3),
         (
-            0x5dc3_959d_385b_f249,
+            0xd0cd_c7ea_529d_45fc,
             83_373,
             [8, 14, 0, 0, 9, 0, 0, 0, 0, 0, 0, 10, 4, 0, 24],
         ),
@@ -147,7 +147,7 @@ fn randtree_record_then_warm_is_pinned() {
         "randtree record-policy seed 3",
         &cold,
         (
-            0x57c1_4a5d_917c_ad73,
+            0xf637_31db_863b_a9a0,
             83_519,
             [24, 0, 0, 0, 0, 0, 0, 0, 0, 24, 0, 0, 0, 0, 48],
         ),
@@ -160,7 +160,7 @@ fn randtree_record_then_warm_is_pinned() {
         "randtree warm seed 3",
         &run("randtree", &warm, 3),
         (
-            0xaa77_3da4_d752_4c0a,
+            0x3957_f684_0535_ca22,
             83_515,
             [11, 0, 34, 0, 0, 0, 35, 10, 1, 0, 1, 0, 0, 0, 22],
         ),
@@ -178,7 +178,7 @@ fn gossip_storm_ladder_is_pinned() {
         "gossip storm+ladder seed 3",
         &run("gossip", &arm, 3),
         (
-            0xbcef_b06e_2923_f5c0,
+            0x74ad_8301_a8ce_55ce,
             6_795,
             [630, 273, 0, 805, 0, 0, 0, 0, 0, 0, 0, 0, 273, 0, 5_323],
         ),
@@ -194,7 +194,7 @@ fn kv_storm_and_warm_pile_are_pinned() {
     assert_pin(
         "kv storm seed 3",
         &run("kv", &storm, 3),
-        (0x42c7_98a3_d769_b057, 4_913, [0; 15]),
+        (0xf2ce_7751_72d7_5ef9, 4_913, [0; 15]),
     );
     let record = ArmSpec {
         record_policy: true,
@@ -208,7 +208,7 @@ fn kv_storm_and_warm_pile_are_pinned() {
         "kv warm from a 4-seed pile, seed 3",
         &run("kv", &warm, 3),
         (
-            0xd750_d0e4_f1d6_f73f,
+            0x754a_1a39_6370_0576,
             4_948,
             [1, 0, 66, 0, 0, 0, 67, 0, 0, 0, 1, 0, 0, 0, 3],
         ),
