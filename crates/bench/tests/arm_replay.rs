@@ -14,7 +14,8 @@
 //! `campaign` answers with exit 2 — a flag the named scenario does not
 //! accept, a fleet below the scenario's minimum, a seed range past the
 //! largest u64. Drives the built binary, because the defects were in its
-//! flag handling, not in the library.
+//! flag handling, not in the library. The stock ring's round trip is
+//! here too: an arm that records `{}` replays the same way.
 
 use cb_harness::Json;
 use std::path::{Path, PathBuf};
@@ -151,6 +152,19 @@ fn randtree_workload_lookahead_artifact_replays_exactly() {
         &["--plan", "part:3|0.1.2.4.5.6.7.8.9.10.11.12.13.14@0-never"],
         1,
     );
+}
+
+#[test]
+fn stock_ring_artifact_replays_exactly() {
+    // The stock arm: node 3 cut off and never healed. The sweep and the
+    // replay are two processes, so the payload content words under both
+    // fingerprints are computed apart and must agree.
+    let tag = "ring";
+    let dir = scratch_dir(tag);
+    let plan = ["--plan", "part:3|0.1.2.4.5.6.7@0-never"];
+    let artifact = red_artifact(&dir, tag, "ring", &plan, 1);
+    replays_exactly(tag, &artifact, &[]);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -8,7 +8,8 @@
 //! flip the exit code. A closed stdout stops the printing, not the work: a
 //! query still ends with exit 0, an ingest still saves its index and a
 //! diff still exits 1 on a regression, none with a panic. Drives the built
-//! binary against the committed baseline corpus.
+//! binary against the committed baseline corpus and against artifacts a
+//! red sweep writes into a temp directory; nothing untracked is read.
 
 use std::process::{Command, Output, Stdio};
 
@@ -181,15 +182,30 @@ fn to_a_closed_stdout(args: &[&str]) -> Option<i32> {
 
 #[test]
 fn a_closed_stdout_stops_the_printing_not_the_work() {
-    // An ingest still saves its index.
-    let ingested = std::env::temp_dir().join(format!("cb-closed-corpus-{}", std::process::id()));
-    std::fs::remove_dir_all(&ingested).ok();
-    let campaigns = format!("{}/../../results/campaigns", env!("CARGO_MANIFEST_DIR"));
-    let to = ingested.to_str().expect("utf-8 temp path");
-    assert_eq!(to_a_closed_stdout(&["ingest", to, &campaigns]), Some(0));
+    // An ingest still saves its index. Its input is a red ring sweep this
+    // test writes itself: both seeds violate, so both leave an artifact.
+    let dir = std::env::temp_dir().join(format!("cb-closed-corpus-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let (artifacts, ingested) = (dir.join("art"), dir.join("corpus"));
+    let swept = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["--scenario", "ring", "--seeds", "2", "--no-determinism"])
+        .args(["--plan", "part:3|0.1.2.4.5.6.7@0-never", "--out"])
+        .arg(&artifacts)
+        .output()
+        .expect("campaign runs");
+    assert_eq!(
+        swept.status.code(),
+        Some(1),
+        "the unhealed cut must violate"
+    );
+    let (from, to) = (
+        artifacts.to_str().expect("utf-8 temp path"),
+        ingested.to_str().expect("utf-8 temp path"),
+    );
+    assert_eq!(to_a_closed_stdout(&["ingest", to, from]), Some(0));
     let saved = cb_corpus::Corpus::load(&ingested).expect("ingest saved its index");
-    assert!(!saved.is_empty(), "no records ingested");
-    std::fs::remove_dir_all(&ingested).ok();
+    assert_eq!(saved.len(), 2, "both red seeds ingested");
+    std::fs::remove_dir_all(&dir).ok();
 
     // A diff that finds a regression still writes its report and exits 1.
     let planted = planted_corpus("closed-planted");
