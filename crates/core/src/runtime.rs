@@ -1037,7 +1037,9 @@ mod tests {
     fn checkpoint_fan_out_counts_are_pinned() {
         // The controller ships each checkpoint through one multicast to its
         // neighbours minus itself; per node, the counts equal those of the
-        // per-peer send loop it replaced, and the run's fingerprint too.
+        // per-peer send loop it replaced, and the run's fingerprint too
+        // (re-recorded alone when a send's content word became the
+        // payload's hash).
         let mut sim = build();
         sim.start_all();
         sim.run_until_quiescent(SimTime::from_secs(30));

@@ -6,6 +6,10 @@
 //! (the integration tests check exactly that). Nothing is retained here:
 //! the record of *what* happened lives in the per-node flight recorders
 //! (`cb-trace`), which render text only when someone reads them.
+//!
+//! One round absorbs every word: the event words of [`Trace::push_words`],
+//! the bytes of [`digest`] (drop reasons, notes) and, through [`Digest`],
+//! a payload's `derive(Hash)` — the content word of a full-trace send.
 
 use std::hash::Hasher;
 

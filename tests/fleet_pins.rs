@@ -9,7 +9,10 @@
 //! short horizon so a debug build finishes each in a few seconds. A
 //! representation change must leave every number here alone; a deliberate
 //! behaviour change re-records them (run with `--nocapture`: a mismatch
-//! prints the observed triple).
+//! prints the observed triple). The full-trace fingerprints were
+//! re-recorded once, alone, when a send's content word became the
+//! payload's `derive(Hash)` instead of a digest of its `Debug` text; the
+//! lite pins and every count stayed as they were.
 
 use cb_bench::registry::{configure, scenario_names, ArmSpec};
 use cb_bench::steeringlab::run_lab;

@@ -9,7 +9,9 @@
 //! lookahead arm also pins its exploration totals). A change
 //! that only restructures the ladder must leave every number alone; a
 //! deliberate behaviour change re-records them (a mismatch prints the
-//! observed row in source form).
+//! observed row in source form). The fingerprints were re-recorded once,
+//! alone, when a send's content word became the payload's `derive(Hash)`;
+//! no count moved.
 //!
 //! The second half checks what a failure report of the storm arm and of the
 //! warm arm must carry (until PR 24, python in `ci.yml` over the artifacts).
