@@ -8,8 +8,9 @@
 //! (`cb-trace`), which render text only when someone reads them.
 //!
 //! One round absorbs every word: the event words of [`Trace::push_words`],
-//! the bytes of [`digest`] (drop reasons, notes) and, through [`Digest`],
-//! a payload's `derive(Hash)` — the content word of a full-trace send.
+//! the bytes of [`digest`] (drop reasons, notes) and, through the crate's
+//! `Digest` hasher, a payload's `derive(Hash)` — the content word of a
+//! full-trace send.
 
 use std::hash::Hasher;
 
@@ -25,7 +26,7 @@ fn round(h: u64, word: u64) -> u64 {
 
 /// A 64-bit content digest of `bytes`, eight bytes per round; the tail
 /// rides one length-tagged word, so `"ab"` and `"ab\0"` differ. Equal to
-/// one [`Digest::write`] followed by [`Digest::finish`].
+/// one `Digest::write` followed by `Digest::finish`.
 pub fn digest(bytes: &[u8]) -> u64 {
     let mut d = Digest::default();
     d.write(bytes);
@@ -36,8 +37,7 @@ pub fn digest(bytes: &[u8]) -> u64 {
 /// under the fingerprint, through its `derive(Hash)`. Every write absorbs
 /// whole words (an integer is one round); [`Hasher::finish`] closes with
 /// the count of bytes absorbed.
-#[derive(Clone, Copy, Debug)]
-pub struct Digest {
+pub(crate) struct Digest {
     state: u64,
     len: u64,
 }
