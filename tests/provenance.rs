@@ -1,7 +1,7 @@
 //! Integration tests for decision provenance: the causal span graph that
 //! campaign reports embed, and the blame/explain queries over it.
 //!
-//! Three layers:
+//! Five layers:
 //! 1. Property tests that the exported span graph is acyclic and
 //!    parent-resolvable, and — crucially — **independent of the campaign
 //!    worker count** (1/2/4/8 threads must record byte-identical masked
@@ -15,6 +15,8 @@
 //! 4. What the failure artifacts CI hands to the `trace` CLI must carry:
 //!    the storm arm's tail exports as valid Chrome trace-event JSON, and a
 //!    flash-crowd violation's admission decisions name their workload.
+//! 5. The masked tails of red and green seeds, and one green report with
+//!    its wall keys masked, are pinned byte for byte.
 
 use cb_bench::registry::{configure, ArmSpec};
 use cb_harness::prelude::*;
@@ -278,5 +280,73 @@ fn red_tails_are_pinned() {
             (0x1e9c_973d_e468_24a4, 662_186)
         ],
         "observed (fnv1a, bytes) of the masked provenance"
+    );
+}
+
+/// Every object value under a key containing `wall` blanked: what is left
+/// of a report is a pure function of `(scenario, seed, plan)`.
+fn mask_wall(json: &Json) -> Json {
+    match json {
+        Json::Obj(entries) => Json::Obj(
+            entries
+                .iter()
+                .map(|(k, v)| {
+                    let v = if k.contains("wall") {
+                        Json::Null
+                    } else {
+                        mask_wall(v)
+                    };
+                    (k.clone(), v)
+                })
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.iter().map(mask_wall).collect()),
+        other => other.clone(),
+    }
+}
+
+/// The masked provenance of four green seeds — stock kv, paxos and gossip
+/// and randtree `--lookahead`, each at seed 1 under its default plan —
+/// pinned as the `cb_corpus::fnv1a` of its compact text, beside the
+/// `(fnv1a, bytes)` of kv's whole report with wall keys masked. A green
+/// report's tail carries no violation span; a change to when or how the
+/// tail is rendered must leave every value alone.
+#[test]
+fn green_tails_are_pinned() {
+    let lookahead = ArmSpec {
+        lookahead: true,
+        ..ArmSpec::default()
+    };
+    let stock = ArmSpec::default();
+    let reports = [
+        ("kv", &stock),
+        ("paxos", &stock),
+        ("gossip", &stock),
+        ("randtree", &lookahead),
+    ]
+    .map(|(name, arm)| {
+        let scenario = configure(name, arm).expect("arm configures");
+        let report = scenario.run(1, &scenario.default_plan(1));
+        assert!(!report.violated(), "{name}: seed 1 must be green");
+        report
+    });
+    let digest = |text: String| (cb_corpus::fnv1a(text.as_bytes()), text.len());
+    let got = reports
+        .each_ref()
+        .map(|r| digest(r.provenance_masked_json().to_string_compact()));
+    assert_eq!(
+        got,
+        [
+            (0x427f_d9d3_f787_7893, 372_923),
+            (0xf5b5_62d9_aead_0e5c, 234_492),
+            (0x4764_be8d_a333_1856, 610_004),
+            (0xce61_4635_27d7_c663, 671_415)
+        ],
+        "observed (fnv1a, bytes) of the masked provenance"
+    );
+    assert_eq!(
+        digest(mask_wall(&reports[0].to_json()).to_string_compact()),
+        (0x6e5a_5f23_946e_b54a, 378_005),
+        "observed (fnv1a, bytes) of kv's masked report"
     );
 }
