@@ -62,13 +62,13 @@ fn tally() -> (u64, u64) {
 /// by a fraction of a byte per event, with the digit counts of the
 /// wall-clock values a report renders.
 const BOUNDS: [(&str, f64, f64); 7] = [
-    ("kv", 2.01, 677.0),
-    ("paxos", 2.17, 981.0),
-    ("mencius", 0.69, 407.0),
-    ("gossip", 3.50, 865.0),
-    ("dissem", 0.83, 708.0),
-    ("randtree", 1.27, 185.0),
-    ("ring", 3.82, 978.0),
+    ("kv", 0.71, 552.0),
+    ("paxos", 0.47, 793.0),
+    ("mencius", 0.26, 366.0),
+    ("gossip", 2.29, 741.0),
+    ("dissem", 0.26, 648.0),
+    ("randtree", 1.16, 174.0),
+    ("ring", 0.73, 694.0),
 ];
 
 #[test]

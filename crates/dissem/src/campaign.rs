@@ -150,7 +150,7 @@ impl Scenario for SwarmCampaign {
             },
         )];
         let telemetry = fleet_telemetry(&sim);
-        RunReport::from_sim(self.name(), seed, plan, &sim, verdicts, telemetry)
+        RunReport::from_sim(self.name(), seed, plan, &mut sim, verdicts, telemetry)
     }
 }
 

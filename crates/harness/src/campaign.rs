@@ -29,7 +29,7 @@
 pub use crate::artifact::{read_artifact, Artifact};
 use crate::json::{Json, Sink, TextSink};
 use crate::plan::FaultPlan;
-use crate::provenance::tail_line;
+use crate::provenance::{tail_line, Tail};
 use crate::scenario::{RunReport, Scenario};
 use cb_trace::Span;
 use std::collections::{BTreeMap, HashSet};
@@ -273,7 +273,16 @@ fn run_seed(scenario: &dyn Scenario, config: &CampaignConfig, seed: u64) -> Seed
         .plan_override
         .clone()
         .unwrap_or_else(|| scenario.default_plan(seed));
-    let report = scenario.run(seed, &plan);
+    let mut report = scenario.run(seed, &plan);
+    if config.keep_reports {
+        // A kept tail is read later, and a kept fleet of rings outweighs
+        // its tail many times over: render it here and free the rings.
+        report.provenance.render();
+    } else if !report.violated() {
+        // Nothing reads the tail of a green report the fold drops: free its
+        // recorders before the re-run builds a second fleet.
+        report.provenance = Tail::default();
+    }
     let deterministic =
         !config.check_determinism || scenario.run(seed, &plan).fingerprint == report.fingerprint;
     let red = report.violated().then(|| {
@@ -664,6 +673,27 @@ mod tests {
             },
         );
         assert!(out.reports.is_empty());
+    }
+
+    #[test]
+    fn kept_reports_hold_rendered_tails_and_no_recorders() {
+        let s = RingScenario::default();
+        let cfg = CampaignConfig {
+            seeds: 3,
+            artifact_dir: None,
+            keep_reports: true,
+            ..CampaignConfig::default()
+        };
+        let out = run_campaign(&s, &cfg);
+        assert!(out.all_passed(), "{}", out.summary_line());
+        for report in &out.reports {
+            assert!(report.provenance.is_rendered());
+            assert!(report.provenance.recorders().is_empty());
+        }
+        // Rendered before the fold stored it, equal to a fresh run's tail.
+        let fresh = s.run(1, &s.default_plan(1));
+        assert_eq!(*out.reports[0].provenance, *fresh.provenance);
+        assert!(!out.reports[0].provenance.is_empty());
     }
 
     #[test]

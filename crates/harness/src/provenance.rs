@@ -14,10 +14,16 @@
 //! of the same seed. The JSON key is literally `wall_ns` so generic
 //! key-contains-"wall" masking (the CI determinism check) blanks it without
 //! knowing the schema.
+//!
+//! A green run's tail is a [`Tail`] that renders on first read: a sweep
+//! drops most green reports unread, and rendering was up to a quarter of
+//! a small fleet's run.
 
 use crate::json::{Json, Kind, ParseError, Reader, Sink};
 use cb_simnet::prelude::{Actor, Sim, SimTime};
 use cb_trace::{FlightRecorder, Span, SpanId, SpanKind, SpanRef};
+use std::ops::{Deref, DerefMut};
+use std::sync::OnceLock;
 
 /// Schema tag of the `provenance` artifact section.
 pub const PROVENANCE_SCHEMA: &str = "cb-provenance/v1";
@@ -107,6 +113,102 @@ pub fn collect_tail(fleet: &[FlightRecorder], per_node: usize) -> Vec<Span> {
     }
     picked.sort_unstable_by_key(|(id, _)| *id);
     picked.iter().map(|(_, s)| s.render(fleet)).collect()
+}
+
+/// A report's flight-recorder tail, rendered on first read.
+///
+/// A green run's report holds its fleet's recorders, moved out of the
+/// finished sim, and runs [`collect_tail`] over them the first time the
+/// spans are read: by an artifact, `trace`, the corpus or a test. A report
+/// dropped unread never renders. A red run's tail is rendered with the run,
+/// because its violation spans read the live sim, and holds no recorders.
+/// Derefs to the rendered spans; `Clone` and `Debug` see only those, so a
+/// clone renders and copies the spans, never the rings.
+#[derive(Default)]
+pub struct Tail {
+    /// The recorders an unrendered tail is rendered from; empty once a
+    /// `&mut` access has rendered it.
+    fleet: Vec<FlightRecorder>,
+    spans: OnceLock<Vec<Span>>,
+}
+
+impl Tail {
+    /// The tail of `fleet`, rendered on first read.
+    pub(crate) fn unrendered(fleet: Vec<FlightRecorder>) -> Self {
+        Tail {
+            fleet,
+            spans: OnceLock::new(),
+        }
+    }
+
+    /// Renders the tail now and drops the recorders it came from.
+    pub(crate) fn render(&mut self) {
+        self.spans();
+        self.fleet = Vec::new();
+    }
+
+    fn spans(&self) -> &Vec<Span> {
+        self.spans
+            .get_or_init(|| collect_tail(&self.fleet, TAIL_PER_NODE))
+    }
+
+    /// The recorders still held: a tail not yet rendered through `&mut`
+    /// holds its fleet's.
+    #[cfg(test)]
+    pub(crate) fn recorders(&self) -> &[FlightRecorder] {
+        &self.fleet
+    }
+
+    /// Whether the spans have been rendered.
+    #[cfg(test)]
+    pub(crate) fn is_rendered(&self) -> bool {
+        self.spans.get().is_some()
+    }
+}
+
+impl From<Vec<Span>> for Tail {
+    fn from(spans: Vec<Span>) -> Self {
+        Tail {
+            fleet: Vec::new(),
+            spans: OnceLock::from(spans),
+        }
+    }
+}
+
+impl Deref for Tail {
+    type Target = Vec<Span>;
+
+    fn deref(&self) -> &Vec<Span> {
+        self.spans()
+    }
+}
+
+impl DerefMut for Tail {
+    fn deref_mut(&mut self) -> &mut Vec<Span> {
+        self.render();
+        self.spans.get_mut().expect("rendered above")
+    }
+}
+
+impl<'a> IntoIterator for &'a Tail {
+    type Item = &'a Span;
+    type IntoIter = std::slice::Iter<'a, Span>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl Clone for Tail {
+    fn clone(&self) -> Self {
+        Tail::from(self.spans().clone())
+    }
+}
+
+impl std::fmt::Debug for Tail {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.spans().fmt(f)
+    }
 }
 
 /// One span as a line, `[time] <span id> <kind> <name> <- <parent ids>`:
@@ -470,6 +572,46 @@ mod tests {
             tail_line(root.id, root.kind, &root.name, &root.parents),
             "[t+2us] t2000.n0.s2 timer timer:7"
         );
+    }
+
+    /// A green ring report, its tail unread.
+    fn green_report() -> crate::scenario::RunReport {
+        use crate::scenario::Scenario;
+        let ring = crate::toy::RingScenario::default();
+        let report = ring.run(5, &ring.default_plan(5));
+        assert!(!report.violated(), "{:?}", report.verdicts);
+        assert!(!report.provenance.is_rendered());
+        report
+    }
+
+    #[test]
+    fn a_green_tail_renders_on_first_read_as_collect_tail_would() {
+        let report = green_report();
+        let eager = collect_tail(report.provenance.recorders(), TAIL_PER_NODE);
+        assert!(!eager.is_empty());
+        assert!(!report.provenance.is_rendered(), "rendering is on read");
+        assert_eq!(*report.provenance, eager);
+        assert!(report.provenance.is_rendered());
+        // A `&mut` access renders as well, and drops the recorders.
+        let mut report = green_report();
+        report.provenance.push(sample_span());
+        assert!(report.provenance.recorders().is_empty());
+        assert_eq!(report.provenance[..eager.len()], eager[..]);
+    }
+
+    #[test]
+    fn a_cloned_unrendered_report_renders_the_same_tail() {
+        let report = green_report();
+        let eager = collect_tail(report.provenance.recorders(), TAIL_PER_NODE);
+        let copy = report.clone();
+        drop(report);
+        assert!(
+            copy.provenance.recorders().is_empty(),
+            "a clone copies spans"
+        );
+        assert_eq!(*copy.provenance, eager);
+        assert_eq!(format!("{:?}", copy.provenance), format!("{eager:?}"));
+        assert_eq!(*Tail::from(eager.clone()), eager);
     }
 
     fn sample_span() -> Span {

@@ -15,11 +15,10 @@
 use crate::json::{Json, Sink};
 use crate::oracle::OracleVerdict;
 use crate::plan::FaultPlan;
-use crate::provenance::{self, emit_provenance, provenance_json};
+use crate::provenance::{self, emit_provenance, provenance_json, Tail};
 use crate::telemetry::emit_telemetry;
 use cb_simnet::prelude::{Actor, Sim, SimTime};
 use cb_telemetry::{keys, Registry};
-use cb_trace::Span;
 
 /// Everything the campaign runner keeps from one seed's run.
 #[derive(Clone, Debug)]
@@ -49,8 +48,9 @@ pub struct RunReport {
     /// The flight-recorder tail: the last spans of every node's recorder,
     /// closed over retained causal parents, plus one synthesised
     /// `Violation` span per failing oracle. Deterministic except for each
-    /// span's `wall_ns`.
-    pub provenance: Vec<Span>,
+    /// span's `wall_ns`. A passing run's tail is rendered on first read
+    /// (see [`Tail`]).
+    pub provenance: Tail,
     /// Full telemetry registry for the run, handed to
     /// [`RunReport::from_sim`]: the standard schema pre-registered, the
     /// `net.*` traffic summary and the `trace.spans_{recorded,evicted}`
@@ -68,30 +68,33 @@ impl RunReport {
     /// Builds a report by inspecting a finished sim: `verdicts` are every
     /// oracle result in report order, `telemetry` the run's registry
     /// ([`Sim::telemetry`], or a runtime fleet's
-    /// `cb_core::runtime::fleet_telemetry`). Snapshots the flight-recorder
-    /// tail.
+    /// `cb_core::runtime::fleet_telemetry`). A passing run's report takes
+    /// the sim's flight recorders, to render its tail on first read; a
+    /// failing run's renders it now.
     pub fn from_sim<A: Actor>(
         scenario: &str,
         seed: u64,
         plan: &FaultPlan,
-        sim: &Sim<A>,
+        sim: &mut Sim<A>,
         verdicts: Vec<OracleVerdict>,
         telemetry: Registry,
     ) -> Self {
-        let failed = verdicts.iter().any(|v| !v.passed);
+        let failing: Vec<(String, String)> = verdicts
+            .iter()
+            .filter(|v| !v.passed)
+            .map(|v| (v.name.clone(), v.detail.clone()))
+            .collect();
         // Decision provenance: the flight-recorder tail rides every report;
         // failing runs additionally get one Violation span per failing
         // oracle, anchored to the last span (and last decision) per node.
-        let mut provenance =
-            provenance::collect_tail(sim.flight_recorders(), provenance::TAIL_PER_NODE);
-        if failed {
-            let failing: Vec<(String, String)> = verdicts
-                .iter()
-                .filter(|v| !v.passed)
-                .map(|v| (v.name.clone(), v.detail.clone()))
-                .collect();
-            provenance.extend(provenance::violation_spans(sim, &failing));
-        }
+        let provenance = if failing.is_empty() {
+            Tail::unrendered(sim.take_flight_recorders())
+        } else {
+            let mut spans =
+                provenance::collect_tail(sim.flight_recorders(), provenance::TAIL_PER_NODE);
+            spans.extend(provenance::violation_spans(sim, &failing));
+            Tail::from(spans)
+        };
         RunReport {
             scenario: scenario.to_string(),
             seed,

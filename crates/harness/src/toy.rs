@@ -146,7 +146,8 @@ impl Scenario for RingScenario {
             ),
             oracle::quiescence(&sim, self.horizon),
         ];
-        RunReport::from_sim(self.name(), seed, plan, &sim, verdicts, sim.telemetry())
+        let telemetry = sim.telemetry();
+        RunReport::from_sim(self.name(), seed, plan, &mut sim, verdicts, telemetry)
     }
 }
 

@@ -182,7 +182,7 @@ impl Scenario for KvCampaign {
                 self.horizon,
             ));
         }
-        let mut report = RunReport::from_sim(self.name(), seed, plan, &sim, verdicts, fleet);
+        let mut report = RunReport::from_sim(self.name(), seed, plan, &mut sim, verdicts, fleet);
         report.policy = policy.recorded();
         report
     }

@@ -116,7 +116,7 @@ impl Scenario for PaxosCampaign {
             ),
         ];
         let telemetry = fleet_telemetry(&sim);
-        RunReport::from_sim(self.name(), seed, plan, &sim, verdicts, telemetry)
+        RunReport::from_sim(self.name(), seed, plan, &mut sim, verdicts, telemetry)
     }
 }
 

@@ -905,7 +905,7 @@ impl Scenario for MenciusCampaign {
         if let Some(p) = &self.workload {
             verdicts.push(overload::goodput_floor(&fleet, p.goodput_floor));
         }
-        RunReport::from_sim(self.name(), seed, plan, &sim, verdicts, fleet)
+        RunReport::from_sim(self.name(), seed, plan, &mut sim, verdicts, fleet)
     }
 }
 

@@ -196,14 +196,9 @@ impl Scenario for RandTreeCampaign {
                 format!("{} of {up} up nodes reachable from root", stats.reachable),
             ),
         ];
-        let mut report = RunReport::from_sim(
-            self.name(),
-            seed,
-            plan,
-            &sim,
-            verdicts,
-            fleet_telemetry(&sim),
-        );
+        let telemetry = fleet_telemetry(&sim);
+        let mut report =
+            RunReport::from_sim(self.name(), seed, plan, &mut sim, verdicts, telemetry);
         report.policy = policy.recorded();
         report
     }

@@ -1339,6 +1339,14 @@ impl<A: Actor> Sim<A> {
         &self.world.recorders[n.index()]
     }
 
+    /// Moves the per-node flight recorders out of a finished sim (index =
+    /// node id), leaving it none: the sim must not step again, and its span
+    /// totals read 0 afterwards. Moving costs nothing; cloning a fleet of
+    /// 4 096-slot rings costs more than rendering a tail from them.
+    pub fn take_flight_recorders(&mut self) -> Vec<FlightRecorder> {
+        std::mem::take(&mut self.world.recorders)
+    }
+
     /// Spans the fleet's flight recorders ever pushed, and how many of
     /// those their bounded rings evicted.
     pub fn span_totals(&self) -> (u64, u64) {
