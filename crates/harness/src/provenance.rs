@@ -16,8 +16,8 @@
 //! knowing the schema.
 //!
 //! A green run's tail is a [`Tail`] that renders on first read: a sweep
-//! drops most green reports unread, and rendering was up to a quarter of
-//! a small fleet's run.
+//! drops most green reports unread, and collecting the tail was up to a
+//! quarter of a small fleet's run.
 
 use crate::json::{Json, Kind, ParseError, Reader, Sink};
 use cb_simnet::prelude::{Actor, Sim, SimTime};
