@@ -15,7 +15,9 @@
 //! accept, a fleet below the scenario's minimum, a seed range past the
 //! largest u64. Drives the built binary, because the defects were in its
 //! flag handling, not in the library. The stock ring's round trip is
-//! here too: an arm that records `{}` replays the same way.
+//! here too: an arm that records `{}` replays the same way. So is the
+//! shrinking sweep of the planted stale read, whose artifact replays to the
+//! recorded fingerprint.
 
 use cb_harness::Json;
 use std::path::{Path, PathBuf};
@@ -171,6 +173,50 @@ fn stock_ring_artifact_replays_exactly() {
 fn kv_unsafe_reads_artifact_replays_exactly() {
     // The planted stale read shows on seed 2 under the default plan.
     round_trip("kv-unsafe-reads", "kv", &["--unsafe-reads"], &[], 2);
+}
+
+/// The planted stale read needs no fault, so the chunked shrinker's first
+/// run (every fault dropped) already reproduces it: a shrinking sweep of
+/// four red seeds prints `shrunk: (no faults)` under every failure, and the
+/// seed-2 artifact replays to the recorded fingerprint.
+#[test]
+fn kv_unsafe_reads_shrink_to_no_faults_and_replay_exactly() {
+    let dir = scratch_dir("kv-shrunk");
+    let swept = campaign(&[
+        "--scenario",
+        "kv",
+        "--unsafe-reads",
+        "--seeds",
+        "4",
+        "--base-seed",
+        "2",
+        "--out",
+        utf8(&dir),
+    ]);
+    let stdout = String::from_utf8_lossy(&swept.stdout);
+    assert_eq!(
+        swept.status.code(),
+        Some(1),
+        "the planted bug must violate\n{stdout}"
+    );
+    // Each failure prints its seed line, then its plan, then its shrunk plan.
+    let mut shrunk = Vec::new();
+    for line in stdout.lines() {
+        if line.contains(": FAIL ") {
+            shrunk.push(None);
+        } else if let (Some(plan), Some(last)) =
+            (line.trim().strip_prefix("shrunk:"), shrunk.last_mut())
+        {
+            last.get_or_insert(plan.trim());
+        }
+    }
+    assert!(!shrunk.is_empty(), "no failure printed\n{stdout}");
+    assert!(
+        shrunk.iter().all(|plan| *plan == Some("(no faults)")),
+        "a failure shrank to a fault or printed no shrunk plan\n{stdout}"
+    );
+    replays_exactly("kv-shrunk", &dir.join("kv-seed2.json"), &[]);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Integration tests for decision provenance: the causal span graph that
 //! campaign reports embed, and the blame/explain queries over it.
 //!
-//! Five layers:
+//! Six layers:
 //! 1. Property tests that the exported span graph is acyclic and
 //!    parent-resolvable, and — crucially — **independent of the campaign
 //!    worker count** (1/2/4/8 threads must record byte-identical masked
@@ -17,6 +17,8 @@
 //!    flash-crowd violation's admission decisions name their workload.
 //! 5. The masked tails of red and green seeds, and one green report with
 //!    its wall keys masked, are pinned byte for byte.
+//! 6. A run on flight-recorder rings recycled from an earlier run on the
+//!    same thread records exactly what a run on fresh rings does.
 
 use cb_bench::registry::{configure, ArmSpec};
 use cb_harness::prelude::*;
@@ -349,4 +351,53 @@ fn green_tails_are_pinned() {
         (0x6e5a_5f23_946e_b54a, 378_005),
         "observed (fnv1a, bytes) of kv's masked report"
     );
+}
+
+/// One run's fingerprint, with the `(fnv1a, bytes)` of its masked tail and
+/// of its whole report with wall keys masked.
+fn run_digest(name: &str, arm: &ArmSpec, seed: u64) -> (u64, (u64, usize), (u64, usize)) {
+    let scenario = configure(name, arm).expect("arm configures");
+    let report = scenario.run(seed, &scenario.default_plan(seed));
+    let digest = |text: String| (cb_corpus::fnv1a(text.as_bytes()), text.len());
+    (
+        report.fingerprint,
+        digest(report.provenance_masked_json().to_string_compact()),
+        digest(mask_wall(&report.to_json()).to_string_compact()),
+    )
+}
+
+/// A run on flight-recorder rings a dropped fleet left on its thread
+/// records what a run on fresh rings does: three green seeds and the
+/// planted stale read's red one, each run on a new thread and then twice on
+/// this one, agree on their fingerprint, their masked tail and their
+/// wall-masked report.
+#[test]
+fn warm_rings_record_what_cold_ones_do() {
+    let lookahead = ArmSpec {
+        lookahead: true,
+        ..ArmSpec::default()
+    };
+    let unsafe_reads = ArmSpec {
+        unsafe_reads: true,
+        ..ArmSpec::default()
+    };
+    let stock = ArmSpec::default();
+    for (name, arm, seed) in [
+        ("kv", &stock, 1),
+        ("paxos", &stock, 1),
+        ("randtree", &lookahead, 1),
+        ("kv", &unsafe_reads, 2),
+    ] {
+        // A new thread's free list is empty. On this thread, each run's
+        // report is dropped before the next run starts, so the second run
+        // takes the first one's rings.
+        let spawned = arm.clone();
+        let cold = std::thread::spawn(move || run_digest(name, &spawned, seed))
+            .join()
+            .expect("cold run");
+        for pass in ["first", "second"] {
+            let warm = run_digest(name, arm, seed);
+            assert_eq!(cold, warm, "{name} seed {seed}: {pass} run on this thread");
+        }
+    }
 }
