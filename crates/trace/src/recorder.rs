@@ -56,7 +56,8 @@ const ELLIPSIS: &str = "…";
 /// delivery was exported). Fixed text, so exports stay deterministic.
 pub const INHERIT_EVICTED: &str = "<send evicted>";
 
-/// The fixed-width name of a slot; [`Label::render`] produces the text.
+/// The name a caller gives a slot; [`Label::render`] produces the text. A
+/// slot stores only what its label needs: a number, or a text cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Label {
     /// A fixed name (`"start"`, `"crash"`, drop reasons).
